@@ -16,7 +16,7 @@ import sys
 from .formula import (BENCHMARKS, Atom, ParseError, axiom_set, hsl_formula,
                       parse_formula, render_formula)
 from .grammar import grammar_from_axioms, graph_from_pairs, reachable
-from .labelled import check_labelled, parse_labelled_sequent
+from .labelled import check_labelled, parse_labelled_sequent, parse_rel_atoms
 from .models import (check_frame_conditions, check_model, eval_formula,
                      globally_true, model_of, sat_sequent)
 from .nested import check_nested, nseq, prove_bounded
@@ -80,27 +80,13 @@ def _emit(ns, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _parse_rel(text: str) -> list:
-    rel = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        m = re.fullmatch(r"([a-z][a-zA-Z0-9_]*)\s+R\s+([a-z][a-zA-Z0-9_]*)", chunk)
-        if not m:
-            raise ParseError(f"bad relational atom {chunk!r}")
-        rel.append((m.group(1), m.group(2)))
-    return rel
-
-
 def cmd_parse(ns) -> int:
     print(render_formula(parse_formula(ns.formula)))
     return 0
 
 
 def cmd_reach(ns) -> int:
-    rel = _parse_rel(ns.rel)
-    pg = graph_from_pairs(rel, extra_nodes=(ns.start, ns.end))
+    pg = graph_from_pairs(parse_rel_atoms(ns.rel), extra_nodes=(ns.start, ns.end))
     path = reachable(pg, grammar_from_axioms(_axioms(ns)), ns.start, ns.end)
     if path is None:
         print("unreachable")
@@ -141,7 +127,10 @@ def cmd_translate(ns) -> int:
 
 def cmd_prove(ns) -> int:
     goal = nseq(output=parse_formula(ns.formula))
-    proof = prove_bounded(goal, _axioms(ns), ns.depth)
+    try:
+        proof = prove_bounded(goal, _axioms(ns), ns.depth)
+    except ValueError as e:
+        raise _Fail(2, str(e))
     if proof is None:
         print(f"no proof within depth {ns.depth}", file=sys.stderr)
         return 1

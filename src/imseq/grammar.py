@@ -6,6 +6,12 @@ backwards then n forwards.  A relational atom w R u gives a forward edge
 w→u and a backward edge u→w.  A target node is reachable from a source
 when some walk between them spells a string derivable from the forward
 letter.  Letters print as ``d`` (forward) and ``b`` (backward).
+
+Both questions are answered by one algorithm, CFL reachability: a
+worklist saturates facts "some walk x to y spells a string derivable
+from S" over a graph.  ``reachable`` and ``reach_all`` run it on a
+propagation graph and unfold witness walks from the recorded facts;
+``derives`` runs it on the line graph of the target string.
 """
 
 from __future__ import annotations
@@ -86,81 +92,6 @@ def _nullable(g: Grammar) -> frozenset:
                 null.add(p.lhs)
                 changed = True
     return frozenset(null)
-
-
-def _unit_reach(g: Grammar, null: frozenset) -> dict:
-    """reach[X] = symbols Y with X ⟹* Y (as a one-letter string)."""
-    hops = {s: {s} for s in Sym}
-    for p in g.productions:
-        for i, c in enumerate(p.rhs):
-            rest = p.rhs[:i] + p.rhs[i + 1:]
-            if all(r in null for r in rest):
-                hops[p.lhs].add(c)
-    changed = True
-    while changed:
-        changed = False
-        for x in Sym:
-            new = set()
-            for y in hops[x]:
-                new |= hops[y]
-            if not new <= hops[x]:
-                hops[x] |= new
-                changed = True
-    return hops
-
-
-def derives(g: Grammar, start: Sym, target: Iterable[Sym]) -> bool:
-    """Whether start ⟹* target under the rewrite productions.
-
-    Rewriting with one-letter left-hand sides is context free, so
-    membership is decided by a CYK table over spans of the target.  Unit
-    chains (a production whose right-hand side collapses to one letter,
-    the rest deriving ε) are closed off separately so span parts stay
-    strictly smaller than their span.
-    """
-    t = syms(target)
-    null = _nullable(g)
-    if not t:
-        return start in null
-    unit = _unit_reach(g, null)
-    prods = g.sorted_productions()
-    n = len(t)
-    # spans[(i, j)] = symbols deriving t[i:j], built by ascending length
-    spans: dict[tuple[int, int], set] = {}
-    for i in range(n):
-        c = t[i]
-        spans[(i, i + 1)] = {x for x in Sym if c in unit[x]}
-    for length in range(2, n + 1):
-        for i in range(0, n - length + 1):
-            j = i + length
-            direct = set()
-            for p in prods:
-                if p.lhs in direct or not p.rhs:
-                    continue
-                if _rhs_matches(p.rhs, i, j, spans, null, length):
-                    direct.add(p.lhs)
-            spans[(i, j)] = {x for x in Sym if unit[x] & direct}
-    return start in spans[(0, n)]
-
-
-def _rhs_matches(rhs, i, j, spans, null, span_len) -> bool:
-    """Can rhs split t[i:j] into parts, each strictly shorter than the span?"""
-    m = len(rhs)
-
-    def go(r: int, p: int) -> bool:
-        if r == m:
-            return p == j
-        c = rhs[r]
-        if c in null and go(r + 1, p):
-            return True
-        for q in range(p + 1, j + 1):
-            if q - p >= span_len:
-                break
-            if c in spans[(p, q)] and go(r + 1, q):
-                return True
-        return False
-
-    return go(0, i)
 
 
 @dataclass(frozen=True)
@@ -294,17 +225,36 @@ class _Saturator:
                         self._add(("P", pi, i + 1, x, z), ("step", fact, ("F", s, y, z)))
 
     def path_of(self, fact: tuple) -> PropPath:
-        why = self.witness[fact]
-        kind = why[0]
-        if kind == "edge":
-            _, s, x, y = fact
-            return PropPath((x, y), (s,))
-        if kind == "null" or kind == "start":
-            return PropPath((fact[-2],), ())
-        if kind == "prod":
-            return self.path_of(why[1])
-        # step: part then full
-        return self.path_of(why[1]).concat(self.path_of(why[2]))
+        """Unfold the witnesses of fact, leftmost first, into its walk."""
+        nodes, steps = [fact[-2]], []
+        todo = [fact]
+        while todo:
+            fact = todo.pop()
+            why = self.witness[fact]
+            if why[0] == "edge":
+                steps.append(fact[1])
+                nodes.append(fact[3])
+            elif why[0] == "prod":
+                todo.append(why[1])
+            elif why[0] == "step":
+                # part then full: push the full first so the part unfolds first
+                todo.append(why[2])
+                todo.append(why[1])
+        return PropPath(tuple(nodes), tuple(steps))
+
+
+def derives(g: Grammar, start: Sym, target: Iterable[Sym]) -> bool:
+    """Whether start ⟹* target under the rewrite productions.
+
+    A reachability query on the target's line graph: nodes 0..n and one
+    edge i→i+1 per letter, so the only walk from 0 to n spells the
+    target.  The empty target needs no special case: the saturator
+    seeds every nullable symbol as a walk from a node to itself.
+    """
+    t = syms(target)
+    line = PropGraph(frozenset(range(len(t) + 1)),
+                     frozenset((i, c, i + 1) for i, c in enumerate(t)))
+    return ("F", start, 0, len(t)) in _Saturator(line, g).witness
 
 
 def reachable(pg: PropGraph, g: Grammar, start: str, end: str) -> Optional[PropPath]:

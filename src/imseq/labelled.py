@@ -102,6 +102,20 @@ def _parse_labform(chunk: str) -> tuple:
     return (lab, parse_formula(rest))
 
 
+def parse_rel_atoms(text: str) -> tuple:
+    """Comma-separated relational atoms 'w R u' as (w, u) pairs."""
+    rel = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        m = _REL_ATOM.match(chunk)
+        if not m:
+            raise ParseError(f"bad relational atom {chunk!r}")
+        rel.append((m.group(1), m.group(2)))
+    return tuple(rel)
+
+
 def parse_labelled_sequent(text: str) -> LabelledSequent:
     halves = text.split("|-")
     if len(halves) != 2:
@@ -110,17 +124,9 @@ def parse_labelled_sequent(text: str) -> LabelledSequent:
     sides = left.split(";")
     if len(sides) != 2:
         raise ParseError("expected 'rel ; ante' before '|-'")
-    rel = []
-    for chunk in sides[0].split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        m = _REL_ATOM.match(chunk)
-        if not m:
-            raise ParseError(f"bad relational atom {chunk!r}")
-        rel.append((m.group(1), m.group(2)))
+    rel = parse_rel_atoms(sides[0])
     ante = [_parse_labform(c) for c in sides[1].split(",") if c.strip()]
-    return LabelledSequent(tuple(rel), tuple(ante), _parse_labform(succ_text))
+    return LabelledSequent(rel, tuple(ante), _parse_labform(succ_text))
 
 
 @dataclass(frozen=True, eq=False)

@@ -461,9 +461,12 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
     points (output disjunction side, impI, propagation targets, d).
     A branch gives up on a repeated sequent; failures are cached per
     budget.  Sound (results always check) but incomplete in general.
+    Raises ValueError for a goal that is not full or a negative depth.
     """
     if not is_full(goal):
         raise ValueError("goal must have exactly one output formula")
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     g = grammar_from_axioms(ax)
     fail: dict = {}
 

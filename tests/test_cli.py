@@ -47,6 +47,12 @@ def test_prove_unprovable(capsys):
     assert "no proof" in err
 
 
+def test_prove_rejects_negative_depth(capsys):
+    code, out, err = run(capsys, "prove", "--depth", "-3", "p -> p")
+    assert code == 2
+    assert out == "" and "depth" in err and "no proof" not in err
+
+
 def test_check_and_corruption(tmp_path, capsys):
     code, out, _ = run(capsys, "prove", "--hsl", "1,1", "--depth", "8",
                        "<>[]p -> []p")

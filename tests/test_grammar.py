@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from imseq.formula import axiom_set
-from imseq.grammar import (Grammar, Production, PropPath, Sym,
+from imseq.grammar import (Grammar, Production, PropGraph, PropPath, Sym,
                            converse_string, derives, grammar_from_axioms,
                            graph_from_pairs, one_step, path_in_graph,
                            reach_all, reachable, syms)
@@ -99,6 +100,48 @@ def test_derives_against_closure_oracle():
         if (0, 0) not in pairs:
             # no erasing productions: the bounded closure is exact
             assert got == (s in closure_strings(g, D, max(len(s), 1))), (pairs, s)
+
+
+# axiom sets without erasing productions: closure_strings is exact for them
+NON_ERASING = [[(1, 1)], [(2, 0)], [(0, 2)], [(1, 1), (2, 1)], [(1, 2)]]
+
+
+def test_derives_exhaustive_short_strings():
+    for pairs in NON_ERASING:
+        g = grammar_from_axioms(axiom_set(pairs))
+        for start in (D, B):
+            lang = closure_strings(g, start, 7)
+            for n in range(8):
+                for letters in itertools.product("db", repeat=n):
+                    s = "".join(letters)
+                    assert derives(g, start, s) == (s in lang), (pairs, start, s)
+
+
+def test_derives_accepts_long_rewrites():
+    rng = random.Random(2024)
+    for pairs in NON_ERASING:
+        g = grammar_from_axioms(axiom_set(pairs))
+        prods = g.sorted_productions()
+        length = rng.randint(40, 120)
+        s = (D,)
+        while len(s) < length:
+            p = rng.choice(prods)
+            spots = [i for i, c in enumerate(s) if c == p.lhs]
+            if spots:
+                i = rng.choice(spots)
+                s = s[:i] + p.rhs + s[i + 1:]
+        assert derives(g, D, s), (pairs, "".join(c.value for c in s))
+
+
+def test_reachable_long_witness():
+    # the line graph of the string: its only walk from 0 to 501 spells it
+    text = "b" * 500 + "d"
+    line = PropGraph(frozenset(range(502)),
+                     frozenset((i, c, i + 1) for i, c in enumerate(syms(text))))
+    p = reachable(line, g_of((1, 1)), 0, 501)
+    assert p is not None
+    assert len(p.steps) == 501 and p.string == text
+    assert p.nodes == tuple(range(502))
 
 
 def test_prop_path():

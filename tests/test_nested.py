@@ -292,6 +292,15 @@ def test_prove_needs_budget():
     assert prove_formula(f, NOAX, 1) is None
 
 
+def test_prove_rejects_negative_depth():
+    f = parse_formula("p -> p")
+    with pytest.raises(ValueError):
+        prove_formula(f, NOAX, -1)
+    with pytest.raises(ValueError):
+        prove_bounded(nseq(output=f), NOAX, -3)
+    assert prove_formula(f, NOAX, 0) is None
+
+
 def random_full_nested(rng, depth, live):
     """A random full sequent; `live` atoms keep it occasionally provable."""
     def forms(n):
