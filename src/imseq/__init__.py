@@ -19,9 +19,9 @@ from .models import (Model, Violation, check_frame_conditions, check_model,
 from .labelled import (CheckResult, LabelledProof, LabelledSequent, RuleError,
                        check_labelled, lseq, parse_labelled_sequent,
                        premises_of_labelled, render_labelled_sequent)
-from .nested import (NestedProof, NestedSequent, check_nested, is_full,
-                     is_lhs, nseq, parse_nested, premises_of_nested,
-                     prove_bounded, prove_formula, render_nested)
+from .nested import (NestedProof, NestedSequent, check_nested, is_full, nseq,
+                     parse_nested, premises_of_nested, prove_bounded,
+                     prove_formula, render_nested)
 from .structural import (admit_structural, contract_proof, merge_proof,
                          nest_proof, weaken_proof)
 from .refine import eliminate_structural
@@ -45,7 +45,7 @@ __all__ = [
     "CheckResult", "LabelledProof", "LabelledSequent", "RuleError",
     "check_labelled", "lseq", "parse_labelled_sequent", "premises_of_labelled",
     "render_labelled_sequent",
-    "NestedProof", "NestedSequent", "check_nested", "is_full", "is_lhs",
+    "NestedProof", "NestedSequent", "check_nested", "is_full",
     "nseq", "parse_nested", "premises_of_nested", "prove_bounded",
     "prove_formula", "render_nested",
     "admit_structural", "contract_proof", "merge_proof", "nest_proof",

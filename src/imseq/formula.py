@@ -98,17 +98,26 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return out
 
 
+# Deepest formula the parser accepts, counting both the connectives on
+# one branch and the parentheses around one subformula.  The printer
+# recurses about three frames per connective and the parser five per
+# parenthesis, so this stays well inside Python's default 1000 frames.
+MAX_NESTING = 150
+
+
 class _Parser:
     """Recursive descent over the token list.
 
     Precedence, loosest first: <-> , -> (right assoc), | , & , prefix
-    ~ <> [].
+    ~ <> [].  ``depth`` counts the open recursive calls and stops the
+    parse past MAX_NESTING.
     """
 
     def __init__(self, toks: list[tuple[str, int]], text: str):
         self.toks = toks
         self.i = 0
         self.text = text
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.toks[self.i][0] if self.i < len(self.toks) else None
@@ -120,19 +129,28 @@ class _Parser:
         self.i += 1
         return t
 
+    def deeper(self, parse, pos: int) -> Formula:
+        """Run one parse method a level further down."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        a = parse()
+        self.depth -= 1
+        return a
+
     def formula(self) -> Formula:
         a = self.imp()
         if self.peek() == "<->":
-            self.next()
-            b = self.formula()
+            _, pos = self.next()
+            b = self.deeper(self.formula, pos)
             return And(Imp(a, b), Imp(b, a))
         return a
 
     def imp(self) -> Formula:
         a = self.disj()
         if self.peek() == "->":
-            self.next()
-            return Imp(a, self.imp())
+            _, pos = self.next()
+            return Imp(a, self.deeper(self.imp, pos))
         return a
 
     def disj(self) -> Formula:
@@ -152,13 +170,13 @@ class _Parser:
     def unary(self) -> Formula:
         tok, pos = self.next()
         if tok == "~":
-            return Imp(self.unary(), BOT)
+            return Imp(self.deeper(self.unary, pos), BOT)
         if tok == "<>":
-            return Dia(self.unary())
+            return Dia(self.deeper(self.unary, pos))
         if tok == "[]":
-            return Box(self.unary())
+            return Box(self.deeper(self.unary, pos))
         if tok == "(":
-            a = self.formula()
+            a = self.deeper(self.formula, pos)
             tok2, pos2 = self.next()
             if tok2 != ")":
                 raise ParseError(f"expected ')', got {tok2!r}", pos2)
@@ -170,12 +188,42 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}", pos)
 
 
+def _height(a: Formula) -> int:
+    """Connectives on the longest branch of a, without recursion.
+
+    Each subformula object is measured once: ``<->`` shares both sides,
+    so a chain of them is a small graph but an exponentially large tree.
+    """
+    height: dict[int, int] = {}
+    todo = [a]
+    while todo:
+        f = todo[-1]
+        if isinstance(f, (Dia, Box)):
+            kids = (f.body,)
+        elif isinstance(f, (And, Or, Imp)):
+            kids = (f.left, f.right)
+        else:
+            kids = ()
+        waiting = [k for k in kids if id(k) not in height]
+        if waiting:
+            todo.extend(waiting)
+        else:
+            todo.pop()
+            height[id(f)] = 1 + max(height[id(k)] for k in kids) if kids else 0
+    return height[id(a)]
+
+
 def parse_formula(text: str) -> Formula:
+    """Parse formula text; ParseError on bad syntax or past MAX_NESTING."""
     p = _Parser(_tokenize(text), text)
     a = p.formula()
     if p.i != len(p.toks):
         tok, pos = p.toks[p.i]
         raise ParseError(f"trailing input {tok!r}", pos)
+    # & and | chains deepen the tree without recursing in the parser;
+    # a formula's height is below its token count, so short text passes.
+    if len(p.toks) > MAX_NESTING and _height(a) > MAX_NESTING:
+        raise ParseError(f"formula nested deeper than {MAX_NESTING} levels")
     return a
 
 

@@ -67,10 +67,6 @@ def is_full(s: NestedSequent) -> bool:
     return output_count(s) == 1
 
 
-def is_lhs(s: NestedSequent) -> bool:
-    return output_count(s) == 0
-
-
 def output_position(s: NestedSequent) -> Optional[tuple]:
     """(path, formula) of the unique output, or None."""
     if s.output is not None:
@@ -167,11 +163,19 @@ def node_at(s: NestedSequent, path: tuple) -> NestedSequent:
     return s
 
 
-def all_paths(s: NestedSequent) -> list:
-    out = [()]
+def _positions(s: NestedSequent, path: tuple = (),
+               out: Optional[list] = None) -> list:
+    """(path, node) for every node: preorder, children in order."""
+    if out is None:
+        out = []
+    out.append((path, s))
     for i, c in enumerate(s.children):
-        out.extend((i,) + p for p in all_paths(c))
+        _positions(c, path + (i,), out)
     return out
+
+
+def all_paths(s: NestedSequent) -> list:
+    return [path for path, _ in _positions(s)]
 
 
 def replace_at(s: NestedSequent, path: tuple, new: NestedSequent) -> NestedSequent:
@@ -440,9 +444,8 @@ def check_nested(p: NestedProof, ax: AxiomSet) -> CheckResult:
     return walk(p, "")
 
 
-def _try_leaf(seq: NestedSequent) -> Optional[NestedProof]:
-    for path in all_paths(seq):
-        node = node_at(seq, path)
+def _try_leaf(seq: NestedSequent, positions: list) -> Optional[NestedProof]:
+    for path, node in positions:
         for idx, f in enumerate(node.inputs):
             if isinstance(f, Bot):
                 return NestedProof(seq, "botI",
@@ -460,7 +463,15 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
     rule; then branching invertible rules; then backtracking choice
     points (output disjunction side, impI, propagation targets, d).
     A branch gives up on a repeated sequent; failures are cached per
-    budget.  Sound (results always check) but incomplete in general.
+    budget.  Incomplete in general.
+
+    Premises are computed without re-checking side conditions: every
+    pdia/pbox path is a reach_all witness on the sequent's own
+    propagation graph, and d is tried only under seriality.  The graph
+    depends on the bracket tree alone, so its witnesses are computed
+    once per tree shape and kept for this call only.  The proof about
+    to be returned is run through check_nested, and a failure raises
+    RuntimeError, so results always check.
     Raises ValueError for a goal that is not full or a negative depth.
     """
     if not is_full(goal):
@@ -469,10 +480,25 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
         raise ValueError(f"depth must be at least 0, got {depth}")
     g = grammar_from_axioms(ax)
     fail: dict = {}
+    # tree shape (its node paths) -> position index -> [(target index, witness)]
+    reach_by_shape: dict = {}
+
+    def reach_from(seq, positions):
+        shape = tuple(path for path, _ in positions)
+        table = reach_by_shape.get(shape)
+        if table is None:
+            index = {path_id(path): i for i, path in enumerate(shape)}
+            table = [[] for _ in shape]
+            reach = reach_all(prop_graph_nested(seq), g)
+            for (src, dst), witness in sorted(reach.items()):
+                table[index[src]].append((index[dst], witness))
+            reach_by_shape[shape] = table
+        return table
 
     def attempt(seq, rule, params, budget, seen):
         try:
-            prems = premises_of_nested(seq, rule, params, ax)
+            prems = premises_of_nested(seq, rule, params, ax,
+                                       check_side_conditions=False)
         except RuleError:
             return None
         subs = []
@@ -484,7 +510,8 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
         return NestedProof(seq, rule, params, tuple(subs))
 
     def search(seq, budget, seen):
-        leaf = _try_leaf(seq)
+        positions = _positions(seq)
+        leaf = _try_leaf(seq, positions)
         if leaf is not None:
             return leaf
         if budget <= 0:
@@ -493,8 +520,6 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
         if key in seen or fail.get(key, -1) >= budget:
             return None
         seen = seen | {key}
-
-        positions = [(path, node_at(seq, path)) for path in all_paths(seq)]
 
         def commit(rule, params):
             got = attempt(seq, rule, params, budget, seen)
@@ -526,7 +551,7 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
 
         # choice points, backtracking
         reach = None
-        for path, node in positions:
+        for i, (path, node) in enumerate(positions):
             pid = path_id(path)
             if isinstance(node.output, Or):
                 for side in ("left", "right"):
@@ -535,10 +560,8 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
                         return got
             if isinstance(node.output, Dia):
                 if reach is None:
-                    reach = reach_all(prop_graph_nested(seq), g)
-                for (src, dst), witness in sorted(reach.items()):
-                    if src != pid:
-                        continue
+                    reach = reach_from(seq, positions)
+                for _, witness in reach[i]:
                     got = attempt(seq, "pdia", {"path": witness.to_list()},
                                   budget, seen)
                     if got is not None:
@@ -550,12 +573,9 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
                         return got
                 if isinstance(f, Box):
                     if reach is None:
-                        reach = reach_all(prop_graph_nested(seq), g)
-                    for (src, dst), witness in sorted(reach.items()):
-                        if src != pid:
-                            continue
-                        target = node_at(seq, parse_path_id(dst))
-                        if f.body in target.inputs:
+                        reach = reach_from(seq, positions)
+                    for j, witness in reach[i]:
+                        if f.body in positions[j][1].inputs:
                             continue
                         got = attempt(seq, "pbox",
                                       {"path": witness.to_list(), "index": idx},
@@ -573,7 +593,17 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
         fail[key] = max(fail.get(key, -1), budget)
         return None
 
-    return search(goal, depth, frozenset())
+    proof = search(goal, depth, frozenset())
+    # search and attempt form a reference cycle that holds these tables
+    # until a full garbage collection; free them now.
+    reach_by_shape.clear()
+    fail.clear()
+    if proof is not None:
+        res = check_nested(proof, ax)
+        if not res:
+            raise RuntimeError("prover built a proof that fails to check: "
+                               f"{res.message} at {res.at}")
+    return proof
 
 
 def prove_formula(a: Formula, ax: AxiomSet, depth: int) -> Optional[NestedProof]:

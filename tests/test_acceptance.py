@@ -227,7 +227,7 @@ def test_criterion_5_benchmark_provability():
 
 
 def test_criterion_7_admissible_transforms():
-    with criterion(7) as c:
+    with criterion(7, 60.0) as c:
         rng = random.Random(77001)
         ax0 = axiom_set()
         ax7 = axiom_set([(1, 1)], d=True)

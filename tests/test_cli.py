@@ -6,7 +6,7 @@ import random
 import pytest
 
 from imseq.cli import main
-from imseq.formula import axiom_set
+from imseq.formula import MAX_NESTING, axiom_set
 from imseq.gen import random_labelled_proof
 from imseq.proofio import dump_proof, load_nested_proof
 
@@ -23,6 +23,20 @@ def test_parse_round_trip(capsys):
     assert out.strip() == "p & q | (r -> false) -> []p"
     code, _, err = run(capsys, "parse", "p &")
     assert code == 1 and err
+
+
+@pytest.mark.parametrize("nest", [
+    lambda n: "~" * n + "p",
+    lambda n: "(" * n + "p" + ")" * n,
+    lambda n: "p & " * n + "p",
+    lambda n: "p -> " * (n // 2) + "<>" * (n - n // 2) + "p",
+], ids=["neg", "parens", "and-chain", "imp-then-dia"])
+def test_parse_nesting_limit(capsys, nest):
+    code, out, _ = run(capsys, "parse", nest(MAX_NESTING))
+    assert code == 0 and out.strip()
+    code, out, err = run(capsys, "parse", nest(MAX_NESTING + 1))
+    assert code == 1 and not out
+    assert f"nested deeper than {MAX_NESTING} levels" in err
 
 
 def test_reach_prints_witness(capsys):

@@ -1,16 +1,21 @@
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+import imseq.nested
 from imseq.formula import (And, Atom, BENCHMARKS, Bot, Box, Dia, Imp, Or,
                            ParseError, axiom_set, hsl_formula, parse_formula)
-from imseq.grammar import PropPath, Sym
+from imseq.grammar import PropPath, Sym, reach_all
 from imseq.nested import (EMPTY, NestedProof, all_paths, check_nested, is_full,
                           map_node, node_at, nseq, output_count,
                           output_position, output_pruned, parse_nested,
                           parse_path_id, path_id, premises_of_nested,
                           prop_graph_nested, prove_bounded, prove_formula,
                           render_nested, RuleError)
+from imseq.proofio import dump_proof
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 NOAX = axiom_set()
@@ -348,3 +353,40 @@ def test_prove_rejects_non_full_goal():
         prove_bounded(parse_nested("p^i"), NOAX, 4)
     with pytest.raises(ValueError):
         prove_bounded(parse_nested("p^o, [ q^o ]"), NOAX, 4)
+
+
+PROVE_CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "prove.json"
+
+
+def test_prover_output_matches_frozen_corpus():
+    """Byte-identical prover output on the frozen 300-goal benchmark corpus."""
+    spec = json.loads(PROVE_CORPUS.read_text())
+    mismatches = []
+    for i, g in enumerate(spec["goals"]):
+        ax = axiom_set([tuple(p) for p in g["axioms"]["hsl"]], d=g["axioms"]["d"])
+        proof = prove_bounded(parse_nested(g["goal"]), ax, spec["depth"])
+        digest = (None if proof is None else
+                  hashlib.sha256(dump_proof(proof).encode()).hexdigest())
+        if (proof is not None, digest) != (g["proved"], g["digest"]):
+            mismatches.append(i + 1)
+    assert len(spec["goals"]) == 300
+    assert mismatches == []
+
+
+def test_prover_rejects_a_proof_built_from_a_bad_witness(monkeypatch):
+    """The final check guards the trusted premises: a witness outside the
+    sequent's graph raises instead of yielding a proof that fails to check."""
+    def flipped(pg, g):
+        out = {}
+        for pair, path in reach_all(pg, g).items():
+            if path.steps:
+                path = PropPath(path.nodes,
+                                (path.steps[0].converse(),) + path.steps[1:])
+            out[pair] = path
+        return out
+
+    goal = parse_nested("[ p^i ], <>p^o")
+    assert check_nested(prove_bounded(goal, NOAX, 4), NOAX)
+    monkeypatch.setattr(imseq.nested, "reach_all", flipped)
+    with pytest.raises(RuntimeError, match="fails to check"):
+        prove_bounded(goal, NOAX, 4)
