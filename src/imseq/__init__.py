@@ -2,8 +2,8 @@
 
 Core pieces: formula language and axiom sets, string grammars with path
 reachability, finite bi-relational models, labelled and nested sequent
-calculi with proof checkers, structural-rule elimination, translations
-between the two calculi, and a bounded prover.
+calculi sharing one proof type and one checker walk, structural-rule
+elimination, translations between the two calculi, and a bounded prover.
 """
 
 from .formula import (AxiomSet, BENCHMARKS, BOT, Atom, Bot, Box, Dia, And, Or,
@@ -16,18 +16,18 @@ from .grammar import (Grammar, Production, PropGraph, PropPath, Sym,
 from .models import (Model, Violation, check_frame_conditions, check_model,
                      eval_formula, globally_true, model_of, random_model,
                      sat_sequent)
-from .labelled import (CheckResult, LabelledProof, LabelledSequent, RuleError,
-                       check_labelled, lseq, parse_labelled_sequent,
-                       premises_of_labelled, render_labelled_sequent)
+from .proof import CheckResult, Proof, RuleError
+from .labelled import (LabelledProof, LabelledSequent, check_labelled, lseq,
+                       parse_labelled_sequent, premises_of_labelled,
+                       render_labelled_sequent)
 from .nested import (NestedProof, NestedSequent, check_nested, is_full, nseq,
                      parse_nested, premises_of_nested, prove_bounded,
                      prove_formula, render_nested)
 from .structural import (admit_structural, contract_proof, merge_proof,
                          nest_proof, weaken_proof)
 from .refine import eliminate_structural
-from .translate import (SequentParts, TreeCert, canonical_relabel,
-                        is_labelled_tree, seq_compose, to_labelled, to_nested,
-                        translate_proof)
+from .translate import (TreeCert, canonical_relabel, is_labelled_tree,
+                        to_labelled, to_nested, translate_proof)
 from .proofio import (dump_proof, load_labelled_proof, load_nested_proof,
                       proof_to_dict)
 from .gen import (random_formula, random_full_nested, random_labelled_proof,
@@ -42,8 +42,8 @@ __all__ = [
     "path_in_graph", "reach_all", "reachable", "syms",
     "Model", "Violation", "check_frame_conditions", "check_model",
     "eval_formula", "globally_true", "model_of", "random_model", "sat_sequent",
-    "CheckResult", "LabelledProof", "LabelledSequent", "RuleError",
-    "check_labelled", "lseq", "parse_labelled_sequent", "premises_of_labelled",
+    "CheckResult", "Proof", "RuleError",
+    "LabelledProof", "LabelledSequent", "check_labelled", "lseq", "parse_labelled_sequent", "premises_of_labelled",
     "render_labelled_sequent",
     "NestedProof", "NestedSequent", "check_nested", "is_full",
     "nseq", "parse_nested", "premises_of_nested", "prove_bounded",
@@ -51,8 +51,8 @@ __all__ = [
     "admit_structural", "contract_proof", "merge_proof", "nest_proof",
     "weaken_proof",
     "eliminate_structural",
-    "SequentParts", "TreeCert", "canonical_relabel", "is_labelled_tree",
-    "seq_compose", "to_labelled", "to_nested", "translate_proof",
+    "TreeCert", "canonical_relabel", "is_labelled_tree",
+    "to_labelled", "to_nested", "translate_proof",
     "dump_proof", "load_labelled_proof", "load_nested_proof", "proof_to_dict",
     "random_formula", "random_full_nested", "random_labelled_proof",
     "random_tree_labelled",

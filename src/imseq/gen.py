@@ -16,9 +16,10 @@ import random
 from .formula import (And, Atom, AxiomSet, Bot, Box, Dia, Formula, Imp, Or,
                       render_formula)
 from .grammar import grammar_from_axioms, reach_all
-from .labelled import (LabelledProof, LabelledSequent, RuleError,
-                       premises_of_labelled, prop_graph_of)
+from .labelled import (LabelledProof, LabelledSequent, premises_of_labelled,
+                       prop_graph_of)
 from .nested import NestedSequent, all_paths, map_node
+from .proof import RuleError
 from .translate import to_labelled
 
 _ATOMS = ("p", "q", "r")

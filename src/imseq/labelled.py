@@ -1,10 +1,11 @@
-"""Labelled sequents and their proof checker.
+"""Labelled sequents, their rule schemes and their proof checker.
 
 A sequent is ``rel ; ante |- succ`` with a multiset of relational atoms
 ``w R u``, a multiset of labelled formulas ``w: A``, and exactly one
 succedent formula.  Proof nodes name a rule and carry explicit params
 (principal formula, eigenvariable, chains, witness path), so checking
-is plain structural matching with no search.
+is plain structural matching with no search; ``proof.check`` walks the
+tree and ``premises_of_labelled`` matches one rule instance.
 
 Modes: ``base`` uses the relational rules (diaR, boxL, S), ``refined``
 replaces those three with the path-conditioned propagation rules (pdia,
@@ -16,18 +17,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .formula import (Atom, AxiomSet, Bot, Box, Dia, Formula, Imp, And, Or,
                       ParseError, parse_formula, render_formula)
 from .grammar import (PropGraph, PropPath, Sym, derives,
                       grammar_from_axioms, graph_from_pairs, path_in_graph)
+from .proof import (CheckResult, Proof, RuleError, _p_chain, _p_formula,
+                    _p_int, _p_path, _p_str, check)
 
 _LABEL = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
-
-
-class RuleError(ValueError):
-    """A rule application that does not match its scheme."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,33 +128,7 @@ def parse_labelled_sequent(text: str) -> LabelledSequent:
     return LabelledSequent(rel, tuple(ante), _parse_labform(succ_text))
 
 
-@dataclass(frozen=True, eq=False)
-class LabelledProof:
-    conclusion: LabelledSequent
-    rule: str
-    params: dict
-    premises: tuple
-
-    def height(self) -> int:
-        return 1 + max((p.height() for p in self.premises), default=0)
-
-    def count_rule(self, name: str) -> int:
-        return (self.rule == name) + sum(p.count_rule(name) for p in self.premises)
-
-    def nodes(self):
-        yield self
-        for p in self.premises:
-            yield from p.nodes()
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    message: str = ""
-    at: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
+LabelledProof = Proof
 
 
 BASE_RULES = frozenset({
@@ -168,55 +141,6 @@ MODE_RULES = {
     "refined": REFINED_RULES,
     "either": BASE_RULES | REFINED_RULES,
 }
-
-RULE_ARITY = {
-    "id": 0, "botL": 0,
-    "andL": 1, "orL": 2, "impL": 2, "andR": 2, "orR": 1, "impR": 1,
-    "diaL": 1, "diaR": 1, "boxR": 1, "boxL": 1,
-    "d": 1, "S": 1, "pdia": 1, "pbox": 1,
-}
-
-
-def _p_str(params: dict, key: str) -> str:
-    v = params.get(key)
-    if not isinstance(v, str) or not v:
-        raise RuleError(f"param {key!r} must be a nonempty string")
-    return v
-
-
-def _p_int(params: dict, key: str) -> int:
-    v = params.get(key)
-    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-        raise RuleError(f"param {key!r} must be a nonnegative integer")
-    return v
-
-
-def _p_formula(params: dict, key: str) -> Formula:
-    v = params.get(key)
-    if not isinstance(v, str):
-        raise RuleError(f"param {key!r} must be a formula string")
-    try:
-        return parse_formula(v)
-    except ParseError as e:
-        raise RuleError(f"param {key!r}: {e}") from e
-
-
-def _p_chain(params: dict, key: str, length: int) -> list:
-    v = params.get(key)
-    if not isinstance(v, list) or len(v) != length or not all(
-            isinstance(x, str) and x for x in v):
-        raise RuleError(f"param {key!r} must list {length} labels")
-    return v
-
-
-def _p_path(params: dict, key: str) -> PropPath:
-    v = params.get(key)
-    if not isinstance(v, list):
-        raise RuleError(f"param {key!r} must be a path list")
-    try:
-        return PropPath.from_list(v)
-    except ValueError as e:
-        raise RuleError(f"param {key!r}: {e}") from e
 
 
 def _find_once(items: tuple, wanted) -> int:
@@ -405,162 +329,6 @@ def check_labelled(p: LabelledProof, ax: AxiomSet, mode: str = "base") -> CheckR
     """Validate every node of the proof against the chosen rule set."""
     if mode not in MODE_RULES:
         raise ValueError(f"unknown mode {mode!r}")
-    allowed = MODE_RULES[mode]
-
-    def walk(node: LabelledProof, at: str) -> CheckResult:
-        where = at or "root"
-        if node.rule not in allowed:
-            return CheckResult(False, f"rule {node.rule!r} not in {mode} mode", where)
-        try:
-            expected = premises_of_labelled(node.conclusion, node.rule,
-                                            node.params, ax)
-        except RuleError as e:
-            return CheckResult(False, f"{node.rule}: {e}", where)
-        if len(node.premises) != len(expected):
-            return CheckResult(
-                False,
-                f"{node.rule}: expected {len(expected)} premises, got {len(node.premises)}",
-                where)
-        for i, (sub, want) in enumerate(zip(node.premises, expected)):
-            if sub.conclusion != want:
-                return CheckResult(
-                    False,
-                    f"{node.rule}: premise {i} is {sub.conclusion}, expected {want}",
-                    where)
-            r = walk(sub, f"{at}.{i}" if at else str(i))
-            if not r:
-                return r
-        return CheckResult(True)
-
-    return walk(p, "")
-
-
-def conclusion_of_labelled(rule: str, params: dict,
-                           premises: Sequence[LabelledSequent],
-                           ax: AxiomSet) -> LabelledSequent:
-    """Forward application: rebuild the conclusion, then verify it.
-
-    The candidate conclusion is assembled from the premises and params,
-    then premises_of_labelled must reproduce exactly the given premises.
-    Zero-premise rules have no forward form here; leaves are built
-    directly by callers.
-    """
-    if RULE_ARITY.get(rule, -1) != len(premises):
-        raise RuleError(f"rule {rule!r} takes {RULE_ARITY.get(rule)} premises")
-    if not premises:
-        raise RuleError(f"rule {rule!r} has no forward form")
-
-    def without(items: tuple, wanted) -> tuple:
-        i = _find_once(items, wanted)
-        return items[:i] + items[i + 1:]
-
-    def replace(items: tuple, wanted, new) -> tuple:
-        i = _find_once(items, wanted)
-        return items[:i] + (new,) + items[i + 1:]
-
-    p0 = premises[0]
-
-    if rule == "andL":
-        w = _p_str(params, "world")
-        f = _p_formula(params, "formula")
-        if not isinstance(f, And):
-            raise RuleError("andL needs a conjunction param")
-        ante = without(p0.ante, (w, f.left))
-        ante = replace(ante, (w, f.right), (w, f))
-        cand = LabelledSequent(p0.rel, ante, p0.succ)
-    elif rule == "orL":
-        w = _p_str(params, "world")
-        f = _p_formula(params, "formula")
-        if not isinstance(f, Or):
-            raise RuleError("orL needs a disjunction param")
-        cand = LabelledSequent(p0.rel, replace(p0.ante, (w, f.left), (w, f)), p0.succ)
-    elif rule == "impL":
-        w = _p_str(params, "world")
-        f = _p_formula(params, "formula")
-        if not isinstance(f, Imp):
-            raise RuleError("impL needs an implication param")
-        p1 = premises[1]
-        cand = LabelledSequent(p1.rel, replace(p1.ante, (w, f.right), (w, f)), p1.succ)
-    elif rule == "andR":
-        w, a = p0.succ
-        w2, b = premises[1].succ
-        if w != w2:
-            raise RuleError("andR premises must share the succedent label")
-        cand = LabelledSequent(p0.rel, p0.ante, (w, And(a, b)))
-    elif rule == "orR":
-        f = _p_formula(params, "formula")
-        if not isinstance(f, Or):
-            raise RuleError("orR needs the disjunction param for the forward direction")
-        cand = LabelledSequent(p0.rel, p0.ante, (p0.succ[0], f))
-    elif rule == "impR":
-        f = _p_formula(params, "formula")
-        if not isinstance(f, Imp):
-            raise RuleError("impR needs the implication param for the forward direction")
-        w = p0.succ[0]
-        cand = LabelledSequent(p0.rel, without(p0.ante, (w, f.left)), (w, f))
-    elif rule == "diaL":
-        w = _p_str(params, "world")
-        f = _p_formula(params, "formula")
-        u = _p_str(params, "fresh")
-        if not isinstance(f, Dia):
-            raise RuleError("diaL needs a diamond param")
-        cand = LabelledSequent(without(p0.rel, (w, u)),
-                               replace(p0.ante, (u, f.body), (w, f)), p0.succ)
-    elif rule == "diaR":
-        w = _p_str(params, "from")
-        u, b = p0.succ
-        if _p_str(params, "to") != u:
-            raise RuleError("param 'to' disagrees with the premise label")
-        cand = LabelledSequent(p0.rel, p0.ante, (w, Dia(b)))
-    elif rule == "boxR":
-        w = _p_str(params, "from")
-        u, b = p0.succ
-        if _p_str(params, "fresh") != u:
-            raise RuleError("param 'fresh' disagrees with the premise label")
-        cand = LabelledSequent(without(p0.rel, (w, u)), p0.ante, (w, Box(b)))
-    elif rule == "boxL":
-        w = _p_str(params, "world")
-        f = _p_formula(params, "formula")
-        u = _p_str(params, "to")
-        if not isinstance(f, Box):
-            raise RuleError("boxL needs a box param")
-        cand = LabelledSequent(p0.rel, without(p0.ante, (u, f.body)), p0.succ)
-    elif rule == "d":
-        w = _p_str(params, "world")
-        u = _p_str(params, "fresh")
-        cand = LabelledSequent(without(p0.rel, (w, u)), p0.ante, p0.succ)
-    elif rule == "S":
-        n = _p_int(params, "n")
-        k = _p_int(params, "k")
-        cn = _p_chain(params, "chain_n", n + 1)
-        ck = _p_chain(params, "chain_k", k + 1)
-        cand = LabelledSequent(without(p0.rel, (cn[-1], ck[-1])), p0.ante, p0.succ)
-    elif rule == "pdia":
-        path = _p_path(params, "path")
-        u, b = p0.succ
-        if path.end != u:
-            raise RuleError("path must end at the premise's succedent label")
-        cand = LabelledSequent(p0.rel, p0.ante, (path.start, Dia(b)))
-    elif rule == "pbox":
-        w = _p_str(params, "world")
-        f = _p_formula(params, "formula")
-        u = _p_str(params, "to")
-        if not isinstance(f, Box):
-            raise RuleError("pbox needs a box param")
-        cand = LabelledSequent(p0.rel, without(p0.ante, (u, f.body)), p0.succ)
-    else:
-        raise RuleError(f"unknown rule {rule!r}")
-
-    computed = premises_of_labelled(cand, rule, params, ax)
-    if len(computed) != len(premises) or any(
-            a != b for a, b in zip(computed, premises)):
-        raise RuleError(f"{rule}: premises do not match the reconstructed conclusion")
-    return cand
-
-
-def apply_rule_forward(rule: str, params: dict,
-                       premises: Sequence[LabelledProof],
-                       ax: AxiomSet) -> LabelledProof:
-    seqs = [p.conclusion for p in premises]
-    cand = conclusion_of_labelled(rule, params, seqs, ax)
-    return LabelledProof(cand, rule, dict(params), tuple(premises))
+    return check(p,
+                 lambda seq, rule, params: premises_of_labelled(seq, rule, params, ax),
+                 MODE_RULES[mode], f"rule {{!r}} not in {mode} mode")

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .formula import (Atom, AxiomSet, Bot, Box, Dia, Formula, Imp, And, Or,
-                      ParseError, parse_formula, render_formula)
+from .formula import (MAX_NESTING, Atom, AxiomSet, Bot, Box, Dia, Formula, Imp,
+                      And, Or, ParseError, parse_formula, render_formula)
 from .grammar import (PropGraph, PropPath, Sym, derives, grammar_from_axioms,
                       path_in_graph, reach_all)
-from .labelled import CheckResult, RuleError, _p_int, _p_path, _p_str
+from .proof import CheckResult, Proof, RuleError, _p_int, _p_path, _p_str, check
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,12 +123,20 @@ def _is_bracket(item: str) -> bool:
 
 
 def parse_nested(text: str) -> NestedSequent:
+    """Parse sequent text; ParseError on bad syntax or past MAX_NESTING
+    bracket levels."""
+    return _parse_node(text, 0)
+
+
+def _parse_node(text: str, depth: int) -> NestedSequent:
     inputs = []
     output = None
     children = []
     for item in _split_items(text):
         if _is_bracket(item):
-            children.append(parse_nested(item[1:-1]))
+            if depth == MAX_NESTING:
+                raise ParseError(f"sequent nested deeper than {MAX_NESTING} bracket levels")
+            children.append(_parse_node(item[1:-1], depth + 1))
             continue
         if "^" not in item:
             raise ParseError(f"formula item needs a ^i or ^o marker: {item!r}")
@@ -217,30 +225,12 @@ def prop_graph_nested(s: NestedSequent) -> PropGraph:
     return PropGraph(frozenset(nodes), frozenset(edges))
 
 
-@dataclass(frozen=True, eq=False)
-class NestedProof:
-    conclusion: NestedSequent
-    rule: str
-    params: dict
-    premises: tuple
+NestedProof = Proof
 
-    def height(self) -> int:
-        return 1 + max((p.height() for p in self.premises), default=0)
-
-    def count_rule(self, name: str) -> int:
-        return (self.rule == name) + sum(p.count_rule(name) for p in self.premises)
-
-    def nodes(self):
-        yield self
-        for p in self.premises:
-            yield from p.nodes()
-
-
-NESTED_ARITY = {
-    "botI": 0, "id": 0,
-    "andI": 1, "andO": 2, "orI": 2, "orO": 1, "impO": 1, "impI": 2,
-    "boxO": 1, "diaI": 1, "d": 1, "pdia": 1, "pbox": 1,
-}
+NESTED_RULES = frozenset({
+    "botI", "id", "andI", "andO", "orI", "orO", "impO", "impI",
+    "boxO", "diaI", "d", "pdia", "pbox",
+})
 
 
 def _p_node(seq: NestedSequent, params: dict, key: str = "at") -> tuple:
@@ -417,31 +407,10 @@ def premises_of_nested(seq: NestedSequent, rule: str, params: dict,
 
 
 def check_nested(p: NestedProof, ax: AxiomSet) -> CheckResult:
-    def walk(node: NestedProof, at: str) -> CheckResult:
-        where = at or "root"
-        if node.rule not in NESTED_ARITY:
-            return CheckResult(False, f"unknown rule {node.rule!r}", where)
-        try:
-            expected = premises_of_nested(node.conclusion, node.rule, node.params, ax)
-        except RuleError as e:
-            return CheckResult(False, f"{node.rule}: {e}", where)
-        if len(node.premises) != len(expected):
-            return CheckResult(
-                False,
-                f"{node.rule}: expected {len(expected)} premises, got {len(node.premises)}",
-                where)
-        for i, (sub, want) in enumerate(zip(node.premises, expected)):
-            if sub.conclusion != want:
-                return CheckResult(
-                    False,
-                    f"{node.rule}: premise {i} is {sub.conclusion}, expected {want}",
-                    where)
-            r = walk(sub, f"{at}.{i}" if at else str(i))
-            if not r:
-                return r
-        return CheckResult(True)
-
-    return walk(p, "")
+    """Validate every node of the proof against the nested rules."""
+    return check(p,
+                 lambda seq, rule, params: premises_of_nested(seq, rule, params, ax),
+                 NESTED_RULES, "unknown rule {!r}")
 
 
 def _try_leaf(seq: NestedSequent, positions: list) -> Optional[NestedProof]:

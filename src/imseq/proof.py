@@ -1,0 +1,134 @@
+"""Proof trees and the checker walk shared by both calculi.
+
+A proof is a tree of rule instances in either calculus: a node names
+its conclusion, its rule, its explicit params and its premise proofs.
+The calculi differ only in their sequents and in the function that
+computes the premises of one backward rule application, so one walk
+checks both.  Every walk here uses an explicit stack, so proof height
+is bounded by memory, not by the interpreter's recursion limit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .formula import Formula, ParseError, parse_formula
+from .grammar import PropPath
+
+
+class RuleError(ValueError):
+    """A rule application that does not match its scheme."""
+
+
+@dataclass(frozen=True, eq=False)
+class Proof:
+    conclusion: object  # LabelledSequent or NestedSequent
+    rule: str
+    params: dict
+    premises: tuple     # of Proof
+
+    def height(self) -> int:
+        h = 0
+        level = [self]
+        while level:
+            h += 1
+            level = [q for p in level for q in p.premises]
+        return h
+
+    def nodes(self):
+        """Every node in preorder, premises left to right."""
+        stack = [self]
+        while stack:
+            p = stack.pop()
+            yield p
+            stack.extend(reversed(p.premises))
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    ok: bool
+    message: str = ""
+    at: str = ""
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def _p_str(params: dict, key: str) -> str:
+    v = params.get(key)
+    if not isinstance(v, str) or not v:
+        raise RuleError(f"param {key!r} must be a nonempty string")
+    return v
+
+
+def _p_int(params: dict, key: str) -> int:
+    v = params.get(key)
+    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        raise RuleError(f"param {key!r} must be a nonnegative integer")
+    return v
+
+
+def _p_formula(params: dict, key: str) -> Formula:
+    v = params.get(key)
+    if not isinstance(v, str):
+        raise RuleError(f"param {key!r} must be a formula string")
+    try:
+        return parse_formula(v)
+    except ParseError as e:
+        raise RuleError(f"param {key!r}: {e}") from e
+
+
+def _p_chain(params: dict, key: str, length: int) -> list:
+    v = params.get(key)
+    if not isinstance(v, list) or len(v) != length or not all(
+            isinstance(x, str) and x for x in v):
+        raise RuleError(f"param {key!r} must list {length} labels")
+    return v
+
+
+def _p_path(params: dict, key: str) -> PropPath:
+    v = params.get(key)
+    if not isinstance(v, list):
+        raise RuleError(f"param {key!r} must be a path list")
+    try:
+        return PropPath.from_list(v)
+    except ValueError as e:
+        raise RuleError(f"param {key!r}: {e}") from e
+
+
+def check(proof: Proof, premises_fn, allowed, refusal: str) -> CheckResult:
+    """Validate every node: its rule is allowed, premises_fn accepts the
+    instance, and the premise proofs conclude the computed premises.
+
+    premises_fn(conclusion, rule, params) returns the premise sequents
+    or raises RuleError; refusal formats the message for a rule outside
+    allowed.  Nodes are visited in preorder and the first failure is
+    reported at its address ("root", "0", "0.1", ...).  A premise whose
+    conclusion is not the computed one fails at its parent, after the
+    subtrees of the earlier premises have checked.
+    """
+    # (node, address, parent rule, premise index, computed conclusion)
+    stack = [(proof, "", None, 0, None)]
+    while stack:
+        node, at, parent_rule, i, want = stack.pop()
+        if parent_rule is not None and node.conclusion != want:
+            return CheckResult(
+                False,
+                f"{parent_rule}: premise {i} is {node.conclusion}, expected {want}",
+                at.rpartition(".")[0] or "root")
+        where = at or "root"
+        if node.rule not in allowed:
+            return CheckResult(False, refusal.format(node.rule), where)
+        try:
+            expected = premises_fn(node.conclusion, node.rule, node.params)
+        except RuleError as e:
+            return CheckResult(False, f"{node.rule}: {e}", where)
+        if len(node.premises) != len(expected):
+            return CheckResult(
+                False,
+                f"{node.rule}: expected {len(expected)} premises, got {len(node.premises)}",
+                where)
+        prefix = f"{at}." if at else ""
+        for j in reversed(range(len(expected))):
+            stack.append((node.premises[j], f"{prefix}{j}", node.rule, j, expected[j]))
+    return CheckResult(True)

@@ -10,55 +10,63 @@ from __future__ import annotations
 
 import json
 
-from .labelled import (LabelledProof, parse_labelled_sequent,
-                       render_labelled_sequent)
-from .nested import NestedProof, parse_nested, render_nested
+from .labelled import parse_labelled_sequent
+from .nested import parse_nested
+from .proof import Proof
 
 
 def proof_to_dict(p) -> dict:
-    if isinstance(p, LabelledProof):
-        concl = render_labelled_sequent(p.conclusion)
-    elif isinstance(p, NestedProof):
-        concl = render_nested(p.conclusion)
-    else:
+    if not isinstance(p, Proof):
         raise ValueError(f"not a proof object: {type(p).__name__}")
-    return {"rule": p.rule, "conclusion": concl, "params": dict(p.params),
+    return {"rule": p.rule, "conclusion": str(p.conclusion), "params": dict(p.params),
             "premises": [proof_to_dict(s) for s in p.premises]}
 
 
-def _from_dict(d, parse, cls):
-    if not isinstance(d, dict):
-        raise ValueError("proof node must be a JSON object")
-    missing = {"rule", "conclusion", "params", "premises"} - d.keys()
-    if missing:
-        raise ValueError(f"proof node lacks {sorted(missing)}")
-    if not isinstance(d["rule"], str):
-        raise ValueError("rule must be a string")
-    if not isinstance(d["conclusion"], str):
-        raise ValueError("conclusion must be a sequent string")
-    if not isinstance(d["params"], dict):
-        raise ValueError("params must be an object")
-    if not isinstance(d["premises"], list):
-        raise ValueError("premises must be a list")
-    return cls(parse(d["conclusion"]), d["rule"], d["params"],
-               tuple(_from_dict(s, parse, cls) for s in d["premises"]))
+def _from_dict(root, parse) -> Proof:
+    """Validate and parse the nodes in preorder, then build the proofs
+    bottom-up, with explicit stacks."""
+    order = []  # (node dict, parsed conclusion), preorder
+    todo = [root]
+    while todo:
+        d = todo.pop()
+        if not isinstance(d, dict):
+            raise ValueError("proof node must be a JSON object")
+        missing = {"rule", "conclusion", "params", "premises"} - d.keys()
+        if missing:
+            raise ValueError(f"proof node lacks {sorted(missing)}")
+        if not isinstance(d["rule"], str):
+            raise ValueError("rule must be a string")
+        if not isinstance(d["conclusion"], str):
+            raise ValueError("conclusion must be a sequent string")
+        if not isinstance(d["params"], dict):
+            raise ValueError("params must be an object")
+        if not isinstance(d["premises"], list):
+            raise ValueError("premises must be a list")
+        order.append((d, parse(d["conclusion"])))
+        todo.extend(reversed(d["premises"]))
+    # in reverse preorder a node's premises are the top of `built`, first on top
+    built: list = []
+    for d, conclusion in reversed(order):
+        premises = tuple(built.pop() for _ in d["premises"])
+        built.append(Proof(conclusion, d["rule"], d["params"], premises))
+    return built[0]
 
 
-def labelled_proof_from_dict(d) -> LabelledProof:
-    return _from_dict(d, parse_labelled_sequent, LabelledProof)
-
-
-def nested_proof_from_dict(d) -> NestedProof:
-    return _from_dict(d, parse_nested, NestedProof)
+def _load(text: str, parse) -> Proof:
+    try:
+        root = json.loads(text)
+    except RecursionError:
+        raise ValueError("proof file is nested too deeply to read") from None
+    return _from_dict(root, parse)
 
 
 def dump_proof(p) -> str:
     return json.dumps(proof_to_dict(p), indent=2) + "\n"
 
 
-def load_labelled_proof(text: str) -> LabelledProof:
-    return labelled_proof_from_dict(json.loads(text))
+def load_labelled_proof(text: str) -> Proof:
+    return _load(text, parse_labelled_sequent)
 
 
-def load_nested_proof(text: str) -> NestedProof:
-    return nested_proof_from_dict(json.loads(text))
+def load_nested_proof(text: str) -> Proof:
+    return _load(text, parse_nested)

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from .formula import AxiomSet
 from .grammar import PropPath, Sym
-from .labelled import (LabelledProof, LabelledSequent, RuleError,
-                       check_labelled, premises_of_labelled, _p_chain, _p_int)
+from .labelled import (LabelledProof, LabelledSequent, check_labelled,
+                       premises_of_labelled)
+from .proof import RuleError, _p_chain, _p_int
 
 
 def _detour_path(path: PropPath, edge: tuple, cn: list, ck: list) -> PropPath:

@@ -16,17 +16,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import count
 from typing import Optional
 
 from .formula import AxiomSet, Bot, parse_formula, render_formula
 from .grammar import PropPath
-from .labelled import (LabelledProof, LabelledSequent, RuleError,
-                       check_labelled, premises_of_labelled, render_labelled_sequent)
-from .nested import (NestedProof, NestedSequent, check_nested, is_full,
-                     node_at, output_position, parse_path_id, path_id,
+from .labelled import (LabelledSequent, check_labelled, premises_of_labelled,
+                       render_labelled_sequent)
+from .nested import (NestedSequent, check_nested, is_full, node_at,
+                     output_position, parse_path_id, path_id,
                      premises_of_nested)
+from .proof import Proof, RuleError
 
 
 @dataclass(frozen=True)
@@ -36,9 +35,6 @@ class TreeCert:
 
     root: str
     parent: dict
-
-    def labels(self) -> set:
-        return {self.root, *self.parent}
 
 
 def is_labelled_tree(seq: LabelledSequent) -> Optional[TreeCert]:
@@ -72,35 +68,6 @@ def is_labelled_tree(seq: LabelledSequent) -> Optional[TreeCert]:
     return TreeCert(root, parent)
 
 
-@dataclass(frozen=True, eq=False)
-class SequentParts:
-    """Succedent-free half of a labelled sequent."""
-
-    rel: tuple = ()
-    ante: tuple = ()
-
-    @cached_property
-    def _key(self):
-        return (tuple(sorted(f"{w} R {u}" for w, u in self.rel)),
-                tuple(sorted(f"{w}: {render_formula(a)}" for w, a in self.ante)))
-
-    def __eq__(self, other):
-        if not isinstance(other, SequentParts):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-
-EMPTY_PARTS = SequentParts()
-
-
-def seq_compose(a: SequentParts, b: SequentParts) -> SequentParts:
-    """Componentwise multiset union."""
-    return SequentParts(a.rel + b.rel, a.ante + b.ante)
-
-
 def to_labelled_with_map(s: NestedSequent) -> tuple:
     """(labelled sequent, address-to-label map) for a full nested sequent.
 
@@ -110,21 +77,20 @@ def to_labelled_with_map(s: NestedSequent) -> tuple:
     if not is_full(s):
         raise ValueError("translation needs exactly one output formula")
     names: dict = {}
-    fresh = count()
-
-    def walk(node: NestedSequent, addr: tuple) -> SequentParts:
-        lab = f"w{next(fresh)}"
+    rel: list = []
+    ante: list = []
+    stack = [((), s, None)]
+    while stack:
+        addr, node, parent = stack.pop()
+        lab = f"w{len(names)}"
         names[addr] = lab
-        parts = SequentParts((), tuple((lab, f) for f in node.inputs))
-        for i, c in enumerate(node.children):
-            sub = walk(c, addr + (i,))
-            edge = SequentParts(((lab, names[addr + (i,)]),), ())
-            parts = seq_compose(parts, seq_compose(edge, sub))
-        return parts
-
-    parts = walk(s, ())
+        if parent is not None:
+            rel.append((parent, lab))
+        ante.extend((lab, f) for f in node.inputs)
+        for i in reversed(range(len(node.children))):
+            stack.append((addr + (i,), node.children[i], lab))
     pos, f = output_position(s)
-    return LabelledSequent(parts.rel, parts.ante, (names[pos], f)), names
+    return LabelledSequent(tuple(rel), tuple(ante), (names[pos], f)), names
 
 
 def to_labelled(s: NestedSequent) -> LabelledSequent:
@@ -239,7 +205,7 @@ def _nested_params(L: LabelledSequent, n: NestedSequent, m: dict,
                      "eliminate the relational rules first")
 
 
-def _proof_to_nested(p: LabelledProof, ax: AxiomSet) -> NestedProof:
+def _proof_to_nested(p: Proof, ax: AxiomSet) -> Proof:
     for node in p.nodes():
         if node.rule in ("S", "diaR", "boxL"):
             raise ValueError(f"rule {node.rule!r} has no nested counterpart; "
@@ -252,20 +218,20 @@ def _proof_to_nested(p: LabelledProof, ax: AxiomSet) -> NestedProof:
         raise ValueError("conclusion is not a labelled tree sequent")
     root = cert.root
 
-    def walk(q: LabelledProof) -> NestedProof:
+    def walk(q: Proof) -> Proof:
         c = is_labelled_tree(q.conclusion)
         if c is None or c.root != root:
             raise ValueError(
                 f"fixed root property failed at {render_labelled_sequent(q.conclusion)}")
         n, m = to_nested_with_map(q.conclusion)
         params = _nested_params(q.conclusion, n, m, q.rule, q.params)
-        return NestedProof(n, _TO_NESTED_RULE[q.rule], params,
-                           tuple(walk(sub) for sub in q.premises))
+        return Proof(n, _TO_NESTED_RULE[q.rule], params,
+                     tuple(walk(sub) for sub in q.premises))
 
     return walk(p)
 
 
-def _labelled_params(q: NestedProof, m: dict, fresh: int) -> tuple:
+def _labelled_params(q: Proof, m: dict, fresh: int) -> tuple:
     """(params, extended map, next fresh index) for one rule instance."""
     rule, params, n = q.rule, q.params, q.conclusion
 
@@ -331,13 +297,13 @@ def _realign(stored: NestedSequent, shape: NestedSequent, at_stored: tuple,
             raise ValueError("premise trees do not align")
 
 
-def _proof_to_labelled(p: NestedProof, ax: AxiomSet) -> LabelledProof:
+def _proof_to_labelled(p: Proof, ax: AxiomSet) -> Proof:
     ok = check_nested(p, ax)
     if not ok:
         raise ValueError(f"input proof fails the checker at {ok.at}: {ok.message}")
     L0, names = to_labelled_with_map(p.conclusion)
 
-    def walk(q: NestedProof, L: LabelledSequent, m: dict, fresh: int) -> LabelledProof:
+    def walk(q: Proof, L: LabelledSequent, m: dict, fresh: int) -> Proof:
         if to_nested(L) != q.conclusion:
             raise ValueError(
                 f"translation drifted at {render_labelled_sequent(L)}")
@@ -353,7 +319,7 @@ def _proof_to_labelled(p: NestedProof, ax: AxiomSet) -> LabelledProof:
             sub_map: dict = {}
             _realign(sub.conclusion, shape, (), (), m2, sub_map)
             subs.append(walk(sub, prem, sub_map, fresh2))
-        return LabelledProof(L, rule, params, tuple(subs))
+        return Proof(L, rule, params, tuple(subs))
 
     return walk(p, L0, names, len(names))
 
@@ -363,15 +329,16 @@ def translate_proof(p, direction: str, ax: AxiomSet):
 
     direction names the target: "nested" takes a propagation-only
     labelled proof of a tree sequent to a nested proof; "labelled" goes
-    the other way.  The input is checked first and the rule-by-rule
-    mapping keeps every witness path letter-for-letter.
+    the other way.  The proof's conclusion must be a sequent of the other
+    calculus.  The input is checked first and the rule-by-rule mapping
+    keeps every witness path letter-for-letter.
     """
+    source_of = {"nested": LabelledSequent, "labelled": NestedSequent}
+    if direction not in source_of:
+        raise ValueError(f"direction must be 'nested' or 'labelled', not {direction!r}")
+    if not (isinstance(p, Proof) and isinstance(p.conclusion, source_of[direction])):
+        other = "labelled" if direction == "nested" else "nested"
+        raise ValueError(f"direction {direction!r} needs a {other} proof")
     if direction == "nested":
-        if not isinstance(p, LabelledProof):
-            raise ValueError("direction 'nested' needs a labelled proof")
         return _proof_to_nested(p, ax)
-    if direction == "labelled":
-        if not isinstance(p, NestedProof):
-            raise ValueError("direction 'labelled' needs a nested proof")
-        return _proof_to_labelled(p, ax)
-    raise ValueError(f"direction must be 'nested' or 'labelled', not {direction!r}")
+    return _proof_to_labelled(p, ax)

@@ -133,6 +133,47 @@ def test_translate_round_trip_files(tmp_path, capsys):
     assert json.loads(out)["rule"] == p.rule
 
 
+def d_chain_text(n):
+    """A nested proof file: d applied n times at the root, closed by id."""
+    def conclusion(k):
+        return json.dumps("p^i, p^o" + ", [ ]" * k)
+
+    head = "".join(f'{{"rule": "d", "conclusion": {conclusion(k)}, '
+                   '"params": {"at": "r"}, "premises": ['
+                   for k in range(n))
+    leaf = (f'{{"rule": "id", "conclusion": {conclusion(n)}, '
+            '"params": {"at": "r", "index": 0}, "premises": []}')
+    return head + leaf + "]}" * n
+
+
+def test_deep_proof_file_fails_cleanly(tmp_path, capsys):
+    shallow = tmp_path / "shallow.json"
+    shallow.write_text(d_chain_text(20))
+    assert run(capsys, "check", "--calculus", "nested", "--d", str(shallow))[0] == 0
+    deep = tmp_path / "deep.json"
+    deep.write_text(d_chain_text(500))
+    for argv in (["check", "--calculus", "nested", "--d"], ["refine"],
+                 ["translate", "--to", "labelled"], ["translate", "--to", "nested"]):
+        code, out, err = run(capsys, *argv, str(deep))
+        assert code == 2 and not out, argv
+        assert "nested too deeply" in err and "Traceback" not in err
+
+
+def test_check_rejects_deep_brackets(tmp_path, capsys):
+    def proof_file(n):
+        node = {"rule": "id", "conclusion": "[ " * n + "p^i, p^o" + " ]" * n,
+                "params": {"at": "r" + ".0" * n, "index": 0}, "premises": []}
+        path = tmp_path / f"brackets{n}.json"
+        path.write_text(json.dumps(node))
+        return str(path)
+
+    assert run(capsys, "check", "--calculus", "nested", proof_file(MAX_NESTING))[0] == 0
+    code, out, err = run(capsys, "check", "--calculus", "nested",
+                         proof_file(MAX_NESTING + 1))
+    assert code == 2 and not out
+    assert f"deeper than {MAX_NESTING} bracket levels" in err
+
+
 def test_model_eval(tmp_path, capsys):
     model = tmp_path / "model.txt"
     model.write_text(

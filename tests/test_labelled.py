@@ -2,8 +2,7 @@ import pytest
 
 from imseq.formula import axiom_set, parse_formula
 from imseq.labelled import (CheckResult, LabelledProof, LabelledSequent,
-                            RuleError, apply_rule_forward, check_labelled,
-                            conclusion_of_labelled, lseq,
+                            RuleError, check_labelled, lseq,
                             parse_labelled_sequent, premises_of_labelled,
                             prop_graph_of, render_labelled_sequent)
 
@@ -231,58 +230,6 @@ def test_check_nested_failure_address():
                 [okleaf, leaf("id", "; w: q |- w: q")])
     r = check_labelled(mism, NOAX)
     assert not r.ok and r.at == "root" and "premise 1" in r.message
-
-
-def test_forward_application():
-    prem = seq("w R u, w R v, u R v ; u: p |- v: <>p")
-    c = conclusion_of_labelled("S", {"n": 1, "k": 1, "chain_n": ["w", "u"],
-                                     "chain_k": ["w", "v"]}, [prem], AX11)
-    assert c == seq("w R u, w R v ; u: p |- v: <>p")
-    c = conclusion_of_labelled("S", {"n": 0, "k": 0, "chain_n": ["z"],
-                                     "chain_k": ["z"]},
-                               [seq("z R z ; |- w: p")], axiom_set([(0, 0)]))
-    assert c == seq("; |- w: p")
-    two = [seq("; |- w: p"), seq("; |- w: q")]
-    assert conclusion_of_labelled("andR", {}, two, NOAX) == seq("; |- w: p & q")
-    with pytest.raises(RuleError):
-        conclusion_of_labelled("andR", {}, [seq("; |- w: p"), seq("; |- u: q")], NOAX)
-    with pytest.raises(RuleError):
-        conclusion_of_labelled("id", {}, [], NOAX)
-
-
-def test_forward_round_trip():
-    cases = [
-        ("andL", {"world": "w", "formula": "p & q"}, "; w: p & q |- u: r", NOAX),
-        ("orL", {"world": "w", "formula": "p | q"}, "; w: p | q |- u: r", NOAX),
-        ("impL", {"world": "w", "formula": "p -> q"}, "; w: p -> q |- u: r", NOAX),
-        ("orR", {"side": "left", "formula": "p | q"}, "; |- w: p | q", NOAX),
-        ("impR", {"formula": "p -> q"}, "; |- w: p -> q", NOAX),
-        ("diaL", {"world": "w", "formula": "<>p", "fresh": "u"}, "; w: <>p |- v: r", NOAX),
-        ("diaR", {"from": "w", "to": "u"}, "w R u ; |- w: <>q", NOAX),
-        ("boxR", {"fresh": "u", "from": "w"}, "; |- w: []q", NOAX),
-        ("boxL", {"world": "w", "formula": "[]q", "to": "u"},
-         "w R u ; w: []q |- v: r", NOAX),
-        ("d", {"world": "w", "fresh": "u"}, "; |- w: p", axiom_set(d=True)),
-        ("pdia", {"path": ["v", "b", "w", "d", "u"]},
-         "w R u, w R v ; u: p |- v: <>p", AX11),
-        ("pbox", {"world": "w", "formula": "[]p", "to": "u",
-                  "path": ["w", "b", "u", "b", "v", "d", "u"]},
-         "v R u, u R w ; w: []p |- v: p -> q", AX21),
-    ]
-    for rule, params, text, ax in cases:
-        conc = seq(text)
-        prems = premises_of_labelled(conc, rule, params, ax)
-        back = conclusion_of_labelled(rule, params, prems, ax)
-        assert back == conc, rule
-
-
-def test_apply_rule_forward_builds_proof():
-    prem_proof = leaf("id", "w R u, w R v, u R v ; u: p |- u: p")
-    p = apply_rule_forward("pdia", {"path": ["v", "b", "w", "d", "u"]},
-                           [prem_proof], AX11)
-    assert p.conclusion == seq("w R u, w R v, u R v ; u: p |- v: <>p")
-    assert p.height() == 2 and p.count_rule("id") == 1
-    assert check_labelled(p, AX11, "refined")
 
 
 def test_prop_graph_includes_formula_labels():

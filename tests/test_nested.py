@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 import imseq.nested
-from imseq.formula import (And, Atom, BENCHMARKS, Bot, Box, Dia, Imp, Or,
-                           ParseError, axiom_set, hsl_formula, parse_formula)
+from imseq.formula import (MAX_NESTING, And, Atom, BENCHMARKS, Bot, Box, Dia,
+                           Imp, Or, ParseError, axiom_set, hsl_formula,
+                           parse_formula)
 from imseq.grammar import PropPath, Sym, reach_all
 from imseq.nested import (EMPTY, NestedProof, all_paths, check_nested, is_full,
                           map_node, node_at, nseq, output_count,
@@ -60,6 +61,18 @@ def test_parse_errors():
         parse_nested("[ p^i")
     with pytest.raises(ParseError):
         parse_nested("p^i ]")
+
+
+def test_parse_bracket_nesting_limit():
+    def brackets(n):
+        return "[ " * n + "p^o" + " ]" * n
+
+    s = parse_nested(brackets(MAX_NESTING))
+    for _ in range(MAX_NESTING):
+        s = s.children[0]
+    assert s.output == P
+    with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING} bracket levels"):
+        parse_nested(brackets(MAX_NESTING + 1))
 
 
 def test_equality_is_recursive_multiset():

@@ -65,3 +65,11 @@ def test_loader_rejects_junk():
             "params": {}, "premises": []}))
     with pytest.raises(ValueError):
         proof_to_dict("not a proof")
+
+
+def test_loader_turns_deep_json_into_value_error():
+    deep = '{"rule": "id", "conclusion": "p^o", "params": {}, "premises": [' * 600
+    deep += '{}' + "]}" * 600
+    for load in (load_nested_proof, load_labelled_proof):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            load(deep)

@@ -1,18 +1,21 @@
 """Tree recognition and the two translations, sequent and proof level."""
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from imseq.formula import Bot, axiom_set, parse_formula
+from imseq.formula import Bot, axiom_set
 from imseq.gen import (random_full_nested, random_labelled_proof,
                        random_tree_labelled)
 from imseq.labelled import (LabelledProof, LabelledSequent, check_labelled,
                             parse_labelled_sequent)
 from imseq.nested import check_nested, parse_nested
+from imseq.proofio import dump_proof, load_labelled_proof, load_nested_proof
 from imseq.refine import eliminate_structural
-from imseq.translate import (EMPTY_PARTS, SequentParts, canonical_relabel,
-                             is_labelled_tree, seq_compose, to_labelled,
+from imseq.translate import (canonical_relabel, is_labelled_tree, to_labelled,
                              to_nested, translate_proof)
 
 
@@ -43,13 +46,6 @@ def test_tree_cert_rejections():
     assert is_labelled_tree(L("w R w ; |- w: p")) is None         # self loop
     assert is_labelled_tree(L("w R u, w R u ; |- w: p")) is None  # repeated atom
     assert is_labelled_tree(L("a R b, b R a ; |- c: p")) is None  # detached cycle
-
-
-def test_parts_compose():
-    lam = SequentParts((("w", "u"),), (("w", parse_formula("p")),))
-    assert seq_compose(EMPTY_PARTS, lam) == lam
-    other = SequentParts((), (("u", parse_formula("q")),))
-    assert seq_compose(lam, other) == seq_compose(other, lam)
 
 
 def test_to_labelled_worked_example():
@@ -209,3 +205,28 @@ def test_translate_direction_validation():
         translate_proof(p, "labelled", ax)
     with pytest.raises(ValueError):
         translate_proof(p, "sideways", ax)
+
+
+CHECK_CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "check.jsonl"
+REFINE_TRANSLATE_DIGEST = "ad81afe0c0485393f3cc1875eb50a26c5620ac5910f16e54208aeb41bfc2a3d4"
+
+
+def test_refine_translate_output_matches_frozen_digest():
+    """Byte-identical refine and translate output on the check corpus:
+    nested proofs go to labelled and back, labelled proofs are refined
+    and then go to nested; one SHA-256 over every output's JSON."""
+    h = hashlib.sha256()
+    with open(CHECK_CORPUS) as fh:
+        entries = [json.loads(line) for line in fh]
+    for e in entries:
+        ax = axiom_set([tuple(p) for p in e["axioms"]["hsl"]], d=e["axioms"]["d"])
+        if e["calculus"] == "nested":
+            lab = translate_proof(load_nested_proof(e["proof"]), "labelled", ax)
+            outs = [lab, translate_proof(lab, "nested", ax)]
+        else:
+            refined = eliminate_structural(load_labelled_proof(e["proof"]), ax)
+            outs = [refined, translate_proof(refined, "nested", ax)]
+        for out in outs:
+            h.update(dump_proof(out).encode())
+    assert len(entries) == 169
+    assert h.hexdigest() == REFINE_TRANSLATE_DIGEST
