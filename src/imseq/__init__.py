@@ -23,8 +23,7 @@ from .labelled import (LabelledProof, LabelledSequent, check_labelled, lseq,
 from .nested import (NestedProof, NestedSequent, check_nested, is_full, nseq,
                      parse_nested, premises_of_nested, prove_bounded,
                      prove_formula, render_nested)
-from .structural import (admit_structural, contract_proof, merge_proof,
-                         nest_proof, weaken_proof)
+from .structural import contract_proof, merge_proof, nest_proof, weaken_proof
 from .refine import eliminate_structural
 from .translate import (TreeCert, canonical_relabel, is_labelled_tree,
                         to_labelled, to_nested, translate_proof)
@@ -48,8 +47,7 @@ __all__ = [
     "NestedProof", "NestedSequent", "check_nested", "is_full",
     "nseq", "parse_nested", "premises_of_nested", "prove_bounded",
     "prove_formula", "render_nested",
-    "admit_structural", "contract_proof", "merge_proof", "nest_proof",
-    "weaken_proof",
+    "contract_proof", "merge_proof", "nest_proof", "weaken_proof",
     "eliminate_structural",
     "TreeCert", "canonical_relabel", "is_labelled_tree",
     "to_labelled", "to_nested", "translate_proof",

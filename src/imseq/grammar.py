@@ -123,11 +123,6 @@ class PropPath:
     def converse(self) -> "PropPath":
         return PropPath(tuple(reversed(self.nodes)), converse_string(self.steps))
 
-    def concat(self, other: "PropPath") -> "PropPath":
-        if self.end != other.start:
-            raise ValueError("paths do not compose")
-        return PropPath(self.nodes + other.nodes[1:], self.steps + other.steps)
-
     def to_list(self) -> list:
         out: list[str] = [self.nodes[0]]
         for c, v in zip(self.steps, self.nodes[1:]):

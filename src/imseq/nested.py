@@ -171,6 +171,25 @@ def node_at(s: NestedSequent, path: tuple) -> NestedSequent:
     return s
 
 
+def match_children(a: NestedSequent, b: NestedSequent) -> list:
+    """For each child of a, the index of an equal child of b.
+
+    Greedy: each child takes the first unused equal child of b.  Equal
+    siblings are interchangeable, so any such matching is sound.
+    ValueError if some child of a has no partner.
+    """
+    free: dict = {}  # equality key -> unused indices into b, first on top
+    for j in reversed(range(len(b.children))):
+        free.setdefault(b.children[j]._key, []).append(j)
+    out = []
+    for c in a.children:
+        spare = free.get(c._key)
+        if not spare:
+            raise ValueError("bracket trees do not align")
+        out.append(spare.pop())
+    return out
+
+
 def _positions(s: NestedSequent, path: tuple = (),
                out: Optional[list] = None) -> list:
     """(path, node) for every node: preorder, children in order."""

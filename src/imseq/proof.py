@@ -4,8 +4,9 @@ A proof is a tree of rule instances in either calculus: a node names
 its conclusion, its rule, its explicit params and its premise proofs.
 The calculi differ only in their sequents and in the function that
 computes the premises of one backward rule application, so one walk
-checks both.  Every walk here uses an explicit stack, so proof height
-is bounded by memory, not by the interpreter's recursion limit.
+checks both, and one walk (rebuild) carries every proof rewrite.  Every
+walk here uses an explicit stack, so proof height is bounded by memory,
+not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -132,3 +133,33 @@ def check(proof: Proof, premises_fn, allowed, refusal: str) -> CheckResult:
         for j in reversed(range(len(expected))):
             stack.append((node.premises[j], f"{prefix}{j}", node.rule, j, expected[j]))
     return CheckResult(True)
+
+
+def rebuild(proof: Proof, visit, state=None) -> Proof:
+    """Rewrite a proof top-down, with explicit stacks.
+
+    visit(node, state) returns either a finished Proof, which replaces
+    the node's whole subtree, or (conclusion, rule, params, [(premise,
+    state), ...]): the node's new instance, whose listed premise proofs
+    are then rebuilt in order, each with its own state.  Nodes are
+    visited in preorder, premises left to right.
+    """
+    order = []  # finished Proof or (conclusion, rule, params, premise count)
+    todo = [(proof, state)]
+    while todo:
+        node, st = todo.pop()
+        out = visit(node, st)
+        if isinstance(out, Proof):
+            order.append(out)
+            continue
+        conclusion, rule, params, premises = out
+        order.append((conclusion, rule, params, len(premises)))
+        todo.extend(reversed(premises))
+    # in reverse preorder a node's premises are the top of `built`, first on top
+    built: list = []
+    for item in reversed(order):
+        if not isinstance(item, Proof):
+            conclusion, rule, params, n = item
+            item = Proof(conclusion, rule, params, tuple(built.pop() for _ in range(n)))
+        built.append(item)
+    return built[0]

@@ -18,8 +18,15 @@ from .proof import Proof
 def proof_to_dict(p) -> dict:
     if not isinstance(p, Proof):
         raise ValueError(f"not a proof object: {type(p).__name__}")
-    return {"rule": p.rule, "conclusion": str(p.conclusion), "params": dict(p.params),
-            "premises": [proof_to_dict(s) for s in p.premises]}
+    out: list = []
+    todo = [(p, out)]  # (proof, list its dict joins), first premise on top
+    while todo:
+        q, siblings = todo.pop()
+        d = {"rule": q.rule, "conclusion": str(q.conclusion), "params": dict(q.params),
+             "premises": []}
+        siblings.append(d)
+        todo.extend((s, d["premises"]) for s in reversed(q.premises))
+    return out[0]
 
 
 def _from_dict(root, parse) -> Proof:
@@ -61,7 +68,11 @@ def _load(text: str, parse) -> Proof:
 
 
 def dump_proof(p) -> str:
-    return json.dumps(proof_to_dict(p), indent=2) + "\n"
+    d = proof_to_dict(p)
+    try:
+        return json.dumps(d, indent=2) + "\n"
+    except RecursionError:
+        raise ValueError("proof is nested too deeply to write") from None
 
 
 def load_labelled_proof(text: str) -> Proof:

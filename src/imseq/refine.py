@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from .formula import AxiomSet
 from .grammar import PropPath, Sym
-from .labelled import (LabelledProof, LabelledSequent, check_labelled,
-                       premises_of_labelled)
-from .proof import RuleError, _p_chain, _p_int
+from .labelled import LabelledProof, check_labelled, premises_of_labelled
+from .proof import RuleError, _p_chain, _p_int, rebuild
 
 
 def _detour_path(path: PropPath, edge: tuple, cn: list, ck: list) -> PropPath:
@@ -43,29 +42,17 @@ def _detour_path(path: PropPath, edge: tuple, cn: list, ck: list) -> PropPath:
     return PropPath(tuple(nodes), tuple(steps))
 
 
-def _push_up(concl: LabelledSequent, sp: dict, pi: LabelledProof,
-             ax: AxiomSet) -> LabelledProof:
-    """Proof of concl given pi proving concl plus the S edge, S-free."""
-    if pi.rule in ("id", "botL"):
-        return LabelledProof(concl, pi.rule, dict(pi.params), ())
-    if pi.rule == "S":
-        raise RuntimeError("subproof above a pushed step is not structural-free")
-    params = dict(pi.params)
-    if pi.rule in ("pdia", "pbox"):
-        n = _p_int(sp, "n")
-        k = _p_int(sp, "k")
-        cn = _p_chain(sp, "chain_n", n + 1)
-        ck = _p_chain(sp, "chain_k", k + 1)
-        path = PropPath.from_list(params["path"])
-        params["path"] = _detour_path(path, (cn[-1], ck[-1]), cn, ck).to_list()
-    try:
-        prems = premises_of_labelled(concl, pi.rule, params, ax)
-    except RuleError as e:
-        raise RuntimeError(
-            f"pushing a structural step past {pi.rule} failed: {e}") from e
-    subs = tuple(_push_up(c, sp, sub, ax)
-                 for c, sub in zip(prems, pi.premises))
-    return LabelledProof(concl, pi.rule, params, subs)
+def _propagation_instance(q: LabelledProof) -> tuple:
+    """(rule, params) of q with diaR and boxL as one-step propagations."""
+    fwd = Sym.FWD.value
+    if q.rule == "diaR":
+        return "pdia", {"path": [q.conclusion.succ[0], fwd, q.params["to"]]}
+    if q.rule == "boxL":
+        return "pbox", {"world": q.params["world"],
+                        "formula": q.params["formula"],
+                        "to": q.params["to"],
+                        "path": [q.params["world"], fwd, q.params["to"]]}
+    return q.rule, dict(q.params)
 
 
 def eliminate_structural(p: LabelledProof, ax: AxiomSet) -> LabelledProof:
@@ -74,27 +61,42 @@ def eliminate_structural(p: LabelledProof, ax: AxiomSet) -> LabelledProof:
     The input must check with the combined rule set; the output proves
     the same conclusion without diaR, boxL, or S.  Callers wanting a
     guarantee can re-check the result in refined mode.
+
+    One top-down walk: an S node is skipped and its params are carried
+    to the nodes above, whose conclusions are then recomputed from the
+    S node's conclusion (the S edge dropped) and whose propagation
+    paths are detoured around every carried S edge, innermost first.  A
+    node with no S below it keeps its stored conclusion.
     """
     res = check_labelled(p, ax, "either")
     if not res:
         raise ValueError(f"input proof does not check: {res.message} at {res.at}")
 
-    fwd = Sym.FWD.value
+    def visit(q, state):
+        concl, carried = state
+        if not carried:
+            concl = q.conclusion
+        while q.rule == "S":
+            carried = carried + (q.params,)
+            q = q.premises[0]
+        rule, params = _propagation_instance(q)
+        if not carried:
+            return concl, rule, params, [(s, (None, ())) for s in q.premises]
+        if rule in ("pdia", "pbox"):
+            path = PropPath.from_list(params["path"])
+            for sp in reversed(carried):
+                cn = _p_chain(sp, "chain_n", _p_int(sp, "n") + 1)
+                ck = _p_chain(sp, "chain_k", _p_int(sp, "k") + 1)
+                path = _detour_path(path, (cn[-1], ck[-1]), cn, ck)
+            params["path"] = path.to_list()
+        if not q.premises:
+            return concl, rule, params, []
+        try:
+            prems = premises_of_labelled(concl, rule, params, ax)
+        except RuleError as e:
+            raise RuntimeError(
+                f"pushing a structural step past {rule} failed: {e}") from e
+        return concl, rule, params, [(s, (c, carried))
+                                     for c, s in zip(prems, q.premises)]
 
-    def elim(q: LabelledProof) -> LabelledProof:
-        subs = tuple(elim(s) for s in q.premises)
-        if q.rule == "S":
-            return _push_up(q.conclusion, q.params, subs[0], ax)
-        if q.rule == "diaR":
-            w = q.conclusion.succ[0]
-            path = [w, fwd, q.params["to"]]
-            return LabelledProof(q.conclusion, "pdia", {"path": path}, subs)
-        if q.rule == "boxL":
-            params = {"world": q.params["world"],
-                      "formula": q.params["formula"],
-                      "to": q.params["to"],
-                      "path": [q.params["world"], fwd, q.params["to"]]}
-            return LabelledProof(q.conclusion, "pbox", params, subs)
-        return LabelledProof(q.conclusion, q.rule, dict(q.params), subs)
-
-    return elim(p)
+    return rebuild(p, visit, (None, ()))

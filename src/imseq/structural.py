@@ -3,8 +3,9 @@
 Four admissible steps: wrapping the conclusion in a bracket, weakening
 by an output-free context at a node, contracting a duplicate input, and
 merging two output-free sibling brackets.  Each walks the proof once
-(contraction also recurses on the formula), rebuilding every rule
-instance; results re-check and are never taller than the source.
+with ``imseq.proof.rebuild`` (contraction also recurses on the
+formula), rebuilding every rule instance; results re-check and are
+never taller than the source.
 
 Occurrences are tracked by formula at a fixed node, not by position:
 stored input order inside a rebuilt proof can drift from the order a
@@ -16,12 +17,11 @@ shapes a rule instance computes.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .formula import EMPTY_AXIOMS, And, Dia, Imp, Or, render_formula
-from .nested import (NestedProof, NestedSequent, map_node, node_at, nseq,
-                     output_count, parse_path_id, path_id,
+from .nested import (NestedProof, NestedSequent, map_node, match_children,
+                     node_at, nseq, output_count, parse_path_id, path_id,
                      premises_of_nested, replace_at)
+from .proof import rebuild
 
 
 def _principal(rule: str, params: dict):
@@ -37,20 +37,27 @@ def _principal(rule: str, params: dict):
     raise ValueError(f"unknown rule {rule!r}")
 
 
-def _index_node(rule: str, params: dict) -> Optional[str]:
-    if "index" not in params:
-        return None
-    return params["path"][0] if rule == "pbox" else params.get("at")
-
-
 def _remap_ids(params: dict, fn) -> dict:
+    """params with every node id mapped, as an address tuple, through fn."""
+    def remap(nid):
+        return path_id(fn(parse_path_id(nid)))
+
     out = dict(params)
     if "at" in out:
-        out["at"] = fn(out["at"])
+        out["at"] = remap(out["at"])
     if "path" in out:
-        out["path"] = [fn(x) if i % 2 == 0 else x
+        out["path"] = [remap(x) if i % 2 == 0 else x
                        for i, x in enumerate(out["path"])]
     return out
+
+
+def _shift_index(q: NestedProof, pid: str, removed: int) -> dict:
+    """q's params after input `removed` of node pid is dropped."""
+    params = dict(q.params)
+    node, idx = _principal(q.rule, q.params)
+    if node == pid and idx is not None and idx > removed:
+        params["index"] = idx - 1
+    return params
 
 
 def _first_index(node: NestedSequent, f) -> int:
@@ -67,17 +74,17 @@ def _principal_holds(q: NestedProof, rule: str, pid: str, f) -> bool:
     return node.inputs[q.params["index"]] == f
 
 
+def _premises(q: NestedProof) -> list:
+    return [(s, None) for s in q.premises]
+
+
 def nest_proof(p: NestedProof) -> NestedProof:
     """Wrap the whole proof's conclusion in one bracket."""
-    def wrap_id(nid):
-        return "r.0" + nid[1:]
+    def visit(q, _):
+        return (nseq(children=(q.conclusion,)), q.rule,
+                _remap_ids(q.params, lambda a: (0,) + a), _premises(q))
 
-    def go(q):
-        return NestedProof(nseq(children=(q.conclusion,)), q.rule,
-                           _remap_ids(q.params, wrap_id),
-                           tuple(go(s) for s in q.premises))
-
-    return go(p)
+    return rebuild(p, visit)
 
 
 def weaken_proof(p: NestedProof, at: tuple, delta: NestedSequent) -> NestedProof:
@@ -90,79 +97,19 @@ def weaken_proof(p: NestedProof, at: tuple, delta: NestedSequent) -> NestedProof
         return NestedSequent(nd.inputs + delta.inputs, nd.output,
                              nd.children + delta.children)
 
-    def go(q):
-        return NestedProof(map_node(q.conclusion, at, extend), q.rule,
-                           dict(q.params), tuple(go(s) for s in q.premises))
+    def visit(q, _):
+        return (map_node(q.conclusion, at, extend), q.rule, dict(q.params),
+                _premises(q))
 
-    return go(p)
-
-
-def _align_children(want: NestedSequent, have: NestedSequent) -> list:
-    """For each child of want, the index of an equal child of have."""
-    used = [False] * len(have.children)
-    out = []
-    for c in want.children:
-        for s, hc in enumerate(have.children):
-            if not used[s] and hc == c:
-                used[s] = True
-                out.append(s)
-                break
-        else:
-            raise RuntimeError("premise does not match its rule's shape")
-    return out
-
-
-def _merge(q: NestedProof, at: tuple, i: int, j: int) -> NestedProof:
-    nd = node_at(q.conclusion, at)
-    ci, cj = nd.children[i], nd.children[j]
-    assert ci.output is None or cj.output is None
-    merged = NestedSequent(ci.inputs + cj.inputs,
-                           ci.output if ci.output is not None else cj.output,
-                           ci.children + cj.children)
-    kids = list(nd.children)
-    kids[i] = merged
-    del kids[j]
-    new_conc = replace_at(q.conclusion, at,
-                          NestedSequent(nd.inputs, nd.output, tuple(kids)))
-    at_id = path_id(at)
-    at_i = path_id(at + (i,))
-    at_j = path_id(at + (j,))
-    off_in = len(ci.inputs)
-    off_ch = len(ci.children)
-
-    def remap(nid):
-        if nid == at_j:
-            return at_i
-        if nid.startswith(at_j + "."):
-            rest = nid[len(at_j) + 1:].split(".")
-            rest[0] = str(int(rest[0]) + off_ch)
-            return at_i + "." + ".".join(rest)
-        if nid.startswith(at_id + "."):
-            rest = nid[len(at_id) + 1:].split(".")
-            k = int(rest[0])
-            if k > j:
-                rest[0] = str(k - 1)
-                return at_id + "." + ".".join(rest)
-        return nid
-
-    params = _remap_ids(q.params, remap)
-    if _index_node(q.rule, q.params) == at_j:
-        params["index"] = params["index"] + off_in
-
-    prems = []
-    if q.premises:
-        shapes = premises_of_nested(q.conclusion, q.rule, q.params,
-                                    EMPTY_AXIOMS, check_side_conditions=False)
-        for sub, shape in zip(q.premises, shapes):
-            pos = _align_children(node_at(shape, at),
-                                  node_at(sub.conclusion, at))
-            i2, j2 = sorted((pos[i], pos[j]))
-            prems.append(_merge(sub, at, i2, j2))
-    return NestedProof(new_conc, q.rule, params, tuple(prems))
+    return rebuild(p, visit)
 
 
 def merge_proof(p: NestedProof, at: tuple, i: int, j: int) -> NestedProof:
-    """Merge sibling brackets i and j under at; both must be output-free."""
+    """Merge sibling brackets i and j under at; both must be output-free.
+
+    The state of a node is its (i, j), found for each premise by aligning
+    the premise's children with the rule's computed premise shape.
+    """
     if not 0 <= i < j:
         raise ValueError("need child indices i < j")
     node = node_at(p.conclusion, at)
@@ -170,24 +117,82 @@ def merge_proof(p: NestedProof, at: tuple, i: int, j: int) -> NestedProof:
         raise ValueError(f"no child {j} under {path_id(at)}")
     if output_count(node.children[i]) or output_count(node.children[j]):
         raise ValueError("merged brackets must have no output formula")
-    return _merge(p, at, i, j)
+    n = len(at)
+
+    def visit(q, ij):
+        i, j = ij
+        nd = node_at(q.conclusion, at)
+        ci, cj = nd.children[i], nd.children[j]
+        assert ci.output is None or cj.output is None
+        merged = NestedSequent(ci.inputs + cj.inputs,
+                               ci.output if ci.output is not None else cj.output,
+                               ci.children + cj.children)
+        kids = list(nd.children)
+        kids[i] = merged
+        del kids[j]
+        new_conc = replace_at(q.conclusion, at,
+                              NestedSequent(nd.inputs, nd.output, tuple(kids)))
+
+        def remap(a):
+            if a[:n] != at or len(a) == n or a[n] < j:
+                return a
+            if a[n] > j:
+                return at + (a[n] - 1,) + a[n + 1:]
+            rest = a[n + 1:]
+            if rest:
+                rest = (rest[0] + len(ci.children),) + rest[1:]
+            return at + (i,) + rest
+
+        params = _remap_ids(q.params, remap)
+        prin, idx = _principal(q.rule, q.params)
+        if idx is not None and prin == path_id(at + (j,)):
+            params["index"] = idx + len(ci.inputs)
+
+        prems = []
+        if q.premises:
+            shapes = premises_of_nested(q.conclusion, q.rule, q.params,
+                                        EMPTY_AXIOMS, check_side_conditions=False)
+            for sub, shape in zip(q.premises, shapes):
+                pos = match_children(node_at(shape, at),
+                                     node_at(sub.conclusion, at))
+                prems.append((sub, tuple(sorted((pos[i], pos[j])))))
+        return new_conc, q.rule, params, prems
+
+    return rebuild(p, visit, (i, j))
 
 
-def _invert_replace(q: NestedProof, at: tuple, f, base_rule: str,
-                    pick, repl: tuple) -> NestedProof:
-    """Rewrite one copy of f at a node into repl, through the proof."""
+def _invert(p: NestedProof, at: tuple, f, side: str = "left") -> NestedProof:
+    """Replace one copy of the input f at a node, through the proof, by
+    what its input rule leaves in one premise (the side premise of a
+    disjunction, the consequent premise of an implication); an instance
+    of that rule on the copy gives way to that premise.  A diamond
+    leaves no input but a new bracket, so later input indices at the
+    node shift down by one."""
+    if isinstance(f, And):
+        rule, keep, repl = "andI", 0, (f.left, f.right)
+    elif isinstance(f, Or):
+        rule, keep = "orI", 0 if side == "left" else 1
+        repl = (f.right,) if keep else (f.left,)
+    elif isinstance(f, Imp):
+        rule, keep, repl = "impI", 1, (f.right,)
+    else:
+        rule, keep, repl = "diaI", 0, ()
+    brackets = (nseq(inputs=(f.body,)),) if isinstance(f, Dia) else ()
     pid = path_id(at)
-    if _principal_holds(q, base_rule, pid, f):
-        return pick(q)
-    idx = _first_index(node_at(q.conclusion, at), f)
-    new_conc = map_node(
-        q.conclusion, at,
-        lambda nd: NestedSequent(nd.inputs[:idx] + repl[:1]
-                                 + nd.inputs[idx + 1:] + repl[1:],
-                                 nd.output, nd.children))
-    prems = tuple(_invert_replace(s, at, f, base_rule, pick, repl)
-                  for s in q.premises)
-    return NestedProof(new_conc, q.rule, dict(q.params), prems)
+
+    def visit(q, _):
+        if _principal_holds(q, rule, pid, f):
+            return q.premises[keep]
+        idx = _first_index(node_at(q.conclusion, at), f)
+        new_conc = map_node(
+            q.conclusion, at,
+            lambda nd: NestedSequent(nd.inputs[:idx] + repl[:1]
+                                     + nd.inputs[idx + 1:] + repl[1:],
+                                     nd.output, nd.children + brackets))
+        params = dict(q.params) if repl else _shift_index(q, pid, idx)
+        return new_conc, q.rule, params, _premises(q)
+
+    return rebuild(p, visit)
 
 
 def invert_and_input(p: NestedProof, at: tuple, idx: int) -> NestedProof:
@@ -195,17 +200,14 @@ def invert_and_input(p: NestedProof, at: tuple, idx: int) -> NestedProof:
     f = node_at(p.conclusion, at).inputs[idx]
     if not isinstance(f, And):
         raise ValueError("position does not hold a conjunction")
-    return _invert_replace(p, at, f, "andI", lambda q: q.premises[0],
-                           (f.left, f.right))
+    return _invert(p, at, f)
 
 
 def invert_or_input(p: NestedProof, at: tuple, idx: int, side: str) -> NestedProof:
     f = node_at(p.conclusion, at).inputs[idx]
     if not isinstance(f, Or):
         raise ValueError("position does not hold a disjunction")
-    which = 0 if side == "left" else 1
-    return _invert_replace(p, at, f, "orI", lambda q: q.premises[which],
-                           (f.left if side == "left" else f.right,))
+    return _invert(p, at, f, side)
 
 
 def invert_imp_input(p: NestedProof, at: tuple, idx: int) -> NestedProof:
@@ -213,25 +215,7 @@ def invert_imp_input(p: NestedProof, at: tuple, idx: int) -> NestedProof:
     f = node_at(p.conclusion, at).inputs[idx]
     if not isinstance(f, Imp):
         raise ValueError("position does not hold an implication")
-    return _invert_replace(p, at, f, "impI", lambda q: q.premises[1],
-                           (f.right,))
-
-
-def _invert_dia(q: NestedProof, at: tuple, f) -> NestedProof:
-    pid = path_id(at)
-    if _principal_holds(q, "diaI", pid, f):
-        return q.premises[0]
-    idx = _first_index(node_at(q.conclusion, at), f)
-    new_conc = map_node(
-        q.conclusion, at,
-        lambda nd: NestedSequent(nd.inputs[:idx] + nd.inputs[idx + 1:],
-                                 nd.output,
-                                 nd.children + (nseq(inputs=(f.body,)),)))
-    params = dict(q.params)
-    if _index_node(q.rule, q.params) == pid and params["index"] > idx:
-        params["index"] -= 1
-    prems = tuple(_invert_dia(s, at, f) for s in q.premises)
-    return NestedProof(new_conc, q.rule, params, prems)
+    return _invert(p, at, f)
 
 
 def invert_dia_input(p: NestedProof, at: tuple, idx: int) -> NestedProof:
@@ -239,7 +223,7 @@ def invert_dia_input(p: NestedProof, at: tuple, idx: int) -> NestedProof:
     f = node_at(p.conclusion, at).inputs[idx]
     if not isinstance(f, Dia):
         raise ValueError("position does not hold a diamond")
-    return _invert_dia(p, at, f)
+    return _invert(p, at, f)
 
 
 def contract_tree(s: NestedSequent, at: tuple, j: int) -> NestedSequent:
@@ -250,57 +234,51 @@ def contract_tree(s: NestedSequent, at: tuple, j: int) -> NestedSequent:
 _CONSUMES = {"andI": And, "orI": Or, "impI": Imp, "diaI": Dia}
 
 
-def _contract(q: NestedProof, at: tuple, f) -> NestedProof:
+def _contract(p: NestedProof, at: tuple, f) -> NestedProof:
+    """Drop one of two copies of f at a node, through the proof.  Where a
+    rule consumed a copy, its premises are inverted and contracted on
+    the subformulas, a recursion on the formula, not the proof."""
     pid = path_id(at)
-    nd = node_at(q.conclusion, at)
-    idxs = [k for k, g in enumerate(nd.inputs) if g == f]
-    if len(idxs) < 2:
-        raise RuntimeError(f"lost a copy of {render_formula(f)}")
-    prin = _principal(q.rule, q.params)
 
-    if q.rule in _CONSUMES and prin[0] == pid and prin[1] in idxs:
-        k = prin[1]
-        keep = next(x for x in idxs if x != k)
-        new_conc = contract_tree(q.conclusion, at, k)
-        i_new = keep - 1 if keep > k else keep
-        params = {"at": pid, "index": i_new}
-        if q.rule == "andI":
-            s = invert_and_input(q.premises[0], at, keep)
-            s = _contract(s, at, f.left)
-            s = _contract(s, at, f.right)
-            return NestedProof(new_conc, "andI", params, (s,))
-        if q.rule == "orI":
-            sl = _contract(invert_or_input(q.premises[0], at,
-                                           _first_index(node_at(
-                                               q.premises[0].conclusion, at), f),
-                                           "left"), at, f.left)
-            sr = _contract(invert_or_input(q.premises[1], at,
-                                           _first_index(node_at(
-                                               q.premises[1].conclusion, at), f),
-                                           "right"), at, f.right)
-            return NestedProof(new_conc, "orI", params, (sl, sr))
-        if q.rule == "impI":
-            s0 = _contract(q.premises[0], at, f)
-            prem1 = q.premises[1]
-            s1 = _contract(invert_imp_input(
-                prem1, at, _first_index(node_at(prem1.conclusion, at), f)),
-                at, f.right)
-            return NestedProof(new_conc, "impI", params, (s0, s1))
-        s = _invert_dia(q.premises[0], at, f)
-        want = nseq(inputs=(f.body,))
-        spots = [x for x, c in enumerate(node_at(s.conclusion, at).children)
-                 if c == want]
-        s = merge_proof(s, at, spots[0], spots[1])
-        s = _contract(s, at + (spots[0],), f.body)
-        return NestedProof(new_conc, "diaI", params, (s,))
+    def visit(q, _):
+        nd = node_at(q.conclusion, at)
+        idxs = [k for k, g in enumerate(nd.inputs) if g == f]
+        if len(idxs) < 2:
+            raise RuntimeError(f"lost a copy of {render_formula(f)}")
+        prin = _principal(q.rule, q.params)
 
-    drop = [x for x in idxs if (pid, x) != prin][-1]
-    new_conc = contract_tree(q.conclusion, at, drop)
-    params = dict(q.params)
-    if _index_node(q.rule, q.params) == pid and params["index"] > drop:
-        params["index"] -= 1
-    prems = tuple(_contract(s, at, f) for s in q.premises)
-    return NestedProof(new_conc, q.rule, params, prems)
+        if q.rule in _CONSUMES and prin[0] == pid and prin[1] in idxs:
+            k = prin[1]
+            keep = next(x for x in idxs if x != k)
+            new_conc = contract_tree(q.conclusion, at, k)
+            i_new = keep - 1 if keep > k else keep
+            params = {"at": pid, "index": i_new}
+            if q.rule == "andI":
+                s = _invert(q.premises[0], at, f)
+                s = _contract(s, at, f.left)
+                s = _contract(s, at, f.right)
+                return NestedProof(new_conc, "andI", params, (s,))
+            if q.rule == "orI":
+                sl = _contract(_invert(q.premises[0], at, f, "left"), at, f.left)
+                sr = _contract(_invert(q.premises[1], at, f, "right"), at, f.right)
+                return NestedProof(new_conc, "orI", params, (sl, sr))
+            if q.rule == "impI":
+                s0 = _contract(q.premises[0], at, f)
+                s1 = _contract(_invert(q.premises[1], at, f), at, f.right)
+                return NestedProof(new_conc, "impI", params, (s0, s1))
+            s = _invert(q.premises[0], at, f)
+            want = nseq(inputs=(f.body,))
+            spots = [x for x, c in enumerate(node_at(s.conclusion, at).children)
+                     if c == want]
+            s = merge_proof(s, at, spots[0], spots[1])
+            s = _contract(s, at + (spots[0],), f.body)
+            return NestedProof(new_conc, "diaI", params, (s,))
+
+        drop = [x for x in idxs if (pid, x) != prin][-1]
+        return (contract_tree(q.conclusion, at, drop), q.rule,
+                _shift_index(q, pid, drop), _premises(q))
+
+    return rebuild(p, visit)
 
 
 def contract_proof(p: NestedProof, at: tuple, i: int, j: int) -> NestedProof:
@@ -320,127 +298,3 @@ def contract_proof(p: NestedProof, at: tuple, i: int, j: int) -> NestedProof:
                          f"{render_formula(node.inputs[i])} vs "
                          f"{render_formula(node.inputs[j])}")
     return _contract(p, at, node.inputs[i])
-
-
-def _msub(big: tuple, small: tuple) -> Optional[list]:
-    """Multiset difference big - small, or None if small is not contained."""
-    pool = list(big)
-    for x in small:
-        for k, y in enumerate(pool):
-            if y == x:
-                del pool[k]
-                break
-        else:
-            return None
-    return pool
-
-
-def _same_multiset(a: tuple, b: tuple) -> bool:
-    rest = _msub(a, b)
-    return rest is not None and not rest
-
-
-def _child_pairings(src: NestedSequent, tgt: NestedSequent):
-    """Child index pairs (si, ti) whose removal leaves equal multisets."""
-    if len(src.children) != len(tgt.children):
-        return
-    for si in range(len(src.children)):
-        for ti in range(len(tgt.children)):
-            rs = src.children[:si] + src.children[si + 1:]
-            rt = tgt.children[:ti] + tgt.children[ti + 1:]
-            if _same_multiset(rs, rt):
-                yield si, ti
-
-
-def _infer_weaken(src: NestedSequent, tgt: NestedSequent) -> Optional[tuple]:
-    if src.output != tgt.output:
-        return None
-    extra_in = _msub(tgt.inputs, src.inputs)
-    extra_ch = _msub(tgt.children, src.children)
-    if extra_in is not None and extra_ch is not None:
-        delta = nseq(tuple(extra_in), None, tuple(extra_ch))
-        if output_count(delta) == 0:
-            return ((), delta)
-    if _same_multiset(src.inputs, tgt.inputs):
-        for si, ti in _child_pairings(src, tgt):
-            sub = _infer_weaken(src.children[si], tgt.children[ti])
-            if sub is not None:
-                return ((si,) + sub[0], sub[1])
-    return None
-
-
-def _infer_contract(src: NestedSequent, tgt: NestedSequent) -> Optional[tuple]:
-    if src.output != tgt.output:
-        return None
-    if _same_multiset(src.children, tgt.children):
-        diff = _msub(src.inputs, tgt.inputs)
-        if diff is not None and len(diff) == 1:
-            idxs = [k for k, g in enumerate(src.inputs) if g == diff[0]]
-            if len(idxs) >= 2:
-                return ((), idxs[0], idxs[1])
-    if _same_multiset(src.inputs, tgt.inputs):
-        for si, ti in _child_pairings(src, tgt):
-            sub = _infer_contract(src.children[si], tgt.children[ti])
-            if sub is not None:
-                return ((si,) + sub[0], sub[1], sub[2])
-    return None
-
-
-def _infer_merge(src: NestedSequent, tgt: NestedSequent) -> Optional[tuple]:
-    if src.output != tgt.output:
-        return None
-    if (_same_multiset(src.inputs, tgt.inputs)
-            and len(tgt.children) == len(src.children) - 1):
-        for i in range(len(src.children)):
-            for j in range(i + 1, len(src.children)):
-                ci, cj = src.children[i], src.children[j]
-                if output_count(ci) or output_count(cj):
-                    continue
-                merged = NestedSequent(ci.inputs + cj.inputs, None,
-                                       ci.children + cj.children)
-                rest = src.children[:i] + src.children[i + 1:j] + src.children[j + 1:]
-                if _same_multiset(rest + (merged,), tgt.children):
-                    return ((), i, j)
-    if (_same_multiset(src.inputs, tgt.inputs)
-            and len(tgt.children) == len(src.children)):
-        for si, ti in _child_pairings(src, tgt):
-            sub = _infer_merge(src.children[si], tgt.children[ti])
-            if sub is not None:
-                return ((si,) + sub[0], sub[1], sub[2])
-    return None
-
-
-def admit_structural(kind: str, target: NestedSequent,
-                     source: NestedProof) -> NestedProof:
-    """Derive target from an existing proof by one structural step.
-
-    kind 'n' wraps in a bracket, 'w' weakens, 'c' contracts a duplicate
-    input, 'm' merges two output-free brackets.  Parameters are inferred
-    by diffing target against the source's conclusion; ValueError when
-    no instance fits.  The result's height never exceeds the source's.
-    """
-    src = source.conclusion
-    if kind == "n":
-        if nseq(children=(src,)) != target:
-            raise ValueError("shape mismatch: target is not the bracketed source")
-        out = nest_proof(source)
-    elif kind == "w":
-        found = _infer_weaken(src, target)
-        if found is None:
-            raise ValueError("shape mismatch: target is not a weakening of the source")
-        out = weaken_proof(source, found[0], found[1])
-    elif kind == "c":
-        found = _infer_contract(src, target)
-        if found is None:
-            raise ValueError("shape mismatch: target is not a contraction of the source")
-        out = contract_proof(source, found[0], found[1], found[2])
-    elif kind == "m":
-        found = _infer_merge(src, target)
-        if found is None:
-            raise ValueError("shape mismatch: target is not a bracket merge of the source")
-        out = merge_proof(source, found[0], found[1], found[2])
-    else:
-        raise ValueError(f"unknown structural step {kind!r}")
-    if out.conclusion != target:
-        raise ValueError("shape mismatch after rewriting")
-    return out

@@ -18,14 +18,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .formula import AxiomSet, Bot, parse_formula, render_formula
+from .formula import MAX_NESTING, AxiomSet, Bot, parse_formula, render_formula
 from .grammar import PropPath
 from .labelled import (LabelledSequent, check_labelled, premises_of_labelled,
                        render_labelled_sequent)
-from .nested import (NestedSequent, check_nested, is_full, node_at,
-                     output_position, parse_path_id, path_id,
+from .nested import (NestedSequent, check_nested, is_full, match_children,
+                     node_at, output_position, parse_path_id, path_id,
                      premises_of_nested)
-from .proof import Proof, RuleError
+from .proof import Proof, RuleError, rebuild
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,8 @@ def to_nested_with_map(seq: LabelledSequent) -> tuple:
 
     Children are ordered canonically, by the rendered key of the
     translated subtree, so label names and stored atom order cannot
-    influence the result.
+    influence the result.  ValueError for a label tree deeper than
+    MAX_NESTING, which parse_nested could not read back.
     """
     cert = is_labelled_tree(seq)
     if cert is None:
@@ -115,8 +116,10 @@ def to_nested_with_map(seq: LabelledSequent) -> tuple:
         inputs.setdefault(w, []).append(f)
     out_w, out_f = seq.succ
 
-    def build(lab: str) -> tuple:
-        built = [build(c) for c in children.get(lab, ())]
+    def build(lab: str, depth: int) -> tuple:
+        if depth > MAX_NESTING:
+            raise ValueError(f"label tree deeper than {MAX_NESTING} levels")
+        built = [build(c, depth + 1) for c in children.get(lab, ())]
         built.sort(key=lambda pair: pair[0]._key)
         node = NestedSequent(tuple(inputs.get(lab, ())),
                              out_f if lab == out_w else None,
@@ -127,7 +130,7 @@ def to_nested_with_map(seq: LabelledSequent) -> tuple:
                 m[l2] = (i,) + addr
         return node, m
 
-    return build(cert.root)
+    return build(cert.root, 0)
 
 
 def to_nested(seq: LabelledSequent) -> NestedSequent:
@@ -218,17 +221,16 @@ def _proof_to_nested(p: Proof, ax: AxiomSet) -> Proof:
         raise ValueError("conclusion is not a labelled tree sequent")
     root = cert.root
 
-    def walk(q: Proof) -> Proof:
+    def visit(q: Proof, _):
         c = is_labelled_tree(q.conclusion)
         if c is None or c.root != root:
             raise ValueError(
                 f"fixed root property failed at {render_labelled_sequent(q.conclusion)}")
         n, m = to_nested_with_map(q.conclusion)
         params = _nested_params(q.conclusion, n, m, q.rule, q.params)
-        return Proof(n, _TO_NESTED_RULE[q.rule], params,
-                     tuple(walk(sub) for sub in q.premises))
+        return n, _TO_NESTED_RULE[q.rule], params, [(sub, None) for sub in q.premises]
 
-    return walk(p)
+    return rebuild(p, visit)
 
 
 def _labelled_params(q: Proof, m: dict, fresh: int) -> tuple:
@@ -275,26 +277,21 @@ def _labelled_params(q: Proof, m: dict, fresh: int) -> tuple:
     raise ValueError(f"unknown rule {rule!r}")
 
 
-def _realign(stored: NestedSequent, shape: NestedSequent, at_stored: tuple,
-             at_shape: tuple, m: dict, out: dict) -> None:
-    """Label addresses of a stored premise via a matching against the
-    rule-computed premise shape.
+def _realign(stored: NestedSequent, shape: NestedSequent, m: dict) -> dict:
+    """Labels of a stored premise's addresses, via a matching of its
+    bracket tree against the rule-computed premise shape, labelled by m.
 
     The two trees are multiset-equal, so a greedy matching of equal
-    children always completes; equal siblings are interchangeable, which
-    makes any such matching sound.
+    children always completes, and any such matching is sound.
     """
-    out[at_stored] = m[at_shape]
-    used: set = set()
-    for i, c in enumerate(stored.children):
-        for j, d in enumerate(shape.children):
-            if j in used or c != d:
-                continue
-            used.add(j)
-            _realign(c, d, at_stored + (i,), at_shape + (j,), m, out)
-            break
-        else:
-            raise ValueError("premise trees do not align")
+    out = {}
+    todo = [(stored, shape, (), ())]
+    while todo:
+        a, b, at_a, at_b = todo.pop()
+        out[at_a] = m[at_b]
+        for i, j in enumerate(match_children(a, b)):
+            todo.append((a.children[i], b.children[j], at_a + (i,), at_b + (j,)))
+    return out
 
 
 def _proof_to_labelled(p: Proof, ax: AxiomSet) -> Proof:
@@ -303,7 +300,8 @@ def _proof_to_labelled(p: Proof, ax: AxiomSet) -> Proof:
         raise ValueError(f"input proof fails the checker at {ok.at}: {ok.message}")
     L0, names = to_labelled_with_map(p.conclusion)
 
-    def walk(q: Proof, L: LabelledSequent, m: dict, fresh: int) -> Proof:
+    def visit(q: Proof, state) -> tuple:
+        L, m, fresh = state
         if to_nested(L) != q.conclusion:
             raise ValueError(
                 f"translation drifted at {render_labelled_sequent(L)}")
@@ -314,14 +312,11 @@ def _proof_to_labelled(p: Proof, ax: AxiomSet) -> Proof:
         except RuleError as e:
             raise ValueError(f"translated instance of {rule} is invalid: {e}") from e
         shapes = premises_of_nested(q.conclusion, q.rule, q.params, ax)
-        subs = []
-        for sub, prem, shape in zip(q.premises, prems, shapes):
-            sub_map: dict = {}
-            _realign(sub.conclusion, shape, (), (), m2, sub_map)
-            subs.append(walk(sub, prem, sub_map, fresh2))
-        return Proof(L, rule, params, tuple(subs))
+        return L, rule, params, [
+            (sub, (prem, _realign(sub.conclusion, shape, m2), fresh2))
+            for sub, prem, shape in zip(q.premises, prems, shapes)]
 
-    return walk(p, L0, names, len(names))
+    return rebuild(p, visit, (L0, names, len(names)))
 
 
 def translate_proof(p, direction: str, ax: AxiomSet):

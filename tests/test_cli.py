@@ -174,6 +174,28 @@ def test_check_rejects_deep_brackets(tmp_path, capsys):
     assert f"deeper than {MAX_NESTING} bracket levels" in err
 
 
+def test_translate_rejects_deep_label_trees(tmp_path, capsys):
+    """A label chain deeper than MAX_NESTING has no nested form that
+    parse_nested could read back: translation fails cleanly."""
+    def proof_file(n):
+        rel = ", ".join(f"w{i} R w{i + 1}" for i in range(n))
+        node = {"rule": "botL", "conclusion": f"{rel} ; w0: false |- w0: p",
+                "params": {}, "premises": []}
+        path = tmp_path / f"chain{n}.json"
+        path.write_text(json.dumps(node))
+        return str(path)
+
+    nested = tmp_path / "nested.json"
+    code, _, _ = run(capsys, "translate", "--to", "nested", proof_file(MAX_NESTING),
+                     "-o", str(nested))
+    assert code == 0
+    assert run(capsys, "check", "--calculus", "nested", str(nested))[0] == 0
+    for n in (MAX_NESTING + 1, 600):
+        code, out, err = run(capsys, "translate", "--to", "nested", proof_file(n))
+        assert code == 1 and not out
+        assert f"deeper than {MAX_NESTING} levels" in err and "Traceback" not in err
+
+
 def test_model_eval(tmp_path, capsys):
     model = tmp_path / "model.txt"
     model.write_text(

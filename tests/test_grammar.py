@@ -155,13 +155,10 @@ def test_prop_path():
     assert converse_string(syms("bbd")) == syms("bdd")
     single = PropPath(("w",), ())
     assert single.string == "" and single.start == single.end == "w"
-    assert single.concat(single) == single
     with pytest.raises(ValueError):
         PropPath(("w", "u"), ())
     with pytest.raises(ValueError):
         PropPath.from_list(["w", "b"])
-    with pytest.raises(ValueError):
-        p.concat(PropPath(("z",), ()))
 
 
 def test_graph_from_pairs():

@@ -1,11 +1,14 @@
 """Structural-step elimination must reproduce propagation-only proofs."""
 
+import json
+
 import pytest
 
 from imseq.formula import axiom_set
 from imseq.grammar import PropPath
 from imseq.labelled import (LabelledProof, check_labelled, lseq,
-                            parse_labelled_sequent)
+                            parse_labelled_sequent, premises_of_labelled)
+from imseq.proofio import dump_proof
 from imseq.refine import _detour_path, eliminate_structural
 
 
@@ -141,6 +144,58 @@ def test_eliminate_stacked_structural_steps():
     assert out.conclusion == c0 and s_free(out)
     assert out.rule == "pdia"
     assert out.params["path"] == ["u", "b", "w", "d", "v"]
+
+
+def test_eliminate_detours_the_inner_step_first():
+    """The upper S's chain walks the lower S's edge: the path is detoured
+    around the upper edge, then the detour around the lower one."""
+    ax = axiom_set([(1, 1)])
+    L = parse_labelled_sequent
+    p = node(L("w R u, w R v, u R x ; x: p |- v: <>p"), "S",
+             {"n": 1, "k": 1, "chain_n": ["w", "u"], "chain_k": ["w", "v"]},
+             node(L("w R u, w R v, u R x, u R v ; x: p |- v: <>p"), "S",
+                  {"n": 1, "k": 1, "chain_n": ["u", "v"], "chain_k": ["u", "x"]},
+                  node(L("w R u, w R v, u R x, u R v, v R x ; x: p |- v: <>p"),
+                       "pdia", {"path": ["v", "d", "x"]},
+                       leaf(L("w R u, w R v, u R x, u R v, v R x ; x: p |- x: p")))))
+    assert check_labelled(p, ax, "either")
+    out = eliminate_structural(p, ax)
+    assert check_labelled(out, ax, "refined")
+    assert dump_proof(out) == json.dumps({
+        "rule": "pdia",
+        "conclusion": "w R u, w R v, u R x ; x: p |- v: <>p",
+        "params": {"path": ["v", "b", "w", "d", "u", "d", "x"]},
+        "premises": [{"rule": "id",
+                      "conclusion": "w R u, w R v, u R x ; x: p |- x: p",
+                      "params": {}, "premises": []}],
+    }, indent=2) + "\n"
+
+
+def test_eliminate_keeps_stored_conclusions_without_structural_steps():
+    """Above no S step, stored premise conclusions are kept as written,
+    even where the rule would list the antecedent in another order."""
+    ax = axiom_set()
+    L = parse_labelled_sequent
+    p = node(L("w R u ; u: p, w: q & r |- w: <>p"), "andL",
+             {"world": "w", "formula": "q & r"},
+             node(L("w R u ; w: r, u: p, w: q |- w: <>p"), "diaR", {"to": "u"},
+                  leaf(L("w R u ; w: q, w: r, u: p |- u: p"))))
+    computed = premises_of_labelled(p.conclusion, p.rule, p.params, ax)[0]
+    assert str(computed) != str(p.premises[0].conclusion)
+    out = eliminate_structural(p, ax)
+    assert dump_proof(out) == json.dumps({
+        "rule": "andL",
+        "conclusion": "w R u ; u: p, w: q & r |- w: <>p",
+        "params": {"world": "w", "formula": "q & r"},
+        "premises": [{
+            "rule": "pdia",
+            "conclusion": "w R u ; w: r, u: p, w: q |- w: <>p",
+            "params": {"path": ["w", "d", "u"]},
+            "premises": [{"rule": "id",
+                          "conclusion": "w R u ; w: q, w: r, u: p |- u: p",
+                          "params": {}, "premises": []}],
+        }],
+    }, indent=2) + "\n"
 
 
 def test_eliminate_pushes_past_branching_rules():

@@ -7,10 +7,10 @@ import pytest
 from imseq.formula import Atom, axiom_set, parse_formula
 from imseq.nested import (NestedProof, check_nested, node_at, nseq,
                           parse_nested, prove_bounded, prove_formula)
-from imseq.structural import (admit_structural, contract_proof,
-                              invert_and_input, invert_dia_input,
-                              invert_imp_input, invert_or_input, merge_proof,
-                              nest_proof, weaken_proof)
+from imseq.structural import (contract_proof, invert_and_input,
+                              invert_dia_input, invert_imp_input,
+                              invert_or_input, merge_proof, nest_proof,
+                              weaken_proof)
 
 P, Q = Atom("p"), Atom("q")
 NOAX = axiom_set()
@@ -135,6 +135,21 @@ def test_contract_through_or():
     assert c.height() <= p.height()
 
 
+def test_contract_weakened_copy_of_a_consumed_input():
+    """One copy of each input is consumed by its rule and the other was
+    added by weakening, so the two copies sit at different positions in
+    the premise than in the conclusion."""
+    ax = axiom_set([(1, 1)])
+    for text in ("p & q^i, p^o", "p | q^i, p | q^o", "p -> q^i, p^i, q^o",
+                 "<>p^i, <>p^o"):
+        p = prove_bounded(parse_nested(text), ax, 8)
+        f = p.conclusion.inputs[0]
+        w = weaken_proof(p, (), nseq(inputs=(f,)))
+        c = checked(contract_proof(w, (), 0, len(p.conclusion.inputs)), ax)
+        assert c.conclusion == p.conclusion
+        assert c.height() <= w.height()
+
+
 def test_contract_rejects_unequal_inputs():
     goal = parse_nested("p^i, q^i, p^o")
     p = prove_bounded(goal, NOAX, 4)
@@ -156,53 +171,6 @@ def test_merge_rejects_output_bracket():
     assert p is not None
     with pytest.raises(ValueError):
         merge_proof(p, (), 0, 1)
-
-
-def test_admit_structural_each_kind():
-    p = base_proof()
-    src = p.conclusion
-
-    n = admit_structural("n", parse_nested("[ p -> p^o ]"), p)
-    assert checked(n).height() <= p.height()
-
-    w = admit_structural("w", parse_nested("p -> p^o, q^i"), p)
-    assert checked(w).height() <= p.height()
-
-    dup = prove_bounded(parse_nested("p^i, p^i, p^o"), NOAX, 4)
-    c = admit_structural("c", parse_nested("p^i, p^o"), dup)
-    assert checked(c).height() <= dup.height()
-
-    two = prove_bounded(parse_nested("[ p^i ], [ q^i ], <>p^o"), NOAX, 8)
-    m = admit_structural("m", parse_nested("[ p^i, q^i ], <>p^o"), two)
-    assert checked(m).height() <= two.height()
-
-
-def test_admit_structural_infers_deep_positions():
-    goal = parse_nested("[ p^i, p -> p^o ]")
-    p = prove_bounded(goal, NOAX, 6)
-    target = parse_nested("[ p^i, p -> p^o, q^i ]")
-    w = admit_structural("w", target, p)
-    assert checked(w).conclusion == target
-    assert w.height() <= p.height()
-
-    dup = prove_bounded(parse_nested("[ p^i, p^i, p -> p^o ]"), NOAX, 6)
-    c = admit_structural("c", goal, dup)
-    assert checked(c).conclusion == goal
-    assert c.height() <= dup.height()
-
-
-def test_admit_structural_shape_mismatch():
-    p = base_proof()
-    with pytest.raises(ValueError):
-        admit_structural("n", parse_nested("[ q -> q^o ]"), p)
-    with pytest.raises(ValueError):
-        admit_structural("w", parse_nested("q^o, p^i"), p)
-    with pytest.raises(ValueError):
-        admit_structural("c", parse_nested("p -> p^o"), p)
-    with pytest.raises(ValueError):
-        admit_structural("m", parse_nested("p -> p^o"), p)
-    with pytest.raises(ValueError):
-        admit_structural("swap", parse_nested("p -> p^o"), p)
 
 
 def test_structural_random_round():

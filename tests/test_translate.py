@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from imseq.formula import Bot, axiom_set
+from imseq.formula import MAX_NESTING, Bot, axiom_set
 from imseq.gen import (random_full_nested, random_labelled_proof,
                        random_tree_labelled)
 from imseq.labelled import (LabelledProof, LabelledSequent, check_labelled,
@@ -77,6 +77,17 @@ def test_to_nested_degenerate():
 def test_to_nested_rejects_non_tree():
     with pytest.raises(ValueError):
         to_nested(L("w R u, v R u ; |- w: p"))
+
+
+def test_to_nested_label_depth_limit():
+    def chain(n):
+        rel = tuple((f"w{i}", f"w{i + 1}") for i in range(n))
+        return LabelledSequent(rel, (), ("w0", Bot()))
+
+    assert to_nested(chain(MAX_NESTING)) == parse_nested(
+        "false^o" + ", [ " * MAX_NESTING + " ]" * MAX_NESTING)
+    with pytest.raises(ValueError, match=f"deeper than {MAX_NESTING} levels"):
+        to_nested(chain(MAX_NESTING + 1))
 
 
 def test_to_nested_order_is_canonical():
