@@ -11,8 +11,8 @@ from .formula import (AxiomSet, BENCHMARKS, BOT, Atom, Bot, Box, Dia, And, Or,
                       modal_count, neg, parse_formula, render_formula)
 from .grammar import (Grammar, Production, PropGraph, PropPath, Sym,
                       converse_string, derives, grammar_from_axioms,
-                      graph_from_pairs, one_step, path_in_graph, reach_all,
-                      reachable, syms)
+                      graph_from_pairs, path_in_graph, reach_all, reachable,
+                      syms)
 from .models import (Model, Violation, check_frame_conditions, check_model,
                      eval_formula, globally_true, model_of, random_model,
                      sat_sequent)
@@ -37,8 +37,8 @@ __all__ = [
     "Imp", "Formula", "ParseError", "axiom_set", "hsl_formula", "modal_count",
     "neg", "parse_formula", "render_formula",
     "Grammar", "Production", "PropGraph", "PropPath", "Sym", "converse_string",
-    "derives", "grammar_from_axioms", "graph_from_pairs", "one_step",
-    "path_in_graph", "reach_all", "reachable", "syms",
+    "derives", "grammar_from_axioms", "graph_from_pairs", "path_in_graph",
+    "reach_all", "reachable", "syms",
     "Model", "Violation", "check_frame_conditions", "check_model",
     "eval_formula", "globally_true", "model_of", "random_model", "sat_sequent",
     "CheckResult", "Proof", "RuleError",

@@ -104,13 +104,20 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 # parenthesis, so this stays well inside Python's default 1000 frames.
 MAX_NESTING = 150
 
+# Most nodes a formula's tree may have, shared subformulas counted once
+# per occurrence.  ``a <-> b`` shares a and b between its two
+# implications, so a chain of n of them is a tree of 6 * 2^n - 5 nodes
+# that the printer writes out in full; the parser refuses chains of 15
+# and more.
+MAX_TREE_SIZE = 100_000
+
 
 class _Parser:
     """Recursive descent over the token list.
 
     Precedence, loosest first: <-> , -> (right assoc), | , & , prefix
     ~ <> [].  ``depth`` counts the open recursive calls and stops the
-    parse past MAX_NESTING.
+    parse past MAX_NESTING; ``shares`` says whether some ``<->`` was read.
     """
 
     def __init__(self, toks: list[tuple[str, int]], text: str):
@@ -118,6 +125,7 @@ class _Parser:
         self.i = 0
         self.text = text
         self.depth = 0
+        self.shares = False
 
     def peek(self) -> str | None:
         return self.toks[self.i][0] if self.i < len(self.toks) else None
@@ -142,6 +150,7 @@ class _Parser:
         a = self.imp()
         if self.peek() == "<->":
             _, pos = self.next()
+            self.shares = True
             b = self.deeper(self.formula, pos)
             return And(Imp(a, b), Imp(b, a))
         return a
@@ -188,13 +197,14 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}", pos)
 
 
-def _height(a: Formula) -> int:
-    """Connectives on the longest branch of a, without recursion.
+def _measure(a: Formula) -> tuple[int, int]:
+    """Height (connectives on the longest branch) and tree size (nodes,
+    shared ones counted once per occurrence) of a, without recursion.
 
     Each subformula object is measured once: ``<->`` shares both sides,
     so a chain of them is a small graph but an exponentially large tree.
     """
-    height: dict[int, int] = {}
+    seen: dict[int, tuple[int, int]] = {}
     todo = [a]
     while todo:
         f = todo[-1]
@@ -204,26 +214,35 @@ def _height(a: Formula) -> int:
             kids = (f.left, f.right)
         else:
             kids = ()
-        waiting = [k for k in kids if id(k) not in height]
+        waiting = [k for k in kids if id(k) not in seen]
         if waiting:
             todo.extend(waiting)
         else:
             todo.pop()
-            height[id(f)] = 1 + max(height[id(k)] for k in kids) if kids else 0
-    return height[id(a)]
+            sub = [seen[id(k)] for k in kids]
+            seen[id(f)] = (1 + max(h for h, _ in sub) if sub else 0,
+                           1 + sum(n for _, n in sub))
+    return seen[id(a)]
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse formula text; ParseError on bad syntax or past MAX_NESTING."""
+    """Parse formula text; ParseError on bad syntax, past MAX_NESTING, or
+    past MAX_TREE_SIZE."""
     p = _Parser(_tokenize(text), text)
     a = p.formula()
     if p.i != len(p.toks):
         tok, pos = p.toks[p.i]
         raise ParseError(f"trailing input {tok!r}", pos)
-    # & and | chains deepen the tree without recursing in the parser;
-    # a formula's height is below its token count, so short text passes.
-    if len(p.toks) > MAX_NESTING and _height(a) > MAX_NESTING:
-        raise ParseError(f"formula nested deeper than {MAX_NESTING} levels")
+    # & and | chains deepen the tree without recursing in the parser.
+    # Short text without <-> passes both checks: its height is below its
+    # token count and its tree at most twice that size.
+    if len(p.toks) > MAX_NESTING or p.shares:
+        height, size = _measure(a)
+        if height > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels")
+        if size > MAX_TREE_SIZE:
+            raise ParseError(f"formula expands to {size} nodes, "
+                             f"more than {MAX_TREE_SIZE}")
     return a
 
 

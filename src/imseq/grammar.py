@@ -9,13 +9,18 @@ letter.  Letters print as ``d`` (forward) and ``b`` (backward).
 
 Both questions are answered by one algorithm, CFL reachability: a
 worklist saturates facts "some walk x to y spells a string derivable
-from S" over a graph.  ``reachable`` and ``reach_all`` run it on a
-propagation graph and unfold witness walks from the recorded facts;
-``derives`` runs it on the line graph of the target string.
+from S" over a graph whose nodes it numbers in sorted order.
+``reachable`` and ``reach_all`` run it on a propagation graph and
+unfold witness walks from the recorded facts, each fact's first
+derivation; ``reach_pairs`` returns the reachable pairs alone, for a
+caller such as the prover that needs the walks of only a few of them,
+which it then asks ``reachable`` for.  ``derives`` runs it on the line
+graph of the target string.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -69,17 +74,6 @@ def grammar_from_axioms(ax: AxiomSet) -> Grammar:
         prods.add(Production(Sym.FWD, (Sym.BWD,) * n + (Sym.FWD,) * k))
         prods.add(Production(Sym.BWD, (Sym.BWD,) * k + (Sym.FWD,) * n))
     return Grammar(frozenset(prods))
-
-
-def one_step(g: Grammar, s: Iterable[Sym]) -> set:
-    """All strings obtained by rewriting one occurrence."""
-    s = tuple(s)
-    out = set()
-    for p in g.productions:
-        for i, c in enumerate(s):
-            if c == p.lhs:
-                out.add(s[:i] + p.rhs + s[i + 1:])
-    return out
 
 
 def _nullable(g: Grammar) -> frozenset:
@@ -168,73 +162,107 @@ def path_in_graph(pg: PropGraph, path: PropPath) -> bool:
     )
 
 
+# The saturator codes the letters as 0 (b) and 1 (d), in their sort order.
+_LETTERS = (Sym.BWD, Sym.FWD)
+_CODE = {Sym.BWD: 0, Sym.FWD: 1}
+_EDGE = "edge"  # the recorded derivation of a fact that is a graph edge
+
+
 class _Saturator:
     """CFL-reachability worklist over a graph and grammar.
 
-    Facts are Full(S, x, y), a walk x to y spelling a string derivable
-    from S, and Part(p, i, x, y), the first i letters of production
-    p's right-hand side jointly spelling a walk x to y.  Witnesses are
-    recorded at first derivation, so reconstruction is well founded.
+    Facts are Full (s, x, y), a walk x to y spelling a string derivable
+    from letter s, and Part (p, i, x, y), the first i letters of
+    production p's right-hand side jointly spelling a walk x to y.
+    Nodes are numbered in the sorted order of their names and letters
+    coded in theirs, so the worklist is seeded and extended in sorted
+    order whatever the node names are.  Each fact's first derivation is
+    recorded, so reconstruction is well founded.
     """
 
     def __init__(self, pg: PropGraph, g: Grammar):
-        self.prods = g.sorted_productions()
-        self.null = _nullable(g)
-        self.witness: dict[tuple, tuple] = {}
+        self.names = sorted(pg.nodes)
+        self.num = {v: i for i, v in enumerate(self.names)}
+        num = self.num
+        prods = g.sorted_productions()
+        # fact -> how it was first derived: _EDGE, () for a seed, or the
+        # facts it was derived from, leftmost first
+        self.why: dict = {}
         self.queue: deque = deque()
-        self.fulls_from: dict[tuple, set] = {}
-        self.parts_waiting: dict[tuple, list] = {}
-        for x, s, y in sorted(pg.edges):
-            self._add(("F", s, x, y), ("edge",))
-        for x in sorted(pg.nodes):
-            for s in sorted(self.null, key=lambda c: c.value):
-                self._add(("F", s, x, x), ("null",))
-            for pi in range(len(self.prods)):
-                self._add(("P", pi, 0, x, x), ("start",))
-        self._run()
+        for x, s, y in sorted((num[x], _CODE[s], num[y]) for x, s, y in pg.edges):
+            self._add((s, x, y), _EDGE)
+        null = sorted(_CODE[s] for s in _nullable(g))
+        for x in range(len(self.names)):
+            for s in null:
+                self._add((s, x, x), ())
+            for pi in range(len(prods)):
+                self._add((pi, 0, x, x), ())
+        self._run([_CODE[p.lhs] for p in prods],
+                  [tuple(_CODE[c] for c in p.rhs) for p in prods])
 
-    def _add(self, fact: tuple, why: tuple):
-        if fact in self.witness:
-            return
-        self.witness[fact] = why
-        self.queue.append(fact)
+    def _add(self, fact: tuple, why):
+        if fact not in self.why:
+            self.why[fact] = why
+            self.queue.append(fact)
 
-    def _run(self):
-        while self.queue:
-            fact = self.queue.popleft()
-            if fact[0] == "F":
-                _, s, x, y = fact
-                self.fulls_from.setdefault((s, x), set()).add(y)
-                for part in self.parts_waiting.get((s, x), []):
-                    _, pi, i, w, _x = part
-                    self._add(("P", pi, i + 1, w, y), ("step", part, fact))
+    def _run(self, lhs: list, rhs: list):
+        why, queue = self.why, self.queue
+        n = len(self.names)
+        # by s * n + x: the y of every Full (s, x, y), sorted, and the
+        # Parts ending at x whose next letter is s
+        fulls_from: list = [[] for _ in range(2 * n)]
+        parts_waiting: list = [[] for _ in range(2 * n)]
+        while queue:
+            fact = queue.popleft()
+            if len(fact) == 3:
+                s, x, y = fact
+                insort(fulls_from[s * n + x], y)
+                for part in parts_waiting[s * n + x]:
+                    new = (part[0], part[1] + 1, part[2], y)
+                    if new not in why:
+                        why[new] = (part, fact)
+                        queue.append(new)
             else:
-                _, pi, i, x, y = fact
-                rhs = self.prods[pi].rhs
-                if i == len(rhs):
-                    self._add(("F", self.prods[pi].lhs, x, y), ("prod", fact))
+                pi, i, x, y = fact
+                if i == len(rhs[pi]):
+                    new = (lhs[pi], x, y)
+                    if new not in why:
+                        why[new] = (fact,)
+                        queue.append(new)
                 else:
-                    s = rhs[i]
-                    self.parts_waiting.setdefault((s, y), []).append(fact)
-                    for z in sorted(self.fulls_from.get((s, y), ())):
-                        self._add(("P", pi, i + 1, x, z), ("step", fact, ("F", s, y, z)))
+                    s = rhs[pi][i]
+                    parts_waiting[s * n + y].append(fact)
+                    for z in fulls_from[s * n + y]:
+                        new = (pi, i + 1, x, z)
+                        if new not in why:
+                            why[new] = (fact, (s, y, z))
+                            queue.append(new)
+
+    def full(self, s: Sym, start, end) -> Optional[tuple]:
+        """The fact that a walk start to end spells a string derivable
+        from s, or None when there is no such walk."""
+        fact = (_CODE[s], self.num[start], self.num[end])
+        return fact if fact in self.why else None
+
+    def forward(self) -> list:
+        """Full forward facts, in the order they were derived."""
+        fwd = _CODE[Sym.FWD]
+        return [f for f in self.why if len(f) == 3 and f[0] == fwd]
 
     def path_of(self, fact: tuple) -> PropPath:
         """Unfold the witnesses of fact, leftmost first, into its walk."""
-        nodes, steps = [fact[-2]], []
+        names = self.names
+        nodes, steps = [names[fact[-2]]], []
         todo = [fact]
         while todo:
             fact = todo.pop()
-            why = self.witness[fact]
-            if why[0] == "edge":
-                steps.append(fact[1])
-                nodes.append(fact[3])
-            elif why[0] == "prod":
-                todo.append(why[1])
-            elif why[0] == "step":
-                # part then full: push the full first so the part unfolds first
-                todo.append(why[2])
-                todo.append(why[1])
+            why = self.why[fact]
+            if why is _EDGE:
+                steps.append(_LETTERS[fact[0]])
+                nodes.append(names[fact[2]])
+            else:
+                # a step's part unfolds before its full: push it last
+                todo.extend(reversed(why))
         return PropPath(tuple(nodes), tuple(steps))
 
 
@@ -249,7 +277,7 @@ def derives(g: Grammar, start: Sym, target: Iterable[Sym]) -> bool:
     t = syms(target)
     line = PropGraph(frozenset(range(len(t) + 1)),
                      frozenset((i, c, i + 1) for i, c in enumerate(t)))
-    return ("F", start, 0, len(t)) in _Saturator(line, g).witness
+    return _Saturator(line, g).full(start, 0, len(t)) is not None
 
 
 def reachable(pg: PropGraph, g: Grammar, start: str, end: str) -> Optional[PropPath]:
@@ -259,17 +287,21 @@ def reachable(pg: PropGraph, g: Grammar, start: str, end: str) -> Optional[PropP
     if end not in pg.nodes:
         raise ValueError(f"unknown node {end!r}")
     sat = _Saturator(pg, g)
-    fact = ("F", Sym.FWD, start, end)
-    if fact not in sat.witness:
-        return None
-    return sat.path_of(fact)
+    fact = sat.full(Sym.FWD, start, end)
+    return None if fact is None else sat.path_of(fact)
 
 
 def reach_all(pg: PropGraph, g: Grammar) -> dict:
     """Witness walks for every forward-reachable ordered pair."""
     sat = _Saturator(pg, g)
-    out = {}
-    for fact in sat.witness:
-        if fact[0] == "F" and fact[1] is Sym.FWD:
-            out[(fact[2], fact[3])] = sat.path_of(fact)
-    return out
+    return {(sat.names[f[1]], sat.names[f[2]]): sat.path_of(f) for f in sat.forward()}
+
+
+def reach_pairs(pg: PropGraph, g: Grammar) -> list:
+    """Every forward-reachable ordered pair, sorted; no witness is unfolded.
+
+    reachable gives the witness reach_all would for a pair: both unfold
+    the first derivation of one saturation.
+    """
+    sat = _Saturator(pg, g)
+    return [(sat.names[x], sat.names[y]) for _, x, y in sorted(sat.forward())]

@@ -20,8 +20,8 @@ from typing import Iterable, Optional
 
 from .formula import (MAX_NESTING, Atom, AxiomSet, Bot, Box, Dia, Formula, Imp,
                       And, Or, ParseError, parse_formula, render_formula)
-from .grammar import (PropGraph, PropPath, Sym, derives, grammar_from_axioms,
-                      path_in_graph, reach_all)
+from .grammar import (Grammar, PropGraph, PropPath, Sym, derives,
+                      grammar_from_axioms, path_in_graph, reach_pairs, reachable)
 from .proof import CheckResult, Proof, RuleError, _p_int, _p_path, _p_str, check
 
 
@@ -311,118 +311,109 @@ def _nested_path(seq: NestedSequent, params: dict, ax: AxiomSet,
     return path
 
 
+def _premises(seq: NestedSequent, rule: str, at: tuple, index: Optional[int],
+              f: Optional[Formula], target: Optional[tuple]) -> list:
+    """Premises of a backward application, trusting its arguments.
+
+    at is the principal node's path (for pdia/pbox the path's start and
+    target its end), index the principal input's position (for orO the
+    disjunct kept: 0 left, 1 right) and f the principal formula.  No
+    condition is checked: premises_of_nested checks them first, and the
+    prover builds only applications that meet them.
+    """
+    if rule in ("botI", "id"):
+        return []
+    if rule == "andI":
+        return [map_node(seq, at, lambda nd: _input_replaced(nd, index, f.left, f.right))]
+    if rule == "andO":
+        return [map_node(seq, at, lambda nd: _output_set(nd, f.left)),
+                map_node(seq, at, lambda nd: _output_set(nd, f.right))]
+    if rule == "orI":
+        return [map_node(seq, at, lambda nd: _input_replaced(nd, index, f.left)),
+                map_node(seq, at, lambda nd: _input_replaced(nd, index, f.right))]
+    if rule == "orO":
+        chosen = f.right if index else f.left
+        return [map_node(seq, at, lambda nd: _output_set(nd, chosen))]
+    if rule == "impO":
+        return [map_node(seq, at,
+                         lambda nd: _input_appended(_output_set(nd, f.right), f.left))]
+    if rule == "impI":
+        left = map_node(output_pruned(seq), at, lambda nd: _output_set(nd, f.left))
+        right = map_node(seq, at, lambda nd: _input_replaced(nd, index, f.right))
+        return [left, right]
+    if rule == "boxO":
+        return [map_node(seq, at,
+                         lambda nd: _child_appended(_output_set(nd, None),
+                                                    nseq(output=f.body)))]
+    if rule == "diaI":
+        return [map_node(seq, at,
+                         lambda nd: _child_appended(_input_removed(nd, index),
+                                                    nseq(inputs=(f.body,))))]
+    if rule == "d":
+        return [map_node(seq, at, lambda nd: _child_appended(nd, EMPTY))]
+    if rule == "pdia":
+        pruned = map_node(seq, at, lambda nd: _output_set(nd, None))
+        return [map_node(pruned, target, lambda nd: _output_set(nd, f.body))]
+    if rule == "pbox":
+        return [map_node(seq, target, lambda nd: _input_appended(nd, f.body))]
+    raise RuleError(f"unknown rule {rule!r}")
+
+
+# main connective of the principal input, and of the principal output
+_INPUT_RULES = {"botI": Bot, "id": Atom, "andI": And, "orI": Or, "impI": Imp,
+                "diaI": Dia}
+_OUTPUT_RULES = {"andO": (And, "a conjunctive"), "orO": (Or, "a disjunctive"),
+                 "impO": (Imp, "an implicative"), "boxO": (Box, "a box")}
+
+
 def premises_of_nested(seq: NestedSequent, rule: str, params: dict,
                        ax: AxiomSet, check_side_conditions: bool = True) -> list:
     """Premises of a backward application at the given addresses.
 
-    With check_side_conditions off, path membership, path derivability,
-    and the d gate are skipped; only premise shapes are computed.  The
-    structural transformations use that to track positions.
+    Reads the params, checks that the rule applies there, and computes
+    the premises with _premises.  With check_side_conditions off, path
+    membership, path derivability, and the d gate are skipped; only
+    premise shapes are computed.  The structural transformations use
+    that to track positions.
     """
-
-    if rule == "botI":
+    at = index = f = target = None
+    if rule in _INPUT_RULES:
         at = _p_node(seq, params)
-        _p_input(seq, params, at, Bot)
-        return []
-
-    if rule == "id":
-        at = _p_node(seq, params)
-        idx, f = _p_input(seq, params, at, Atom)
-        if node_at(seq, at).output != f:
+        index, f = _p_input(seq, params, at, _INPUT_RULES[rule])
+        if rule == "id" and node_at(seq, at).output != f:
             raise RuleError("id needs the matching atomic output at the same node")
-        return []
-
-    if rule == "andI":
-        at = _p_node(seq, params)
-        idx, f = _p_input(seq, params, at, And)
-        return [map_node(seq, at, lambda nd: _input_replaced(nd, idx, f.left, f.right))]
-
-    if rule == "andO":
-        at = _p_node(seq, params)
-        f = node_at(seq, at).output
-        if not isinstance(f, And):
-            raise RuleError("andO needs a conjunctive output at the node")
-        return [map_node(seq, at, lambda nd: _output_set(nd, f.left)),
-                map_node(seq, at, lambda nd: _output_set(nd, f.right))]
-
-    if rule == "orI":
-        at = _p_node(seq, params)
-        idx, f = _p_input(seq, params, at, Or)
-        return [map_node(seq, at, lambda nd: _input_replaced(nd, idx, f.left)),
-                map_node(seq, at, lambda nd: _input_replaced(nd, idx, f.right))]
-
-    if rule == "orO":
-        at = _p_node(seq, params)
-        f = node_at(seq, at).output
-        if not isinstance(f, Or):
-            raise RuleError("orO needs a disjunctive output at the node")
-        side = _p_str(params, "side")
-        if side not in ("left", "right"):
-            raise RuleError("param 'side' must be 'left' or 'right'")
-        chosen = f.left if side == "left" else f.right
-        return [map_node(seq, at, lambda nd: _output_set(nd, chosen))]
-
-    if rule == "impO":
-        at = _p_node(seq, params)
-        f = node_at(seq, at).output
-        if not isinstance(f, Imp):
-            raise RuleError("impO needs an implicative output at the node")
-        return [map_node(seq, at,
-                         lambda nd: _input_appended(_output_set(nd, f.right), f.left))]
-
-    if rule == "impI":
-        at = _p_node(seq, params)
-        idx, f = _p_input(seq, params, at, Imp)
-        if not is_full(seq):
+        if rule == "impI" and not is_full(seq):
             raise RuleError("impI needs a full conclusion to prune")
-        left = map_node(output_pruned(seq), at, lambda nd: _output_set(nd, f.left))
-        right = map_node(seq, at, lambda nd: _input_replaced(nd, idx, f.right))
-        return [left, right]
-
-    if rule == "boxO":
+    elif rule in _OUTPUT_RULES:
         at = _p_node(seq, params)
         f = node_at(seq, at).output
-        if not isinstance(f, Box):
-            raise RuleError("boxO needs a box output at the node")
-        return [map_node(seq, at,
-                         lambda nd: _child_appended(_output_set(nd, None),
-                                                    nseq(output=f.body)))]
-
-    if rule == "diaI":
-        at = _p_node(seq, params)
-        idx, f = _p_input(seq, params, at, Dia)
-        return [map_node(seq, at,
-                         lambda nd: _child_appended(_input_removed(nd, idx),
-                                                    nseq(inputs=(f.body,))))]
-
-    if rule == "d":
+        cls, kind = _OUTPUT_RULES[rule]
+        if not isinstance(f, cls):
+            raise RuleError(f"{rule} needs {kind} output at the node")
+        if rule == "orO":
+            side = _p_str(params, "side")
+            if side not in ("left", "right"):
+                raise RuleError("param 'side' must be 'left' or 'right'")
+            index = int(side == "right")
+    elif rule == "d":
         if check_side_conditions and not ax.has_d:
             raise RuleError("rule d needs the seriality axiom")
         at = _p_node(seq, params)
-        return [map_node(seq, at, lambda nd: _child_appended(nd, EMPTY))]
-
-    if rule == "pdia":
+    elif rule in ("pdia", "pbox"):
         path = _nested_path(seq, params, ax, check_side_conditions)
-        w = parse_path_id(path.start)
-        u = parse_path_id(path.end)
-        f = node_at(seq, w).output
-        if not isinstance(f, Dia):
-            raise RuleError("pdia needs a diamond output at the path's start")
-        pruned = map_node(seq, w, lambda nd: _output_set(nd, None))
-        return [map_node(pruned, u, lambda nd: _output_set(nd, f.body))]
-
-    if rule == "pbox":
-        path = _nested_path(seq, params, ax, check_side_conditions)
-        w = parse_path_id(path.start)
-        u = parse_path_id(path.end)
-        idx = _p_int(params, "index")
-        node = node_at(seq, w)
-        if idx >= len(node.inputs) or not isinstance(node.inputs[idx], Box):
-            raise RuleError("pbox needs a box input at the path's start")
-        body = node.inputs[idx].body
-        return [map_node(seq, u, lambda nd: _input_appended(nd, body))]
-
-    raise RuleError(f"unknown rule {rule!r}")
+        at = parse_path_id(path.start)
+        target = parse_path_id(path.end)
+        node = node_at(seq, at)
+        if rule == "pdia":
+            f = node.output
+            if not isinstance(f, Dia):
+                raise RuleError("pdia needs a diamond output at the path's start")
+        else:
+            index = _p_int(params, "index")
+            if index >= len(node.inputs) or not isinstance(node.inputs[index], Box):
+                raise RuleError("pbox needs a box input at the path's start")
+            f = node.inputs[index]
+    return _premises(seq, rule, at, index, f, target)
 
 
 def check_nested(p: NestedProof, ax: AxiomSet) -> CheckResult:
@@ -444,6 +435,35 @@ def _try_leaf(seq: NestedSequent, positions: list) -> Optional[NestedProof]:
     return None
 
 
+def _reach_targets(seq: NestedSequent, shape: tuple, g: Grammar) -> list:
+    """For each node of seq, by its index in shape (the node paths in
+    preorder), the indices of the nodes it reaches, in id order."""
+    index = {path_id(path): i for i, path in enumerate(shape)}
+    table = [[] for _ in shape]
+    for src, dst in reach_pairs(prop_graph_nested(seq), g):
+        table[index[src]].append(index[dst])
+    return table
+
+
+def _witness(seq: NestedSequent, g: Grammar, src: tuple, dst: tuple) -> list:
+    """The pdia/pbox path param for a reachable pair: reach_all's walk."""
+    return reachable(prop_graph_nested(seq), g, path_id(src), path_id(dst)).to_list()
+
+
+def _params(seq: NestedSequent, g: Grammar, rule: str, at: tuple,
+            index: Optional[int], target: Optional[tuple]) -> dict:
+    """The params premises_of_nested reads back as (at, index, target)."""
+    if rule == "pdia":
+        return {"path": _witness(seq, g, at, target)}
+    if rule == "pbox":
+        return {"path": _witness(seq, g, at, target), "index": index}
+    if rule == "orO":
+        return {"at": path_id(at), "side": "right" if index else "left"}
+    if index is None:
+        return {"at": path_id(at)}
+    return {"at": path_id(at), "index": index}
+
+
 def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[NestedProof]:
     """Backward search for a proof of height at most depth + 1.
 
@@ -453,13 +473,16 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
     A branch gives up on a repeated sequent; failures are cached per
     budget.  Incomplete in general.
 
-    Premises are computed without re-checking side conditions: every
-    pdia/pbox path is a reach_all witness on the sequent's own
-    propagation graph, and d is tried only under seriality.  The graph
-    depends on the bracket tree alone, so its witnesses are computed
-    once per tree shape and kept for this call only.  The proof about
-    to be returned is run through check_nested, and a failure raises
-    RuntimeError, so results always check.
+    The search addresses nodes by child-index paths and computes
+    premises with _premises, without re-checking side conditions: a
+    pdia/pbox target is one the sequent's own propagation graph reaches
+    (reach_pairs), and d is tried only under seriality.  The graph
+    depends on the bracket tree alone, so its reachable pairs are
+    computed once per tree shape and kept for this call only.  Params,
+    with ``r.0.1`` ids and the witness walk from reachable, are built
+    only for the nodes of proofs found.  The proof about to be returned
+    is run through check_nested, and a failure raises RuntimeError, so
+    results always check.
     Raises ValueError for a goal that is not full or a negative depth.
     """
     if not is_full(goal):
@@ -468,34 +491,25 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
         raise ValueError(f"depth must be at least 0, got {depth}")
     g = grammar_from_axioms(ax)
     fail: dict = {}
-    # tree shape (its node paths) -> position index -> [(target index, witness)]
+    # tree shape (its node paths) -> position index -> [target index]
     reach_by_shape: dict = {}
 
     def reach_from(seq, positions):
         shape = tuple(path for path, _ in positions)
         table = reach_by_shape.get(shape)
         if table is None:
-            index = {path_id(path): i for i, path in enumerate(shape)}
-            table = [[] for _ in shape]
-            reach = reach_all(prop_graph_nested(seq), g)
-            for (src, dst), witness in sorted(reach.items()):
-                table[index[src]].append((index[dst], witness))
-            reach_by_shape[shape] = table
+            table = reach_by_shape[shape] = _reach_targets(seq, shape, g)
         return table
 
-    def attempt(seq, rule, params, budget, seen):
-        try:
-            prems = premises_of_nested(seq, rule, params, ax,
-                                       check_side_conditions=False)
-        except RuleError:
-            return None
+    def attempt(seq, rule, at, index, f, target, budget, seen):
         subs = []
-        for prem in prems:
+        for prem in _premises(seq, rule, at, index, f, target):
             sub = search(prem, budget - 1, seen)
             if sub is None:
                 return None
             subs.append(sub)
-        return NestedProof(seq, rule, params, tuple(subs))
+        return NestedProof(seq, rule, _params(seq, g, rule, at, index, target),
+                           tuple(subs))
 
     def search(seq, budget, seen):
         positions = _positions(seq)
@@ -509,72 +523,69 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
             return None
         seen = seen | {key}
 
-        def commit(rule, params):
-            got = attempt(seq, rule, params, budget, seen)
+        def commit(rule, at, index, f):
+            got = attempt(seq, rule, at, index, f, None, budget, seen)
             if got is None:
                 fail[key] = max(fail.get(key, -1), budget)
             return got
 
         # non-branching invertible rules, committed
         for path, node in positions:
-            pid = path_id(path)
             for idx, f in enumerate(node.inputs):
                 if isinstance(f, And):
-                    return commit("andI", {"at": pid, "index": idx})
+                    return commit("andI", path, idx, f)
                 if isinstance(f, Dia):
-                    return commit("diaI", {"at": pid, "index": idx})
+                    return commit("diaI", path, idx, f)
             if isinstance(node.output, Imp):
-                return commit("impO", {"at": pid})
+                return commit("impO", path, None, node.output)
             if isinstance(node.output, Box):
-                return commit("boxO", {"at": pid})
+                return commit("boxO", path, None, node.output)
 
         # branching invertible rules, committed
         for path, node in positions:
-            pid = path_id(path)
             if isinstance(node.output, And):
-                return commit("andO", {"at": pid})
+                return commit("andO", path, None, node.output)
             for idx, f in enumerate(node.inputs):
                 if isinstance(f, Or):
-                    return commit("orI", {"at": pid, "index": idx})
+                    return commit("orI", path, idx, f)
 
         # choice points, backtracking
         reach = None
         for i, (path, node) in enumerate(positions):
-            pid = path_id(path)
-            if isinstance(node.output, Or):
-                for side in ("left", "right"):
-                    got = attempt(seq, "orO", {"at": pid, "side": side}, budget, seen)
+            f = node.output
+            if isinstance(f, Or):
+                for side in (0, 1):
+                    got = attempt(seq, "orO", path, side, f, None, budget, seen)
                     if got is not None:
                         return got
-            if isinstance(node.output, Dia):
+            if isinstance(f, Dia):
                 if reach is None:
                     reach = reach_from(seq, positions)
-                for _, witness in reach[i]:
-                    got = attempt(seq, "pdia", {"path": witness.to_list()},
+                for j in reach[i]:
+                    got = attempt(seq, "pdia", path, None, f, positions[j][0],
                                   budget, seen)
                     if got is not None:
                         return got
             for idx, f in enumerate(node.inputs):
                 if isinstance(f, Imp):
-                    got = attempt(seq, "impI", {"at": pid, "index": idx}, budget, seen)
+                    got = attempt(seq, "impI", path, idx, f, None, budget, seen)
                     if got is not None:
                         return got
                 if isinstance(f, Box):
                     if reach is None:
                         reach = reach_from(seq, positions)
-                    for j, witness in reach[i]:
-                        if f.body in positions[j][1].inputs:
+                    for j in reach[i]:
+                        target, tnode = positions[j]
+                        if f.body in tnode.inputs:
                             continue
-                        got = attempt(seq, "pbox",
-                                      {"path": witness.to_list(), "index": idx},
-                                      budget, seen)
+                        got = attempt(seq, "pbox", path, idx, f, target, budget, seen)
                         if got is not None:
                             return got
         if ax.has_d:
             for path, node in positions:
                 if EMPTY in node.children:
                     continue
-                got = attempt(seq, "d", {"at": path_id(path)}, budget, seen)
+                got = attempt(seq, "d", path, None, None, None, budget, seen)
                 if got is not None:
                     return got
 

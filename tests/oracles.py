@@ -12,7 +12,18 @@ import random
 from collections import deque
 
 from imseq.formula import And, Atom, Bot, Box, Dia, Imp, Or
-from imseq.grammar import Grammar, PropGraph, Sym, one_step, syms
+from imseq.grammar import Grammar, PropGraph, Sym, syms
+
+
+def one_step(g: Grammar, s) -> set:
+    """All strings obtained by rewriting one occurrence."""
+    s = tuple(s)
+    out = set()
+    for p in g.productions:
+        for i, c in enumerate(s):
+            if c == p.lhs:
+                out.add(s[:i] + p.rhs + s[i + 1:])
+    return out
 
 
 def closure_strings(g: Grammar, start: Sym, max_len: int) -> dict:

@@ -2,11 +2,12 @@
 
 import json
 import random
+import time
 
 import pytest
 
 from imseq.cli import main
-from imseq.formula import MAX_NESTING, axiom_set
+from imseq.formula import MAX_NESTING, MAX_TREE_SIZE, axiom_set, parse_formula
 from imseq.gen import random_labelled_proof
 from imseq.proofio import dump_proof, load_nested_proof
 
@@ -37,6 +38,19 @@ def test_parse_nesting_limit(capsys, nest):
     code, out, err = run(capsys, "parse", nest(MAX_NESTING + 1))
     assert code == 1 and not out
     assert f"nested deeper than {MAX_NESTING} levels" in err
+
+
+def test_parse_rejects_iff_blow_up(capsys):
+    """<-> shares its sides, so a chain of n prints about 6 * 2^n nodes;
+    past MAX_TREE_SIZE it is a parse error instead."""
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "parse", "p <-> " * 40 + "p")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and not out
+    assert f"more than {MAX_TREE_SIZE}" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "parse", "p <-> " * 8 + "p")
+    assert code == 0
+    assert parse_formula(out.strip()) == parse_formula("p <-> " * 8 + "p")
 
 
 def test_reach_prints_witness(capsys):

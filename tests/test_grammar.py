@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,9 +7,10 @@ import pytest
 from imseq.formula import axiom_set
 from imseq.grammar import (Grammar, Production, PropGraph, PropPath, Sym,
                            converse_string, derives, grammar_from_axioms,
-                           graph_from_pairs, one_step, path_in_graph,
-                           reach_all, reachable, syms)
-from oracles import closure_strings, oracle_derives, oracle_reachable
+                           graph_from_pairs, path_in_graph, reach_all,
+                           reachable, syms)
+from imseq.nested import nseq, prop_graph_nested
+from oracles import closure_strings, one_step, oracle_derives, oracle_reachable
 
 D, B = Sym.FWD, Sym.BWD
 
@@ -244,3 +246,41 @@ def test_reachable_against_oracle_small():
             assert got is not None, (rel, pairs, x, y)
         if got is not None:
             assert path_in_graph(pg, got) and derives(g, D, got.steps)
+
+
+REACH_GRAMMARS = ({(1, 1)}, {(2, 0)}, {(0, 2)}, {(1, 1), (2, 1)}, {(0, 0)})
+
+
+def _random_tree(rng, depth):
+    return nseq((), None, tuple(_random_tree(rng, depth - 1)
+                                for _ in range(rng.randrange(3) if depth else 0)))
+
+
+def _digest_graphs(rng):
+    for k in range(25):
+        tree = _random_tree(rng, 2)
+        if k % 5 == 0:  # a wide root, so that 'r.10' sorts before 'r.2'
+            tree = nseq((), None, tuple(_random_tree(rng, 1) for _ in range(11)))
+        yield prop_graph_nested(tree)
+        names = [f"n{i}" for i in range(rng.randint(1, 12))]
+        rel = {(rng.choice(names), rng.choice(names))
+               for _ in range(rng.randint(0, len(names) + 2))}
+        yield graph_from_pairs(rel, extra_nodes=names)
+
+
+def test_reach_witnesses_match_frozen_digest():
+    """reach_all and reachable witnesses, and reach_all's order, are frozen."""
+    rng = random.Random(60601)
+    h = hashlib.sha256()
+    for pg in _digest_graphs(rng):
+        nodes = sorted(pg.nodes)
+        for pairs in REACH_GRAMMARS:
+            g = g_of(*sorted(pairs))
+            for pair, path in reach_all(pg, g).items():
+                h.update(f"{pair} {path.to_list()}\n".encode())
+            for _ in range(3):
+                x, y = rng.choice(nodes), rng.choice(nodes)
+                p = reachable(pg, g, x, y)
+                h.update(f"{x} {y} {None if p is None else p.to_list()}\n".encode())
+    assert h.hexdigest() == (
+        "3190748dc22b0e323e2f1fa98f918d20865f778584002863f48d4cf83aba3ead")

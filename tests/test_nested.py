@@ -9,13 +9,14 @@ import imseq.nested
 from imseq.formula import (MAX_NESTING, And, Atom, BENCHMARKS, Bot, Box, Dia,
                            Imp, Or, ParseError, axiom_set, hsl_formula,
                            parse_formula)
-from imseq.grammar import PropPath, Sym, reach_all
-from imseq.nested import (EMPTY, NestedProof, all_paths, check_nested, is_full,
-                          map_node, node_at, nseq, output_count,
-                          output_position, output_pruned, parse_nested,
-                          parse_path_id, path_id, premises_of_nested,
-                          prop_graph_nested, prove_bounded, prove_formula,
-                          render_nested, RuleError)
+from imseq.grammar import (PropPath, Sym, grammar_from_axioms, reach_all,
+                           reachable)
+from imseq.nested import (EMPTY, NestedProof, _reach_targets, _witness,
+                          all_paths, check_nested, is_full, map_node, node_at,
+                          nseq, output_count, output_position, output_pruned,
+                          parse_nested, parse_path_id, path_id,
+                          premises_of_nested, prop_graph_nested, prove_bounded,
+                          prove_formula, render_nested, RuleError)
 from imseq.proofio import dump_proof
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
@@ -389,17 +390,37 @@ def test_prover_output_matches_frozen_corpus():
 def test_prover_rejects_a_proof_built_from_a_bad_witness(monkeypatch):
     """The final check guards the trusted premises: a witness outside the
     sequent's graph raises instead of yielding a proof that fails to check."""
-    def flipped(pg, g):
-        out = {}
-        for pair, path in reach_all(pg, g).items():
-            if path.steps:
-                path = PropPath(path.nodes,
-                                (path.steps[0].converse(),) + path.steps[1:])
-            out[pair] = path
-        return out
+    def flipped(pg, g, start, end):
+        path = reachable(pg, g, start, end)
+        if path is not None and path.steps:
+            path = PropPath(path.nodes,
+                            (path.steps[0].converse(),) + path.steps[1:])
+        return path
 
     goal = parse_nested("[ p^i ], <>p^o")
     assert check_nested(prove_bounded(goal, NOAX, 4), NOAX)
-    monkeypatch.setattr(imseq.nested, "reach_all", flipped)
+    monkeypatch.setattr(imseq.nested, "reachable", flipped)
     with pytest.raises(RuntimeError, match="fails to check"):
         prove_bounded(goal, NOAX, 4)
+
+
+def test_prover_reach_table_matches_reach_all():
+    """The prover's per-shape targets are reach_all's pairs grouped by
+    source in sorted order, and each rendered witness is reach_all's."""
+    rng = random.Random(4242)
+    for k in range(40):
+        seq = random_full_nested(rng, 2, [P, Q])
+        if k % 8 == 0:  # a wide node, so that 'r.10' sorts before 'r.2'
+            seq = nseq(seq.inputs, seq.output, seq.children + (EMPTY,) * 11)
+        shape = tuple(all_paths(seq))
+        for pairs in ([(1, 1)], [(2, 0)], [(0, 2)], [(1, 1), (2, 1)], [(0, 0)]):
+            g = grammar_from_axioms(axiom_set(pairs))
+            reach = reach_all(prop_graph_nested(seq), g)
+            index = {path_id(path): i for i, path in enumerate(shape)}
+            grouped = [[] for _ in shape]
+            for src, dst in sorted(reach):
+                grouped[index[src]].append(index[dst])
+            assert _reach_targets(seq, shape, g) == grouped
+            for (src, dst), walk in reach.items():
+                assert _witness(seq, g, parse_path_id(src),
+                                parse_path_id(dst)) == walk.to_list()
