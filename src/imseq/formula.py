@@ -4,61 +4,124 @@ The language is intuitionistic propositional logic plus the modalities
 ``<>`` (diamond) and ``[]`` (box).  Negation and equivalence are input
 sugar: ``~a`` reads as ``a -> false`` and ``a <-> b`` as
 ``(a -> b) & (b -> a)``.  The printer emits only the core connectives.
+
+Formulas are interned: the constructors return the one live object per
+distinct formula, kept in a weak table, so ``==`` is ``is`` and ``hash``
+is O(1) however much the formula shares.  Nodes are immutable, and
+``pickle`` and ``copy`` hand back the interned object.  A node stores
+its rendering once it is first printed, and ``parse_formula`` answers
+repeated texts from a bounded memo.
 """
 
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+# (class, *fields) -> the live node with those fields.  A node is made
+# under the lock, so two threads never make twin nodes for one key.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_MAKING = threading.Lock()
+
+
+def _intern(key: tuple) -> Formula:
+    f = _INTERNED.get(key)
+    if f is None:
+        with _MAKING:
+            f = _INTERNED.get(key)
+            if f is None:
+                cls = key[0]
+                f = object.__new__(cls)
+                for name, value in zip(cls.__match_args__, key[1:]):
+                    object.__setattr__(f, name, value)
+                object.__setattr__(f, "_text", None)
+                _INTERNED[key] = f
+    return f
+
 
 class Formula:
-    """Base class for formula nodes.  All nodes are immutable."""
+    """Base class for formula nodes.  All nodes are interned and immutable."""
 
-    __slots__ = ()
+    __slots__ = ("_text", "__weakref__")
+    __match_args__: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
     def __str__(self) -> str:
         return render_formula(self)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
+    __slots__ = __match_args__ = ("name",)
     name: str
 
+    def __new__(cls, name: str) -> Atom:
+        return _intern((cls, name))
 
-@dataclass(frozen=True)
+
 class Bot(Formula):
-    pass
+    __slots__ = ()
+
+    def __new__(cls) -> Bot:
+        return _intern((cls,))
 
 
-@dataclass(frozen=True)
 class And(Formula):
+    __slots__ = __match_args__ = ("left", "right")
     left: Formula
     right: Formula
 
+    def __new__(cls, left: Formula, right: Formula) -> And:
+        return _intern((cls, left, right))
 
-@dataclass(frozen=True)
+
 class Or(Formula):
+    __slots__ = __match_args__ = ("left", "right")
     left: Formula
     right: Formula
 
+    def __new__(cls, left: Formula, right: Formula) -> Or:
+        return _intern((cls, left, right))
 
-@dataclass(frozen=True)
+
 class Imp(Formula):
+    __slots__ = __match_args__ = ("left", "right")
     left: Formula
     right: Formula
 
+    def __new__(cls, left: Formula, right: Formula) -> Imp:
+        return _intern((cls, left, right))
 
-@dataclass(frozen=True)
+
 class Dia(Formula):
+    __slots__ = __match_args__ = ("body",)
     body: Formula
 
+    def __new__(cls, body: Formula) -> Dia:
+        return _intern((cls, body))
 
-@dataclass(frozen=True)
+
 class Box(Formula):
+    __slots__ = __match_args__ = ("body",)
     body: Formula
+
+    def __new__(cls, body: Formula) -> Box:
+        return _intern((cls, body))
 
 
 BOT = Bot()
@@ -100,7 +163,7 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 # Deepest formula the parser accepts, counting both the connectives on
 # one branch and the parentheses around one subformula.  The printer
-# recurses about three frames per connective and the parser five per
+# recurses two frames per connective and the parser five per
 # parenthesis, so this stays well inside Python's default 1000 frames.
 MAX_NESTING = 150
 
@@ -201,10 +264,10 @@ def _measure(a: Formula) -> tuple[int, int]:
     """Height (connectives on the longest branch) and tree size (nodes,
     shared ones counted once per occurrence) of a, without recursion.
 
-    Each subformula object is measured once: ``<->`` shares both sides,
+    Each distinct subformula is measured once: ``<->`` shares both sides,
     so a chain of them is a small graph but an exponentially large tree.
     """
-    seen: dict[int, tuple[int, int]] = {}
+    seen: dict[Formula, tuple[int, int]] = {}
     todo = [a]
     while todo:
         f = todo[-1]
@@ -214,20 +277,29 @@ def _measure(a: Formula) -> tuple[int, int]:
             kids = (f.left, f.right)
         else:
             kids = ()
-        waiting = [k for k in kids if id(k) not in seen]
+        waiting = [k for k in kids if k not in seen]
         if waiting:
             todo.extend(waiting)
         else:
             todo.pop()
-            sub = [seen[id(k)] for k in kids]
-            seen[id(f)] = (1 + max(h for h, _ in sub) if sub else 0,
+            sub = [seen[k] for k in kids]
+            seen[f] = (1 + max(h for h, _ in sub) if sub else 0,
                            1 + sum(n for _, n in sub))
-    return seen[id(a)]
+    return seen[a]
 
 
 def parse_formula(text: str) -> Formula:
     """Parse formula text; ParseError on bad syntax, past MAX_NESTING, or
-    past MAX_TREE_SIZE."""
+    past MAX_TREE_SIZE.
+
+    Texts up to PARSE_MEMO_TEXT characters are answered from a memo of the
+    last PARSE_MEMO_SIZE of them; a text that fails is parsed again."""
+    if len(text) <= PARSE_MEMO_TEXT:
+        return _parse_memo(text)
+    return _parse(text)
+
+
+def _parse(text: str) -> Formula:
     p = _Parser(_tokenize(text), text)
     a = p.formula()
     if p.i != len(p.toks):
@@ -246,32 +318,49 @@ def parse_formula(text: str) -> Formula:
     return a
 
 
+# The parse memo holds at most PARSE_MEMO_SIZE texts of at most
+# PARSE_MEMO_TEXT characters each, so a long-lived process fed ever new
+# or huge texts keeps a bounded amount of them.  lru_cache stores no
+# result for a call that raises.
+PARSE_MEMO_SIZE = 4096
+PARSE_MEMO_TEXT = 1000
+_parse_memo = lru_cache(maxsize=PARSE_MEMO_SIZE)(_parse)
+
+
 # Binding strength used by the printer; parenthesize a child whose
 # level is below the context minimum.
 _PREC = {Imp: 1, Or: 2, And: 3, Dia: 4, Box: 4, Atom: 5, Bot: 5}
 
 
-@lru_cache(maxsize=None)
 def render_formula(a: Formula) -> str:
-    def child(b: Formula, floor: int) -> str:
-        s = render_formula(b)
-        return f"({s})" if _PREC[type(b)] < floor else s
-
+    """The text of a, with the fewest parentheses; stored on the node."""
+    try:
+        text = a._text
+    except AttributeError:
+        raise TypeError(f"not a formula: {a!r}") from None
+    if text is not None:
+        return text
     if isinstance(a, Atom):
-        return a.name
-    if isinstance(a, Bot):
-        return "false"
-    if isinstance(a, And):
-        return f"{child(a.left, 3)} & {child(a.right, 4)}"
-    if isinstance(a, Or):
-        return f"{child(a.left, 2)} | {child(a.right, 3)}"
-    if isinstance(a, Imp):
-        return f"{child(a.left, 2)} -> {child(a.right, 1)}"
-    if isinstance(a, Dia):
-        return f"<>{child(a.body, 4)}"
-    if isinstance(a, Box):
-        return f"[]{child(a.body, 4)}"
-    raise TypeError(f"not a formula: {a!r}")
+        text = a.name
+    elif isinstance(a, Bot):
+        text = "false"
+    elif isinstance(a, And):
+        text = f"{_child(a.left, 3)} & {_child(a.right, 4)}"
+    elif isinstance(a, Or):
+        text = f"{_child(a.left, 2)} | {_child(a.right, 3)}"
+    elif isinstance(a, Imp):
+        text = f"{_child(a.left, 2)} -> {_child(a.right, 1)}"
+    elif isinstance(a, Dia):
+        text = f"<>{_child(a.body, 4)}"
+    else:
+        text = f"[]{_child(a.body, 4)}"
+    object.__setattr__(a, "_text", text)
+    return text
+
+
+def _child(b: Formula, floor: int) -> str:
+    s = render_formula(b)
+    return f"({s})" if _PREC[type(b)] < floor else s
 
 
 def modal_count(a: Formula) -> int:

@@ -1,5 +1,15 @@
-import pytest
+import copy
+import gc
+import pickle
+import sys
+import threading
+import time
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from imseq import formula
 from imseq.formula import (And, Atom, AxiomSet, BENCHMARKS, BOT, Bot, Box,
                            Dia, Imp, Or, ParseError, axiom_set, hsl_formula,
                            modal_count, neg, parse_formula, render_formula)
@@ -102,3 +112,112 @@ def test_formula_identity():
     assert Bot() == BOT
     assert And(P, Q) != And(Q, P)
     assert str(Imp(Dia(P), Box(Q))) == "<>p -> []q"
+
+
+def test_formulas_are_interned():
+    assert And(P, Q) is And(P, Q)
+    assert Atom(name="p") is P and Bot() is BOT
+    for text in ["[](p -> q) -> []p", "p <-> q", "p" + " " * formula.PARSE_MEMO_TEXT]:
+        assert parse_formula(text) is parse_formula(text)
+    assert parse_formula("p" + " " * formula.PARSE_MEMO_TEXT) is P
+    f = parse_formula("<>(p | q) -> ~[]r")
+    assert copy.deepcopy(f) is f and copy.copy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert pickle.loads(pickle.dumps(BOT)) is BOT
+
+
+def test_formulas_are_immutable():
+    with pytest.raises(AttributeError):
+        P.name = "q"
+    with pytest.raises(AttributeError):
+        del P.name
+    with pytest.raises(AttributeError):
+        And(P, Q).left = Q
+    assert P.name == "p"
+
+
+def test_formula_repr_is_dataclass_style():
+    assert repr(Atom("p")) == "Atom(name='p')"
+    assert repr(Bot()) == "Bot()"
+    assert repr(Imp(Dia(P), BOT)) == \
+        "Imp(left=Dia(body=Atom(name='p')), right=Bot())"
+
+
+def test_intern_table_shrinks_after_collection():
+    gc.collect()
+    before = len(formula._INTERNED)
+    made = [And(Atom(f"fresh{i}"), P) for i in range(10_000)]
+    assert len(formula._INTERNED) == before + 20_000
+    del made
+    gc.collect()
+    assert len(formula._INTERNED) == before
+
+
+def test_threads_share_one_node_per_formula():
+    results = [None] * 4
+
+    def build(slot):
+        results[slot] = [And(Atom(f"t{i}"), Imp(P, Atom(f"t{i}")))
+                         for i in range(3000)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    first = results[0]
+    for other in results[1:]:
+        assert all(a is b for a, b in zip(first, other, strict=True))
+
+
+def test_equivalence_chain_hash_and_eq_take_constant_time():
+    # A chain of n <-> shares each link twice, so a walk of its tree
+    # takes 2^n steps; a 40-link chain must not be walked.
+    def chain(bottom):
+        f = bottom
+        for _ in range(40):
+            f = And(Imp(P, f), Imp(f, P))
+        return f
+
+    f, g, h = chain(Q), chain(Q), chain(R)
+    t0 = time.perf_counter()
+    assert hash(f) == hash(g) and f == g and f != h
+    assert {f: 1}[g] == 1
+    assert time.perf_counter() - t0 < 1.0
+
+
+_formulas = st.recursive(
+    st.sampled_from([P, Q, Atom("abc_1"), BOT]),
+    lambda sub: st.one_of(st.builds(And, sub, sub), st.builds(Or, sub, sub),
+                          st.builds(Imp, sub, sub), st.builds(Dia, sub),
+                          st.builds(Box, sub)),
+    max_leaves=24)
+
+_pieces = st.sampled_from(["p", "q", "false", "P", "&", "|", "~", "(", ")",
+                           "->", "<->", "<>", "[]", "<", "-", "!", " "])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_formulas)
+def test_parse_inverts_render(f):
+    assert parse_formula(render_formula(f)) is f
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(_pieces, max_size=12).map("".join))
+def test_parse_errors_repeat_and_are_not_memoized(text):
+    try:
+        first = parse_formula(text)
+    except ParseError as e:
+        with pytest.raises(ParseError) as again:
+            parse_formula(text)
+        assert again.value is not e
+        assert (str(again.value), again.value.pos) == (str(e), e.pos)
+    else:
+        assert parse_formula(text) is first
