@@ -4,7 +4,7 @@ One executable with subcommands over the other modules: formula
 parsing, propagation reachability, proof checking, refinement,
 translation, bounded proof search, model evaluation, and the benchmark
 formulas.  Exit codes: 0 success or valid, 1 invalid or unprovable
-within the budget, 2 usage or i/o trouble.
+within the budget, 2 usage errors, malformed input, or i/o trouble.
 """
 
 from __future__ import annotations
@@ -290,7 +290,7 @@ def main(argv=None) -> int:
         return e.code
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
-        return 1
+        return 2
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return 1

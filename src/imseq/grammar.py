@@ -7,17 +7,16 @@ w→u and a backward edge u→w.  A target node is reachable from a source
 when some walk between them spells a string derivable from the forward
 letter.  Letters print as ``d`` (forward) and ``b`` (backward).
 
-Both questions are answered by one algorithm, CFL reachability: a
+Path questions are CFL-reachability questions, answered two ways.  A
 worklist saturates facts "some walk x to y spells a string derivable
-from S" over a graph whose nodes it numbers in sorted order.
-``reachable`` and ``reach_all`` run it on a propagation graph and
-unfold witness walks from the recorded facts, each fact's first
-derivation; ``reach_pairs`` returns the reachable pairs alone, for a
-caller such as the prover that needs the walks of only a few of them,
-which it then asks ``reachable`` for.  ``derives`` runs it on the line
-graph of the target string.
+from S" over a graph whose nodes it numbers in sorted order, and records
+each fact's first derivation: ``reachable`` and ``reach_all`` unfold
+witness walks from those records, and ``derives`` asks it on the line
+graph of the target string, where it finishes in one pass along the
+line.  ``reach_masks`` keeps no witness: it closes one bitmask row per
+letter and node, a word of targets at a time, and gives the prover its
+reachable pairs on small integer graphs.
 """
-
 from __future__ import annotations
 
 from bisect import insort
@@ -297,11 +296,41 @@ def reach_all(pg: PropGraph, g: Grammar) -> dict:
     return {(sat.names[f[1]], sat.names[f[2]]): sat.path_of(f) for f in sat.forward()}
 
 
-def reach_pairs(pg: PropGraph, g: Grammar) -> list:
-    """Every forward-reachable ordered pair, sorted; no witness is unfolded.
+def reach_masks(n: int, edges: Iterable[tuple], g: Grammar) -> list:
+    """For each node x of a graph on nodes 0..n-1, the bitmask of the
+    nodes y that x reaches: some walk x to y spells a string derivable
+    from the forward letter.  edges holds (x, Sym, y) triples.
 
-    reachable gives the witness reach_all would for a pair: both unfold
-    the first derivation of one saturation.
+    A boolean closure, with no witness: row (s, x) is the bitmask of the
+    y with such a walk for letter s.  Rows start from the edges and, for
+    nullable letters, the diagonal; each production then ORs the
+    composition of its right-hand side's rows into its left-hand side's,
+    row by row, until no row grows.
     """
-    sat = _Saturator(pg, g)
-    return [(sat.names[x], sat.names[y]) for _, x, y in sorted(sat.forward())]
+    rows = {s: [0] * n for s in Sym}
+    for x, s, y in edges:
+        rows[s][x] |= 1 << y
+    for s in _nullable(g):
+        row = rows[s]
+        for x in range(n):
+            row[x] |= 1 << x
+    # an erasing production's part is the diagonal seed
+    prods = [(rows[p.lhs], rows[p.rhs[0]], [rows[c] for c in p.rhs[1:]])
+             for p in g.sorted_productions() if p.rhs]
+    grew = True
+    while grew:
+        grew = False
+        for lhs, first, rest in prods:
+            for x in range(n):
+                reach = first[x]
+                for row in rest:
+                    step = 0
+                    while reach:
+                        low = reach & -reach
+                        step |= row[low.bit_length() - 1]
+                        reach ^= low
+                    reach = step
+                if reach & ~lhs[x]:
+                    lhs[x] |= reach
+                    grew = True
+    return rows[Sym.FWD]

@@ -20,8 +20,8 @@ from typing import Iterable, Optional
 
 from .formula import (MAX_NESTING, Atom, AxiomSet, Bot, Box, Dia, Formula, Imp,
                       And, Or, ParseError, parse_formula, render_formula)
-from .grammar import (Grammar, PropGraph, PropPath, Sym, derives,
-                      grammar_from_axioms, path_in_graph, reach_pairs, reachable)
+from .grammar import (Grammar, PropGraph, PropPath, Sym, _Saturator, derives,
+                      grammar_from_axioms, path_in_graph, reach_masks)
 from .proof import CheckResult, Proof, RuleError, _p_int, _p_path, _p_str, check
 
 
@@ -435,28 +435,47 @@ def _try_leaf(seq: NestedSequent, positions: list) -> Optional[NestedProof]:
     return None
 
 
-def _reach_targets(seq: NestedSequent, shape: tuple, g: Grammar) -> list:
-    """For each node of seq, by its index in shape (the node paths in
-    preorder), the indices of the nodes it reaches, in id order."""
-    index = {path_id(path): i for i, path in enumerate(shape)}
-    table = [[] for _ in shape]
-    for src, dst in reach_pairs(prop_graph_nested(seq), g):
-        table[index[src]].append(index[dst])
+def _reach_targets(shape: tuple, g: Grammar) -> list:
+    """For a bracket tree given by its node paths in preorder (shape),
+    the indices into shape of the nodes each node reaches, in id order.
+
+    Nodes are ranked in the sort order of their ids, so a reach mask
+    read from its low bit up lists targets in id order.
+    """
+    order = sorted(range(len(shape)), key=lambda i: path_id(shape[i]))
+    rank = {shape[i]: r for r, i in enumerate(order)}
+    edges = []
+    for path in shape[1:]:
+        parent, child = rank[path[:-1]], rank[path]
+        edges.append((parent, Sym.FWD, child))
+        edges.append((child, Sym.BWD, parent))
+    masks = reach_masks(len(shape), edges, g)
+    table = []
+    for i in range(len(shape)):
+        mask = masks[rank[shape[i]]]
+        targets = []
+        while mask:
+            low = mask & -mask
+            targets.append(order[low.bit_length() - 1])
+            mask ^= low
+        table.append(targets)
     return table
 
 
-def _witness(seq: NestedSequent, g: Grammar, src: tuple, dst: tuple) -> list:
-    """The pdia/pbox path param for a reachable pair: reach_all's walk."""
-    return reachable(prop_graph_nested(seq), g, path_id(src), path_id(dst)).to_list()
+def _witness(sat: _Saturator, src: tuple, dst: tuple) -> list:
+    """The pdia/pbox path param for a reachable pair, from a saturation
+    of the sequent's graph: reach_all's walk."""
+    return sat.path_of(sat.full(Sym.FWD, path_id(src), path_id(dst))).to_list()
 
 
-def _params(seq: NestedSequent, g: Grammar, rule: str, at: tuple,
-            index: Optional[int], target: Optional[tuple]) -> dict:
-    """The params premises_of_nested reads back as (at, index, target)."""
+def _params(rule: str, at: tuple, index: Optional[int],
+            walk: Optional[list]) -> dict:
+    """The params premises_of_nested reads back as (at, index, target);
+    walk is the pdia/pbox path, from at to the target."""
     if rule == "pdia":
-        return {"path": _witness(seq, g, at, target)}
+        return {"path": walk}
     if rule == "pbox":
-        return {"path": _witness(seq, g, at, target), "index": index}
+        return {"path": walk, "index": index}
     if rule == "orO":
         return {"at": path_id(at), "side": "right" if index else "left"}
     if index is None:
@@ -475,12 +494,14 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
 
     The search addresses nodes by child-index paths and computes
     premises with _premises, without re-checking side conditions: a
-    pdia/pbox target is one the sequent's own propagation graph reaches
-    (reach_pairs), and d is tried only under seriality.  The graph
-    depends on the bracket tree alone, so its reachable pairs are
-    computed once per tree shape and kept for this call only.  Params,
-    with ``r.0.1`` ids and the witness walk from reachable, are built
-    only for the nodes of proofs found.  The proof about to be returned
+    pdia/pbox target is one the sequent's own propagation graph reaches,
+    and d is tried only under seriality.  The graph depends on the
+    bracket tree alone, so its reachable pairs are computed once per
+    tree shape, by the bitmask closure reach_masks, and kept for this
+    call only.  Params, with ``r.0.1`` ids and the witness walk, are
+    built only for the nodes of proofs found; the walks unfold from one
+    worklist saturation per tree shape, also kept for this call only,
+    and are reach_all's walks.  The proof about to be returned
     is run through check_nested, and a failure raises RuntimeError, so
     results always check.
     Raises ValueError for a goal that is not full or a negative depth.
@@ -493,13 +514,22 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
     fail: dict = {}
     # tree shape (its node paths) -> position index -> [target index]
     reach_by_shape: dict = {}
+    # tree shape -> the saturation its witness walks unfold from
+    sat_by_shape: dict = {}
 
-    def reach_from(seq, positions):
+    def reach_from(positions):
         shape = tuple(path for path, _ in positions)
         table = reach_by_shape.get(shape)
         if table is None:
-            table = reach_by_shape[shape] = _reach_targets(seq, shape, g)
+            table = reach_by_shape[shape] = _reach_targets(shape, g)
         return table
+
+    def witness(seq, src, dst):
+        shape = tuple(all_paths(seq))
+        sat = sat_by_shape.get(shape)
+        if sat is None:
+            sat = sat_by_shape[shape] = _Saturator(prop_graph_nested(seq), g)
+        return _witness(sat, src, dst)
 
     def attempt(seq, rule, at, index, f, target, budget, seen):
         subs = []
@@ -508,8 +538,8 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
             if sub is None:
                 return None
             subs.append(sub)
-        return NestedProof(seq, rule, _params(seq, g, rule, at, index, target),
-                           tuple(subs))
+        walk = None if target is None else witness(seq, at, target)
+        return NestedProof(seq, rule, _params(rule, at, index, walk), tuple(subs))
 
     def search(seq, budget, seen):
         positions = _positions(seq)
@@ -560,7 +590,7 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
                         return got
             if isinstance(f, Dia):
                 if reach is None:
-                    reach = reach_from(seq, positions)
+                    reach = reach_from(positions)
                 for j in reach[i]:
                     got = attempt(seq, "pdia", path, None, f, positions[j][0],
                                   budget, seen)
@@ -573,7 +603,7 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
                         return got
                 if isinstance(f, Box):
                     if reach is None:
-                        reach = reach_from(seq, positions)
+                        reach = reach_from(positions)
                     for j in reach[i]:
                         target, tnode = positions[j]
                         if f.body in tnode.inputs:
@@ -596,6 +626,7 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
     # search and attempt form a reference cycle that holds these tables
     # until a full garbage collection; free them now.
     reach_by_shape.clear()
+    sat_by_shape.clear()
     fail.clear()
     if proof is not None:
         res = check_nested(proof, ax)

@@ -23,7 +23,7 @@ def test_parse_round_trip(capsys):
     assert code == 0
     assert out.strip() == "p & q | (r -> false) -> []p"
     code, _, err = run(capsys, "parse", "p &")
-    assert code == 1 and err
+    assert code == 2 and err
 
 
 @pytest.mark.parametrize("nest", [
@@ -36,7 +36,7 @@ def test_parse_nesting_limit(capsys, nest):
     code, out, _ = run(capsys, "parse", nest(MAX_NESTING))
     assert code == 0 and out.strip()
     code, out, err = run(capsys, "parse", nest(MAX_NESTING + 1))
-    assert code == 1 and not out
+    assert code == 2 and not out
     assert f"nested deeper than {MAX_NESTING} levels" in err
 
 
@@ -46,7 +46,7 @@ def test_parse_rejects_iff_blow_up(capsys):
     t0 = time.perf_counter()
     code, out, err = run(capsys, "parse", "p <-> " * 40 + "p")
     assert time.perf_counter() - t0 < 1.0
-    assert code == 1 and not out
+    assert code == 2 and not out
     assert f"more than {MAX_TREE_SIZE}" in err and "Traceback" not in err
     code, out, _ = run(capsys, "parse", "p <-> " * 8 + "p")
     assert code == 0

@@ -5,12 +5,12 @@ from pathlib import Path
 
 import pytest
 
+import imseq.grammar
 import imseq.nested
 from imseq.formula import (MAX_NESTING, And, Atom, BENCHMARKS, Bot, Box, Dia,
                            Imp, Or, ParseError, axiom_set, hsl_formula,
                            parse_formula)
-from imseq.grammar import (PropPath, Sym, grammar_from_axioms, reach_all,
-                           reachable)
+from imseq.grammar import Sym, _Saturator, grammar_from_axioms, reach_all
 from imseq.nested import (EMPTY, NestedProof, _reach_targets, _witness,
                           all_paths, check_nested, is_full, map_node, node_at,
                           nseq, output_count, output_position, output_pruned,
@@ -390,37 +390,77 @@ def test_prover_output_matches_frozen_corpus():
 def test_prover_rejects_a_proof_built_from_a_bad_witness(monkeypatch):
     """The final check guards the trusted premises: a witness outside the
     sequent's graph raises instead of yielding a proof that fails to check."""
-    def flipped(pg, g, start, end):
-        path = reachable(pg, g, start, end)
-        if path is not None and path.steps:
-            path = PropPath(path.nodes,
-                            (path.steps[0].converse(),) + path.steps[1:])
-        return path
+    def flipped(sat, src, dst):
+        walk = _witness(sat, src, dst)
+        if len(walk) > 1:
+            walk[1] = Sym(walk[1]).converse().value
+        return walk
 
     goal = parse_nested("[ p^i ], <>p^o")
     assert check_nested(prove_bounded(goal, NOAX, 4), NOAX)
-    monkeypatch.setattr(imseq.nested, "reachable", flipped)
+    monkeypatch.setattr(imseq.nested, "_witness", flipped)
     with pytest.raises(RuntimeError, match="fails to check"):
         prove_bounded(goal, NOAX, 4)
 
 
-def test_prover_reach_table_matches_reach_all():
+def random_tree(rng, n):
+    """A bracket tree of n nodes, each after the first under a random
+    earlier one."""
+    kids = [[] for _ in range(n)]
+    for i in range(1, n):
+        kids[rng.randrange(i)].append(i)
+
+    def build(i):
+        return nseq(children=tuple(build(j) for j in kids[i]))
+    return build(0)
+
+
+def test_prover_reach_table_matches_reach_all(monkeypatch):
     """The prover's per-shape targets are reach_all's pairs grouped by
-    source in sorted order, and each rendered witness is reach_all's."""
+    source in sorted order, found with no worklist saturation, and each
+    rendered witness is reach_all's."""
+    built = []
+    init = _Saturator.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(imseq.grammar._Saturator, "__init__", counted)
+
+    def agrees(seq, pairs, walks):
+        g = grammar_from_axioms(axiom_set(pairs))
+        shape = tuple(all_paths(seq))
+        reach = reach_all(prop_graph_nested(seq), g)
+        index = {path_id(path): i for i, path in enumerate(shape)}
+        grouped = [[] for _ in shape]
+        for src, dst in sorted(reach):
+            grouped[index[src]].append(index[dst])
+        built.clear()
+        assert _reach_targets(shape, g) == grouped
+        assert built == []
+        if walks:
+            sat = _Saturator(prop_graph_nested(seq), g)
+            for (src, dst), walk in reach.items():
+                assert _witness(sat, parse_path_id(src),
+                                parse_path_id(dst)) == walk.to_list()
+
+    # unit and erasing productions next to the longer ones
+    grammars = ([(1, 1)], [(2, 0)], [(0, 2)], [(1, 1), (2, 1)], [(0, 0)],
+                [(0, 1)], [(1, 0)], [(1, 2)], [(0, 0), (1, 1)])
     rng = random.Random(4242)
     for k in range(40):
         seq = random_full_nested(rng, 2, [P, Q])
         if k % 8 == 0:  # a wide node, so that 'r.10' sorts before 'r.2'
             seq = nseq(seq.inputs, seq.output, seq.children + (EMPTY,) * 11)
-        shape = tuple(all_paths(seq))
-        for pairs in ([(1, 1)], [(2, 0)], [(0, 2)], [(1, 1), (2, 1)], [(0, 0)]):
-            g = grammar_from_axioms(axiom_set(pairs))
-            reach = reach_all(prop_graph_nested(seq), g)
-            index = {path_id(path): i for i, path in enumerate(shape)}
-            grouped = [[] for _ in shape]
-            for src, dst in sorted(reach):
-                grouped[index[src]].append(index[dst])
-            assert _reach_targets(seq, shape, g) == grouped
-            for (src, dst), walk in reach.items():
-                assert _witness(seq, g, parse_path_id(src),
-                                parse_path_id(dst)) == walk.to_list()
+        for pairs in grammars:
+            agrees(seq, pairs, True)
+    for _ in range(12):
+        seq = random_tree(rng, rng.randint(1, 40))
+        for pairs in grammars:
+            agrees(seq, pairs, False)
+    chain = EMPTY
+    for _ in range(59):
+        chain = nseq(children=(chain,))
+    for seq in (chain, random_tree(rng, 60)):
+        for pairs in ([(1, 1)], [(2, 0)], [(0, 2)], [(1, 2)]):
+            agrees(seq, pairs, False)
