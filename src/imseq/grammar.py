@@ -12,11 +12,13 @@ worklist saturates facts "some walk x to y spells a string derivable
 from S" over a graph whose nodes it numbers in sorted order, and records
 each fact's first derivation: ``reachable`` and ``reach_all`` unfold
 witness walks from those records, and ``derives`` asks it on the line
-graph of the target string, where it finishes in one pass along the
-line.  ``reach_masks`` keeps no witness: it closes one bitmask row per
-letter and node, a word of targets at a time, and gives the prover its
-reachable pairs on small integer graphs.
+graph of the target string, where it does one step per new fact and a
+closure by rounds would need a round per letter.  ``reach_masks`` keeps
+no witness: a boolean closure over one bitmask row per letter and node,
+a word of targets at a time, it gives the prover the reachable pairs of
+its bracket-tree graphs.
 """
+
 from __future__ import annotations
 
 from bisect import insort
@@ -296,10 +298,11 @@ def reach_all(pg: PropGraph, g: Grammar) -> dict:
     return {(sat.names[f[1]], sat.names[f[2]]): sat.path_of(f) for f in sat.forward()}
 
 
-def reach_masks(n: int, edges: Iterable[tuple], g: Grammar) -> list:
-    """For each node x of a graph on nodes 0..n-1, the bitmask of the
-    nodes y that x reaches: some walk x to y spells a string derivable
-    from the forward letter.  edges holds (x, Sym, y) triples.
+def reach_masks(n: int, rel: Iterable[tuple[int, int]], g: Grammar) -> list:
+    """For each node x of the propagation graph of rel on nodes 0..n-1,
+    the bitmask of the nodes y that x reaches: some walk x to y spells a
+    string derivable from the forward letter.  As in graph_from_pairs,
+    each pair (w, u) of rel gives edges w→u forward and u→w backward.
 
     A boolean closure, with no witness: row (s, x) is the bitmask of the
     y with such a walk for letter s.  Rows start from the edges and, for
@@ -308,8 +311,9 @@ def reach_masks(n: int, edges: Iterable[tuple], g: Grammar) -> list:
     row by row, until no row grows.
     """
     rows = {s: [0] * n for s in Sym}
-    for x, s, y in edges:
-        rows[s][x] |= 1 << y
+    for w, u in rel:
+        rows[Sym.FWD][w] |= 1 << u
+        rows[Sym.BWD][u] |= 1 << w
     for s in _nullable(g):
         row = rows[s]
         for x in range(n):

@@ -442,24 +442,12 @@ def _reach_targets(shape: tuple, g: Grammar) -> list:
     Nodes are ranked in the sort order of their ids, so a reach mask
     read from its low bit up lists targets in id order.
     """
-    order = sorted(range(len(shape)), key=lambda i: path_id(shape[i]))
+    n = len(shape)
+    order = sorted(range(n), key=lambda i: path_id(shape[i]))
     rank = {shape[i]: r for r, i in enumerate(order)}
-    edges = []
-    for path in shape[1:]:
-        parent, child = rank[path[:-1]], rank[path]
-        edges.append((parent, Sym.FWD, child))
-        edges.append((child, Sym.BWD, parent))
-    masks = reach_masks(len(shape), edges, g)
-    table = []
-    for i in range(len(shape)):
-        mask = masks[rank[shape[i]]]
-        targets = []
-        while mask:
-            low = mask & -mask
-            targets.append(order[low.bit_length() - 1])
-            mask ^= low
-        table.append(targets)
-    return table
+    masks = reach_masks(n, [(rank[path[:-1]], rank[path]) for path in shape[1:]], g)
+    return [[order[r] for r in range(n) if masks[rank[path]] >> r & 1]
+            for path in shape]
 
 
 def _witness(sat: _Saturator, src: tuple, dst: tuple) -> list:
