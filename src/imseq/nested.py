@@ -20,8 +20,8 @@ from typing import Iterable, Optional
 
 from .formula import (MAX_NESTING, Atom, AxiomSet, Bot, Box, Dia, Formula, Imp,
                       And, Or, ParseError, parse_formula, render_formula)
-from .grammar import (Grammar, PropGraph, PropPath, Sym, _Saturator, derives,
-                      grammar_from_axioms, path_in_graph, reach_masks)
+from .grammar import (Grammar, PropGraph, Sym, _Saturator, derives,
+                      grammar_from_axioms, reach_masks)
 from .proof import CheckResult, Proof, RuleError, _p_int, _p_path, _p_str, check
 
 
@@ -252,14 +252,18 @@ NESTED_RULES = frozenset({
 })
 
 
-def _p_node(seq: NestedSequent, params: dict, key: str = "at") -> tuple:
-    raw = _p_str(params, key)
+def _p_id(seq: NestedSequent, raw: str) -> tuple:
+    """The address a node id names in seq, or RuleError."""
     try:
         path = parse_path_id(raw)
         node_at(seq, path)
     except ValueError as e:
         raise RuleError(str(e)) from e
     return path
+
+
+def _p_node(seq: NestedSequent, params: dict) -> tuple:
+    return _p_id(seq, _p_str(params, "at"))
 
 
 def _p_input(seq: NestedSequent, params: dict, path: tuple, cls=None):
@@ -294,21 +298,11 @@ def _child_appended(nd: NestedSequent, child: NestedSequent) -> NestedSequent:
     return NestedSequent(nd.inputs, nd.output, nd.children + (child,))
 
 
-def _nested_path(seq: NestedSequent, params: dict, ax: AxiomSet,
-                 check: bool) -> PropPath:
-    path = _p_path(params, "path")
-    for v in path.nodes:
-        try:
-            node_at(seq, parse_path_id(v))
-        except ValueError as e:
-            raise RuleError(str(e)) from e
-    if check:
-        if not path_in_graph(prop_graph_nested(seq), path):
-            raise RuleError("path does not lie in the sequent's graph")
-        if not derives(grammar_from_axioms(ax), Sym.FWD, path.steps):
-            raise RuleError(f"path string {path.string!r} not derivable "
-                            "from the forward letter")
-    return path
+def _is_edge(a: tuple, c: Sym, b: tuple) -> bool:
+    """Whether a -c-> b is an edge of a sequent's propagation graph:
+    forward from a node to a child, backward from a child to its node."""
+    parent, child = (a, b) if c is Sym.FWD else (b, a)
+    return len(child) == len(parent) + 1 and child[:-1] == parent
 
 
 def _premises(seq: NestedSequent, rule: str, at: tuple, index: Optional[int],
@@ -319,7 +313,8 @@ def _premises(seq: NestedSequent, rule: str, at: tuple, index: Optional[int],
     target its end), index the principal input's position (for orO the
     disjunct kept: 0 left, 1 right) and f the principal formula.  No
     condition is checked: premises_of_nested checks them first, and the
-    prover builds only applications that meet them.
+    prover builds only applications that meet them.  read_nested reads
+    these arguments from a rule instance's params.
     """
     if rule in ("botI", "id"):
         return []
@@ -354,9 +349,8 @@ def _premises(seq: NestedSequent, rule: str, at: tuple, index: Optional[int],
     if rule == "pdia":
         pruned = map_node(seq, at, lambda nd: _output_set(nd, None))
         return [map_node(pruned, target, lambda nd: _output_set(nd, f.body))]
-    if rule == "pbox":
-        return [map_node(seq, target, lambda nd: _input_appended(nd, f.body))]
-    raise RuleError(f"unknown rule {rule!r}")
+    # pbox
+    return [map_node(seq, target, lambda nd: _input_appended(nd, f.body))]
 
 
 # main connective of the principal input, and of the principal output
@@ -366,17 +360,15 @@ _OUTPUT_RULES = {"andO": (And, "a conjunctive"), "orO": (Or, "a disjunctive"),
                  "impO": (Imp, "an implicative"), "boxO": (Box, "a box")}
 
 
-def premises_of_nested(seq: NestedSequent, rule: str, params: dict,
-                       ax: AxiomSet, check_side_conditions: bool = True) -> list:
-    """Premises of a backward application at the given addresses.
+def read_nested(seq: NestedSequent, rule: str, params: dict) -> tuple:
+    """(at, index, f, target) of a rule instance, as _premises takes them.
 
-    Reads the params, checks that the rule applies there, and computes
-    the premises with _premises.  With check_side_conditions off, path
-    membership, path derivability, and the d gate are skipped; only
-    premise shapes are computed.  The structural transformations use
-    that to track positions.
+    RuleError if the params do not address a principal the rule applies
+    to.  No side condition is checked: not the d gate, and of a pdia/pbox
+    walk only the two ends are read, not whether it lies in the
+    sequent's graph or its string derives from the forward letter.
     """
-    at = index = f = target = None
+    index = f = target = None
     if rule in _INPUT_RULES:
         at = _p_node(seq, params)
         index, f = _p_input(seq, params, at, _INPUT_RULES[rule])
@@ -396,13 +388,10 @@ def premises_of_nested(seq: NestedSequent, rule: str, params: dict,
                 raise RuleError("param 'side' must be 'left' or 'right'")
             index = int(side == "right")
     elif rule == "d":
-        if check_side_conditions and not ax.has_d:
-            raise RuleError("rule d needs the seriality axiom")
         at = _p_node(seq, params)
     elif rule in ("pdia", "pbox"):
-        path = _nested_path(seq, params, ax, check_side_conditions)
-        at = parse_path_id(path.start)
-        target = parse_path_id(path.end)
+        path = _p_path(params, "path")
+        at, target = _p_id(seq, path.start), _p_id(seq, path.end)
         node = node_at(seq, at)
         if rule == "pdia":
             f = node.output
@@ -413,7 +402,32 @@ def premises_of_nested(seq: NestedSequent, rule: str, params: dict,
             if index >= len(node.inputs) or not isinstance(node.inputs[index], Box):
                 raise RuleError("pbox needs a box input at the path's start")
             f = node.inputs[index]
-    return _premises(seq, rule, at, index, f, target)
+    else:
+        raise RuleError(f"unknown rule {rule!r}")
+    return at, index, f, target
+
+
+def premises_of_nested(seq: NestedSequent, rule: str, params: dict,
+                       ax: AxiomSet) -> list:
+    """Premises of a backward application at the given addresses, or
+    RuleError.
+
+    Checks the side conditions (d needs seriality; a pdia/pbox walk must
+    lie in the sequent's graph and its string derive from the forward
+    letter), reads the instance with read_nested, and computes the
+    premises with _premises.
+    """
+    if rule == "d" and not ax.has_d:
+        raise RuleError("rule d needs the seriality axiom")
+    if rule in ("pdia", "pbox"):
+        path = _p_path(params, "path")
+        addrs = [_p_id(seq, v) for v in path.nodes]
+        if not all(map(_is_edge, addrs, path.steps, addrs[1:])):
+            raise RuleError("path does not lie in the sequent's graph")
+        if not derives(grammar_from_axioms(ax), Sym.FWD, path.steps):
+            raise RuleError(f"path string {path.string!r} not derivable "
+                            "from the forward letter")
+    return _premises(seq, rule, *read_nested(seq, rule, params))
 
 
 def check_nested(p: NestedProof, ax: AxiomSet) -> CheckResult:
@@ -458,8 +472,8 @@ def _witness(sat: _Saturator, src: tuple, dst: tuple) -> list:
 
 def _params(rule: str, at: tuple, index: Optional[int],
             walk: Optional[list]) -> dict:
-    """The params premises_of_nested reads back as (at, index, target);
-    walk is the pdia/pbox path, from at to the target."""
+    """The params read_nested reads back as (at, index, target); walk is
+    the pdia/pbox path, from at to the target."""
     if rule == "pdia":
         return {"path": walk}
     if rule == "pbox":

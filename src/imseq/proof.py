@@ -91,6 +91,8 @@ def _p_path(params: dict, key: str) -> PropPath:
     v = params.get(key)
     if not isinstance(v, list):
         raise RuleError(f"param {key!r} must be a path list")
+    if not all(isinstance(x, str) and x for x in v[0::2]):
+        raise RuleError(f"param {key!r} must name its nodes by nonempty strings")
     try:
         return PropPath.from_list(v)
     except ValueError as e:

@@ -17,24 +17,18 @@ shapes a rule instance computes.
 
 from __future__ import annotations
 
-from .formula import EMPTY_AXIOMS, And, Dia, Imp, Or, render_formula
-from .nested import (NestedProof, NestedSequent, map_node, match_children,
-                     node_at, nseq, output_count, parse_path_id, path_id,
-                     premises_of_nested, replace_at)
+from .formula import And, Dia, Imp, Or, render_formula
+from .nested import (NestedProof, NestedSequent, _premises, map_node,
+                     match_children, node_at, nseq, output_count,
+                     parse_path_id, path_id, read_nested, replace_at)
 from .proof import rebuild
 
 
-def _principal(rule: str, params: dict):
-    """(node id, input index or None) of a rule's principal position."""
-    if rule in ("id", "botI", "andI", "orI", "impI", "diaI"):
-        return params["at"], params["index"]
-    if rule in ("andO", "orO", "impO", "boxO", "d"):
-        return params["at"], None
-    if rule == "pdia":
-        return params["path"][0], None
-    if rule == "pbox":
-        return params["path"][0], params["index"]
-    raise ValueError(f"unknown rule {rule!r}")
+def _input_index(q: NestedProof, at: tuple):
+    """Position of q's principal input if it sits at node `at`, else None
+    (orO's principal is its output: its read index is the side kept)."""
+    prin, index, _, _ = read_nested(q.conclusion, q.rule, q.params)
+    return index if prin == at and q.rule != "orO" else None
 
 
 def _remap_ids(params: dict, fn) -> dict:
@@ -51,11 +45,11 @@ def _remap_ids(params: dict, fn) -> dict:
     return out
 
 
-def _shift_index(q: NestedProof, pid: str, removed: int) -> dict:
-    """q's params after input `removed` of node pid is dropped."""
+def _shift_index(q: NestedProof, at: tuple, removed: int) -> dict:
+    """q's params after input `removed` of node `at` is dropped."""
     params = dict(q.params)
-    node, idx = _principal(q.rule, q.params)
-    if node == pid and idx is not None and idx > removed:
+    idx = _input_index(q, at)
+    if idx is not None and idx > removed:
         params["index"] = idx - 1
     return params
 
@@ -67,14 +61,14 @@ def _first_index(node: NestedSequent, f) -> int:
     raise RuntimeError(f"lost the tracked input {render_formula(f)}")
 
 
-def _principal_holds(q: NestedProof, rule: str, pid: str, f) -> bool:
-    if q.rule != rule or q.params.get("at") != pid:
+def _principal_holds(q: NestedProof, rule: str, at: tuple, f) -> bool:
+    if q.rule != rule:
         return False
-    node = node_at(q.conclusion, parse_path_id(pid))
-    return node.inputs[q.params["index"]] == f
+    prin, _, g, _ = read_nested(q.conclusion, rule, q.params)
+    return prin == at and g == f
 
 
-def _premises(q: NestedProof) -> list:
+def _unchanged(q: NestedProof) -> list:
     return [(s, None) for s in q.premises]
 
 
@@ -82,7 +76,7 @@ def nest_proof(p: NestedProof) -> NestedProof:
     """Wrap the whole proof's conclusion in one bracket."""
     def visit(q, _):
         return (nseq(children=(q.conclusion,)), q.rule,
-                _remap_ids(q.params, lambda a: (0,) + a), _premises(q))
+                _remap_ids(q.params, lambda a: (0,) + a), _unchanged(q))
 
     return rebuild(p, visit)
 
@@ -99,7 +93,7 @@ def weaken_proof(p: NestedProof, at: tuple, delta: NestedSequent) -> NestedProof
 
     def visit(q, _):
         return (map_node(q.conclusion, at, extend), q.rule, dict(q.params),
-                _premises(q))
+                _unchanged(q))
 
     return rebuild(p, visit)
 
@@ -144,14 +138,14 @@ def merge_proof(p: NestedProof, at: tuple, i: int, j: int) -> NestedProof:
             return at + (i,) + rest
 
         params = _remap_ids(q.params, remap)
-        prin, idx = _principal(q.rule, q.params)
-        if idx is not None and prin == path_id(at + (j,)):
+        idx = _input_index(q, at + (j,))
+        if idx is not None:
             params["index"] = idx + len(ci.inputs)
 
         prems = []
         if q.premises:
-            shapes = premises_of_nested(q.conclusion, q.rule, q.params,
-                                        EMPTY_AXIOMS, check_side_conditions=False)
+            shapes = _premises(q.conclusion, q.rule,
+                               *read_nested(q.conclusion, q.rule, q.params))
             for sub, shape in zip(q.premises, shapes):
                 pos = match_children(node_at(shape, at),
                                      node_at(sub.conclusion, at))
@@ -178,10 +172,9 @@ def _invert(p: NestedProof, at: tuple, f, side: str = "left") -> NestedProof:
     else:
         rule, keep, repl = "diaI", 0, ()
     brackets = (nseq(inputs=(f.body,)),) if isinstance(f, Dia) else ()
-    pid = path_id(at)
 
     def visit(q, _):
-        if _principal_holds(q, rule, pid, f):
+        if _principal_holds(q, rule, at, f):
             return q.premises[keep]
         idx = _first_index(node_at(q.conclusion, at), f)
         new_conc = map_node(
@@ -189,8 +182,8 @@ def _invert(p: NestedProof, at: tuple, f, side: str = "left") -> NestedProof:
             lambda nd: NestedSequent(nd.inputs[:idx] + repl[:1]
                                      + nd.inputs[idx + 1:] + repl[1:],
                                      nd.output, nd.children + brackets))
-        params = dict(q.params) if repl else _shift_index(q, pid, idx)
-        return new_conc, q.rule, params, _premises(q)
+        params = dict(q.params) if repl else _shift_index(q, at, idx)
+        return new_conc, q.rule, params, _unchanged(q)
 
     return rebuild(p, visit)
 
@@ -238,21 +231,19 @@ def _contract(p: NestedProof, at: tuple, f) -> NestedProof:
     """Drop one of two copies of f at a node, through the proof.  Where a
     rule consumed a copy, its premises are inverted and contracted on
     the subformulas, a recursion on the formula, not the proof."""
-    pid = path_id(at)
 
     def visit(q, _):
         nd = node_at(q.conclusion, at)
         idxs = [k for k, g in enumerate(nd.inputs) if g == f]
         if len(idxs) < 2:
             raise RuntimeError(f"lost a copy of {render_formula(f)}")
-        prin = _principal(q.rule, q.params)
+        k = _input_index(q, at)
 
-        if q.rule in _CONSUMES and prin[0] == pid and prin[1] in idxs:
-            k = prin[1]
+        if q.rule in _CONSUMES and k in idxs:
             keep = next(x for x in idxs if x != k)
             new_conc = contract_tree(q.conclusion, at, k)
             i_new = keep - 1 if keep > k else keep
-            params = {"at": pid, "index": i_new}
+            params = {"at": path_id(at), "index": i_new}
             if q.rule == "andI":
                 s = _invert(q.premises[0], at, f)
                 s = _contract(s, at, f.left)
@@ -274,9 +265,9 @@ def _contract(p: NestedProof, at: tuple, f) -> NestedProof:
             s = _contract(s, at + (spots[0],), f.body)
             return NestedProof(new_conc, "diaI", params, (s,))
 
-        drop = [x for x in idxs if (pid, x) != prin][-1]
+        drop = [x for x in idxs if x != k][-1]
         return (contract_tree(q.conclusion, at, drop), q.rule,
-                _shift_index(q, pid, drop), _premises(q))
+                _shift_index(q, at, drop), _unchanged(q))
 
     return rebuild(p, visit)
 

@@ -22,9 +22,9 @@ from .formula import MAX_NESTING, AxiomSet, Bot, parse_formula, render_formula
 from .grammar import PropPath
 from .labelled import (LabelledSequent, check_labelled, premises_of_labelled,
                        render_labelled_sequent)
-from .nested import (NestedSequent, check_nested, is_full, match_children,
-                     node_at, output_position, parse_path_id, path_id,
-                     premises_of_nested)
+from .nested import (NestedSequent, _params, _premises, check_nested, is_full,
+                     match_children, node_at, output_position, parse_path_id,
+                     path_id, read_nested)
 from .proof import Proof, RuleError, rebuild
 
 
@@ -169,43 +169,31 @@ _TO_NESTED_RULE = {
 _TO_LABELLED_RULE = {v: k for k, v in _TO_NESTED_RULE.items()}
 
 
-def _input_index(n: NestedSequent, addr: tuple, f) -> int:
-    return node_at(n, addr).inputs.index(f)
-
-
 def _nested_params(L: LabelledSequent, n: NestedSequent, m: dict,
                    rule: str, params: dict) -> dict:
+    """The nested params of a labelled refined instance, whose conclusion
+    translates to n with label-to-address map m."""
+    walk = None
+    if rule in ("pdia", "pbox"):
+        path = PropPath.from_list(params["path"])
+        walk = PropPath(tuple(path_id(m[x]) for x in path.nodes),
+                        path.steps).to_list()
+    w, f = L.succ[0], None
     if rule == "id":
-        w, f = L.succ
-        return {"at": path_id(m[w]), "index": _input_index(n, m[w], f)}
-    if rule == "botL":
-        for w, f in L.ante:
-            if isinstance(f, Bot):
-                return {"at": path_id(m[w]), "index": _input_index(n, m[w], f)}
-        raise ValueError("no falsum antecedent member to translate")
-    if rule in ("andL", "orL", "impL", "diaL"):
+        f = L.succ[1]
+    elif rule == "botL":
+        w, f = next((w, f) for w, f in L.ante if isinstance(f, Bot))
+    elif rule in ("andL", "orL", "impL", "diaL", "pbox"):
+        w, f = params["world"], parse_formula(params["formula"])
+    elif rule == "d":
         w = params["world"]
-        f = parse_formula(params["formula"])
-        return {"at": path_id(m[w]), "index": _input_index(n, m[w], f)}
-    if rule in ("andR", "impR", "boxR"):
-        return {"at": path_id(m[L.succ[0]])}
+        if w not in m:
+            raise ValueError(f"d at {w!r}, a label not in the conclusion, "
+                             "has no nested counterpart")
+    index = None if f is None else node_at(n, m[w]).inputs.index(f)
     if rule == "orR":
-        return {"at": path_id(m[L.succ[0]]), "side": params["side"]}
-    if rule == "d":
-        return {"at": path_id(m[params["world"]])}
-    if rule == "pdia":
-        path = PropPath.from_list(params["path"])
-        return {"path": PropPath(tuple(path_id(m[x]) for x in path.nodes),
-                                 path.steps).to_list()}
-    if rule == "pbox":
-        w = params["world"]
-        f = parse_formula(params["formula"])
-        path = PropPath.from_list(params["path"])
-        return {"path": PropPath(tuple(path_id(m[x]) for x in path.nodes),
-                                 path.steps).to_list(),
-                "index": _input_index(n, m[w], f)}
-    raise ValueError(f"rule {rule!r} has no nested counterpart; "
-                     "eliminate the relational rules first")
+        index = int(params["side"] == "right")
+    return _params(_TO_NESTED_RULE[rule], m[w], index, walk)
 
 
 def _proof_to_nested(p: Proof, ax: AxiomSet) -> Proof:
@@ -222,59 +210,49 @@ def _proof_to_nested(p: Proof, ax: AxiomSet) -> Proof:
     root = cert.root
 
     def visit(q: Proof, _):
-        c = is_labelled_tree(q.conclusion)
-        if c is None or c.root != root:
+        n, m = to_nested_with_map(q.conclusion)
+        if m.get(root) != ():
             raise ValueError(
                 f"fixed root property failed at {render_labelled_sequent(q.conclusion)}")
-        n, m = to_nested_with_map(q.conclusion)
         params = _nested_params(q.conclusion, n, m, q.rule, q.params)
         return n, _TO_NESTED_RULE[q.rule], params, [(sub, None) for sub in q.premises]
 
     return rebuild(p, visit)
 
 
-def _labelled_params(q: Proof, m: dict, fresh: int) -> tuple:
-    """(params, extended map, next fresh index) for one rule instance."""
-    rule, params, n = q.rule, q.params, q.conclusion
+def _labelled_params(q: Proof, inst: tuple, m: dict, fresh: int) -> tuple:
+    """(params, extended map, next fresh index) for one rule instance,
+    read by read_nested as inst."""
+    rule, n = q.rule, q.conclusion
+    at, index, f, target = inst
 
-    def grew(addr: tuple) -> tuple:
-        new = addr + (len(node_at(n, addr).children),)
+    def grew() -> tuple:
+        new = at + (len(node_at(n, at).children),)
         lab = f"w{fresh}"
         return lab, {**m, new: lab}
 
     if rule in ("id", "botI", "andO", "impO"):
         return {}, m, fresh
     if rule == "orO":
-        return {"side": params["side"]}, m, fresh
+        return {"side": "right" if index else "left"}, m, fresh
     if rule in ("andI", "orI", "impI"):
-        addr = parse_path_id(params["at"])
-        f = node_at(n, addr).inputs[params["index"]]
-        return {"world": m[addr], "formula": render_formula(f)}, m, fresh
+        return {"world": m[at], "formula": render_formula(f)}, m, fresh
     if rule == "diaI":
-        addr = parse_path_id(params["at"])
-        f = node_at(n, addr).inputs[params["index"]]
-        lab, m2 = grew(addr)
-        return {"world": m[addr], "formula": render_formula(f), "fresh": lab}, m2, fresh + 1
+        lab, m2 = grew()
+        return {"world": m[at], "formula": render_formula(f), "fresh": lab}, m2, fresh + 1
     if rule == "boxO":
-        addr = parse_path_id(params["at"])
-        lab, m2 = grew(addr)
+        lab, m2 = grew()
         return {"fresh": lab}, m2, fresh + 1
     if rule == "d":
-        addr = parse_path_id(params["at"])
-        lab, m2 = grew(addr)
-        return {"world": m[addr], "fresh": lab}, m2, fresh + 1
+        lab, m2 = grew()
+        return {"world": m[at], "fresh": lab}, m2, fresh + 1
+    path = PropPath.from_list(q.params["path"])
+    lab_path = PropPath(tuple(m[parse_path_id(x)] for x in path.nodes),
+                        path.steps).to_list()
     if rule == "pdia":
-        path = PropPath.from_list(params["path"])
-        lab_path = PropPath(tuple(m[parse_path_id(x)] for x in path.nodes), path.steps)
-        return {"path": lab_path.to_list()}, m, fresh
-    if rule == "pbox":
-        path = PropPath.from_list(params["path"])
-        start = parse_path_id(path.start)
-        f = node_at(n, start).inputs[params["index"]]
-        lab_path = PropPath(tuple(m[parse_path_id(x)] for x in path.nodes), path.steps)
-        return {"world": m[start], "formula": render_formula(f),
-                "to": m[parse_path_id(path.end)], "path": lab_path.to_list()}, m, fresh
-    raise ValueError(f"unknown rule {rule!r}")
+        return {"path": lab_path}, m, fresh
+    return {"world": m[at], "formula": render_formula(f), "to": m[target],
+            "path": lab_path}, m, fresh
 
 
 def _realign(stored: NestedSequent, shape: NestedSequent, m: dict) -> dict:
@@ -306,12 +284,13 @@ def _proof_to_labelled(p: Proof, ax: AxiomSet) -> Proof:
             raise ValueError(
                 f"translation drifted at {render_labelled_sequent(L)}")
         rule = _TO_LABELLED_RULE[q.rule]
-        params, m2, fresh2 = _labelled_params(q, m, fresh)
+        inst = read_nested(q.conclusion, q.rule, q.params)
+        params, m2, fresh2 = _labelled_params(q, inst, m, fresh)
         try:
             prems = premises_of_labelled(L, rule, params, ax)
         except RuleError as e:
             raise ValueError(f"translated instance of {rule} is invalid: {e}") from e
-        shapes = premises_of_nested(q.conclusion, q.rule, q.params, ax)
+        shapes = _premises(q.conclusion, q.rule, *inst)
         return L, rule, params, [
             (sub, (prem, _realign(sub.conclusion, shape, m2), fresh2))
             for sub, prem, shape in zip(q.premises, prems, shapes)]

@@ -110,6 +110,23 @@ def test_check_rejects_malformed_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("calculus, conclusion, path", [
+    ("nested", "<>p^o", ["r", "d", 1]),
+    ("refined", "w R u ; u: p |- w: <>p", ["w", "d", ["u"]]),
+])
+def test_check_rejects_walk_nodes_that_are_not_strings(tmp_path, capsys,
+                                                       calculus, conclusion, path):
+    """A walk node of another JSON type is an invalid instance, reported
+    like any other; an exception would escape main and fail the test."""
+    f = tmp_path / "walk.json"
+    f.write_text(json.dumps({"rule": "pdia", "conclusion": conclusion,
+                             "params": {"path": path}, "premises": []}))
+    code, out, err = run(capsys, "check", "--calculus", calculus, str(f))
+    assert code == 1 and out == ""
+    assert err.startswith("invalid at root: pdia: param 'path' ")
+    assert "Traceback" not in err
+
+
 def test_refine_then_translate(tmp_path, capsys):
     rng = random.Random(9001)
     ax_flags = ["--hsl", "1,1", "--d"]

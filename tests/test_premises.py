@@ -2,17 +2,19 @@
 
 A rule instance names its principal through params, and both checkers
 turn whatever params a proof file holds into premises or a RuleError.
-The test pins the nested premise function's outcome on seeded
+The first test pins the nested premise function's outcome on seeded
 instances, valid and broken, so that its first-failure messages and
-their order cannot drift.
+their order cannot drift; the second feeds both calculi arbitrary JSON
+values under every param key.
 """
 
 import hashlib
 import random
 
 from imseq.formula import And, Atom, Bot, Box, Dia, Imp, Or, axiom_set
-from imseq.gen import random_formula, random_full_nested
+from imseq.gen import random_formula, random_full_nested, random_tree_labelled
 from imseq.grammar import Sym, grammar_from_axioms, reach_all
+from imseq.labelled import BASE_RULES, REFINED_RULES, premises_of_labelled
 from imseq.nested import (NESTED_RULES, NestedSequent, all_paths, map_node,
                           node_at, output_position, path_id,
                           premises_of_nested, prop_graph_nested, render_nested)
@@ -157,3 +159,77 @@ def test_nested_premise_outcomes_match_frozen_digest():
     assert tally["ok"] > 800 and tally["err"] > 800
     assert h.hexdigest() == OUTCOME_DIGEST
 
+
+NESTED_KEYS = ("at", "index", "side", "path")
+LABELLED_KEYS = ("world", "formula", "fresh", "to", "from", "side", "n", "k",
+                 "chain_n", "chain_k", "path")
+STRINGS = ("r", "r.0", "r.1.0", "w0", "w1", "x0", "d", "b", "p", "<>p", "",
+           "left", "right")
+
+
+def _json(rng, depth=2):
+    """A random JSON value: null, number, bool, string, list or object."""
+    k = rng.randrange(7 if depth > 0 else 5)
+    if k == 0:
+        return None
+    if k == 1:
+        return rng.choice((-1, 0, 1, 2, 3, 10 ** 30))
+    if k == 2:
+        return rng.random() < 0.5
+    if k == 3:
+        return rng.random() * 4
+    if k == 4:
+        return rng.choice(STRINGS)
+    if k == 5:
+        return [_json(rng, depth - 1) for _ in range(rng.randrange(5))]
+    return {rng.choice(STRINGS): _json(rng, depth - 1) for _ in range(rng.randrange(3))}
+
+
+def _hostile(rng, params, keys):
+    """params with random JSON under some keys; a path list keeps its
+    shape but may get a non-string node or letter."""
+    out = dict(params)
+    for key in keys:
+        if rng.random() < 0.35:
+            out[key] = _json(rng)
+    path = out.get("path")
+    if isinstance(path, list) and path and rng.random() < 0.5:
+        path = list(path)
+        path[rng.randrange(len(path))] = _json(rng)
+        out["path"] = path
+    return out
+
+
+def test_premise_functions_raise_only_rule_errors_on_hostile_params():
+    """Random JSON under every param key: both premise functions return
+    premises or raise RuleError, nothing else."""
+    rng = random.Random(5150)
+    for _ in range(2500):
+        ax = rng.choice(AXIOM_SETS)
+        seq = random_full_nested(rng, 2, 2, 2)
+        ids = [path_id(p) for p in all_paths(seq)]
+        walk = [rng.choice(ids), rng.choice("db"), rng.choice(ids)]
+        params = {"at": rng.choice(ids), "index": rng.randrange(3),
+                  "side": "left", "path": walk}
+        rule = rng.choice(RULES)
+        try:
+            premises_of_nested(seq, rule, _hostile(rng, params, NESTED_KEYS), ax)
+        except RuleError:
+            pass
+
+        lseq = random_tree_labelled(rng, 2, 2, 2)
+        labs = sorted(lseq.labels())
+        rule = rng.choice(sorted(BASE_RULES | REFINED_RULES) + ["bogus"])
+        if rng.random() < 0.5:
+            rule = rng.choice(("pdia", "pbox"))
+        w, f = rng.choice(lseq.ante) if lseq.ante else lseq.succ
+        start = w if rule == "pbox" else lseq.succ[0]
+        walk = [start, rng.choice("db"), rng.choice(labs)]
+        params = {"world": w, "formula": str(f), "fresh": "u9",
+                  "to": walk[-1], "from": lseq.succ[0], "side": "right",
+                  "n": 1, "k": 1, "chain_n": labs[:2], "chain_k": labs[:2],
+                  "path": walk}
+        try:
+            premises_of_labelled(lseq, rule, _hostile(rng, params, LABELLED_KEYS), ax)
+        except RuleError:
+            pass

@@ -202,6 +202,18 @@ def test_translate_rejects_non_tree_conclusion():
         translate_proof(p, "nested", ax)
 
 
+def test_translate_rejects_d_at_an_absent_label():
+    """The refined checker lets d name any label; one the conclusion
+    lacks has no node for the new bracket."""
+    ax = axiom_set(d=True)
+    leaf = LabelledProof(L("zz R u ; w: false |- w: p"), "botL", {}, ())
+    p = LabelledProof(L("; w: false |- w: p"), "d", {"world": "zz", "fresh": "u"},
+                      (leaf,))
+    assert check_labelled(p, ax, "refined")
+    with pytest.raises(ValueError, match="'zz', a label not in the conclusion"):
+        translate_proof(p, "nested", ax)
+
+
 def test_translate_rejects_broken_input():
     ax = axiom_set()
     bad = LabelledProof(L("; w: p |- w: q"), "id", {}, ())
