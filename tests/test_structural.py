@@ -100,6 +100,16 @@ def test_invert_dia():
     assert inv.conclusion == parse_nested("<>p^o, [ p^i ]")
     assert inv.height() <= p.height()
 
+    # orO's side is no input position: dropping input 0 shifts id's
+    # index, not the side
+    leaf = NestedProof(parse_nested("<>q^i, p^i, p^o"), "id",
+                       {"at": "r", "index": 1}, ())
+    p = NestedProof(parse_nested("<>q^i, p^i, q | p^o"), "orO",
+                    {"at": "r", "side": "right"}, (leaf,))
+    inv = checked(invert_dia_input(checked(p), (), 0))
+    assert inv.params == {"at": "r", "side": "right"}
+    assert inv.premises[0].params == {"at": "r", "index": 0}
+
 
 def test_contract_simple():
     goal = parse_nested("p & q^i, p & q^i, p & q^o")
