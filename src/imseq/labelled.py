@@ -21,8 +21,8 @@ from typing import Iterable
 
 from .formula import (Atom, AxiomSet, Bot, Box, Dia, Formula, Imp, And, Or,
                       ParseError, parse_formula, render_formula)
-from .grammar import (PropGraph, PropPath, Sym, derives,
-                      grammar_from_axioms, graph_from_pairs, path_in_graph)
+from .grammar import (PropGraph, PropPath, Sym, derives, grammar_from_axioms,
+                      graph_from_pairs)
 from .proof import (CheckResult, Proof, RuleError, _p_chain, _p_formula,
                     _p_int, _p_path, _p_str, check)
 
@@ -162,9 +162,16 @@ def prop_graph_of(seq: LabelledSequent) -> PropGraph:
 
 def _check_path(seq: LabelledSequent, path: PropPath, start: str,
                 ax: AxiomSet) -> None:
+    """RuleError unless path starts at start, walks the conclusion's
+    propagation graph (a d step along a relational atom, a b step
+    against one; a walk with no steps stays at a label), and spells a
+    string derivable from the forward letter."""
     if path.start != start:
         raise RuleError(f"path must start at {start!r}, starts at {path.start!r}")
-    if not path_in_graph(prop_graph_of(seq), path):
+    rel = set(seq.rel)
+    steps = zip(path.nodes, path.steps, path.nodes[1:])
+    if not (all(((a, b) if c is Sym.FWD else (b, a)) in rel for a, c, b in steps)
+            and (path.steps or path.start in seq.labels())):
         raise RuleError("path does not lie in the conclusion's graph")
     g = grammar_from_axioms(ax)
     if not derives(g, Sym.FWD, path.steps):

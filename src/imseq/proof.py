@@ -99,6 +99,36 @@ def _p_path(params: dict, key: str) -> PropPath:
         raise RuleError(f"param {key!r}: {e}") from e
 
 
+def _check_node(node: Proof, at: str, came_from, premises_fn, allowed,
+                refusal: str):
+    """One node's step of check: the premises premises_fn computes for
+    the node, or the failing CheckResult.
+
+    at is the node's address ("" at the root).  came_from is (parent
+    rule, premise index, computed conclusion) when the node's conclusion
+    still has to be compared with the one its parent computed, else None.
+    """
+    if came_from is not None and node.conclusion != came_from[2]:
+        parent_rule, i, want = came_from
+        return CheckResult(
+            False,
+            f"{parent_rule}: premise {i} is {node.conclusion}, expected {want}",
+            at.rpartition(".")[0] or "root")
+    where = at or "root"
+    if node.rule not in allowed:
+        return CheckResult(False, refusal.format(node.rule), where)
+    try:
+        expected = premises_fn(node.conclusion, node.rule, node.params)
+    except RuleError as e:
+        return CheckResult(False, f"{node.rule}: {e}", where)
+    if len(node.premises) != len(expected):
+        return CheckResult(
+            False,
+            f"{node.rule}: expected {len(expected)} premises, got {len(node.premises)}",
+            where)
+    return expected
+
+
 def check(proof: Proof, premises_fn, allowed, refusal: str) -> CheckResult:
     """Validate every node: its rule is allowed, premises_fn accepts the
     instance, and the premise proofs conclude the computed premises.
@@ -110,30 +140,15 @@ def check(proof: Proof, premises_fn, allowed, refusal: str) -> CheckResult:
     conclusion is not the computed one fails at its parent, after the
     subtrees of the earlier premises have checked.
     """
-    # (node, address, parent rule, premise index, computed conclusion)
-    stack = [(proof, "", None, 0, None)]
+    stack = [(proof, "", None)]  # (node, address, came_from)
     while stack:
-        node, at, parent_rule, i, want = stack.pop()
-        if parent_rule is not None and node.conclusion != want:
-            return CheckResult(
-                False,
-                f"{parent_rule}: premise {i} is {node.conclusion}, expected {want}",
-                at.rpartition(".")[0] or "root")
-        where = at or "root"
-        if node.rule not in allowed:
-            return CheckResult(False, refusal.format(node.rule), where)
-        try:
-            expected = premises_fn(node.conclusion, node.rule, node.params)
-        except RuleError as e:
-            return CheckResult(False, f"{node.rule}: {e}", where)
-        if len(node.premises) != len(expected):
-            return CheckResult(
-                False,
-                f"{node.rule}: expected {len(expected)} premises, got {len(node.premises)}",
-                where)
+        node, at, came_from = stack.pop()
+        expected = _check_node(node, at, came_from, premises_fn, allowed, refusal)
+        if isinstance(expected, CheckResult):
+            return expected
         prefix = f"{at}." if at else ""
         for j in reversed(range(len(expected))):
-            stack.append((node.premises[j], f"{prefix}{j}", node.rule, j, expected[j]))
+            stack.append((node.premises[j], f"{prefix}{j}", (node.rule, j, expected[j])))
     return CheckResult(True)
 
 
@@ -165,3 +180,32 @@ def rebuild(proof: Proof, visit, state=None) -> Proof:
             item = Proof(conclusion, rule, params, tuple(built.pop() for _ in range(n)))
         built.append(item)
     return built[0]
+
+
+def checked_rebuild(proof: Proof, premises_fn, allowed, refusal: str,
+                    visit, fits, state=None) -> Proof:
+    """rebuild that checks the proof it walks as check does, and raises
+    ValueError naming the first failure in preorder with check's message.
+
+    visit(node, premises, refit, state) returns (conclusion, rule,
+    params, [state, ...]), one state per premise, where premises are the
+    ones premises_fn computed.  A premise's stored conclusion that
+    fits(stored, computed) skips the comparison with the computed one;
+    refit is that computed conclusion when the stored one did not fit,
+    and None when it did and at the root.
+    """
+    def step(node: Proof, st) -> tuple:
+        at, came_from, inner = st
+        fit = came_from is None or fits(node.conclusion, came_from[2])
+        got = _check_node(node, at, None if fit else came_from,
+                          premises_fn, allowed, refusal)
+        if isinstance(got, CheckResult):
+            raise ValueError(f"input proof fails the checker at {got.at}: {got.message}")
+        conclusion, rule, params, states = visit(
+            node, got, None if fit else came_from[2], inner)
+        prefix = f"{at}." if at else ""
+        return conclusion, rule, params, [
+            (sub, (f"{prefix}{j}", (node.rule, j, got[j]), s))
+            for j, (sub, s) in enumerate(zip(node.premises, states))]
+
+    return rebuild(proof, step, ("", None, state))

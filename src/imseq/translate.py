@@ -5,7 +5,9 @@ carries the same information as a full nested sequent: labels become
 tree positions and relational atoms become brackets.  Both directions
 are implemented on sequents and lifted to whole proofs, mapping rules
 one-to-one and rewriting principal addresses, eigenvariables, and
-witness paths through the tree correspondence.
+witness paths through the tree correspondence.  A proof goes through
+one walk that checks it too; only its root conclusion is translated
+whole, and each rule updates the correspondence where it edits.
 
 Labelled-to-nested requires a propagation-only proof; run
 ``refine.eliminate_structural`` first if the proof uses diaR, boxL, or
@@ -14,18 +16,18 @@ the relational expansion rule.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Optional
 
 from .formula import MAX_NESTING, AxiomSet, Bot, parse_formula, render_formula
-from .grammar import PropPath
-from .labelled import (LabelledSequent, check_labelled, premises_of_labelled,
+from .labelled import (REFINED_RULES, LabelledSequent, premises_of_labelled,
                        render_labelled_sequent)
-from .nested import (NestedSequent, _params, _premises, check_nested, is_full,
+from .nested import (NESTED_RULES, NestedSequent, _params, is_full,
                      match_children, node_at, output_position, parse_path_id,
-                     path_id, read_nested)
-from .proof import Proof, RuleError, rebuild
+                     path_id, premises_of_nested, read_nested)
+from .proof import Proof, RuleError, checked_rebuild
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,7 @@ def is_labelled_tree(seq: LabelledSequent) -> Optional[TreeCert]:
     relational atoms and a single label is the degenerate tree.
     """
     labels = seq.labels()
-    parent: dict = {}
-    children: dict = {}
+    parent, children = {}, {}
     for w, u in seq.rel:
         if u in parent or w == u:
             return None
@@ -57,38 +58,30 @@ def is_labelled_tree(seq: LabelledSequent) -> Optional[TreeCert]:
     if len(roots) != 1:
         return None
     root = roots.pop()
-    seen = {root}
-    todo = [root]
+    seen, todo = {root}, [root]
     while todo:
         for c in children.get(todo.pop(), ()):
             seen.add(c)
             todo.append(c)
-    if seen != labels:
-        return None
-    return TreeCert(root, parent)
+    return TreeCert(root, parent) if seen == labels else None
 
 
 def to_labelled_with_map(s: NestedSequent) -> tuple:
-    """(labelled sequent, address-to-label map) for a full nested sequent.
-
-    Labels are w0, w1, ... assigned in preorder, so the result is
-    deterministic in the stored child order.
-    """
+    """(labelled sequent, address-to-label map) for a full nested sequent,
+    labels w0, w1, ... assigned in preorder, so the result is
+    deterministic in the stored child order."""
     if not is_full(s):
         raise ValueError("translation needs exactly one output formula")
-    names: dict = {}
-    rel: list = []
-    ante: list = []
+    names, rel, ante = {}, [], []
     stack = [((), s, None)]
     while stack:
         addr, node, parent = stack.pop()
-        lab = f"w{len(names)}"
-        names[addr] = lab
+        lab = names[addr] = f"w{len(names)}"
         if parent is not None:
             rel.append((parent, lab))
         ante.extend((lab, f) for f in node.inputs)
-        for i in reversed(range(len(node.children))):
-            stack.append((addr + (i,), node.children[i], lab))
+        stack.extend((addr + (i,), node.children[i], lab)
+                     for i in reversed(range(len(node.children))))
     pos, f = output_position(s)
     return LabelledSequent(tuple(rel), tuple(ante), (names[pos], f)), names
 
@@ -97,44 +90,53 @@ def to_labelled(s: NestedSequent) -> LabelledSequent:
     return to_labelled_with_map(s)[0]
 
 
-def to_nested_with_map(seq: LabelledSequent) -> tuple:
-    """(nested sequent, label-to-address map) for a labelled tree sequent.
+def _tnode(lab: str, inputs: tuple, output, kids: tuple) -> tuple:
+    """A label tree node: (label, nested node, children in atom order).
+    The nested node sorts its brackets by rendered key, ties in atom
+    order, so label names cannot influence a translation."""
+    return lab, NestedSequent(inputs, output, tuple(sorted(
+        map(itemgetter(1), kids), key=attrgetter("_key")))), kids
 
-    Children are ordered canonically, by the rendered key of the
-    translated subtree, so label names and stored atom order cannot
-    influence the result.  ValueError for a label tree deeper than
-    MAX_NESTING, which parse_nested could not read back.
-    """
+
+def _label_tree(seq: LabelledSequent) -> tuple:
+    """(label tree, label-to-address map) of a labelled tree sequent; the
+    root's nested node is its translation.  ValueError past MAX_NESTING
+    levels, which parse_nested could not read back."""
     cert = is_labelled_tree(seq)
     if cert is None:
         raise ValueError("relational atoms do not form a tree over the labels")
     children: dict = {}
+    inputs: dict = {}
+    m: dict = {}
     for w, u in seq.rel:
         children.setdefault(w, []).append(u)
-    inputs: dict = {}
     for w, f in seq.ante:
         inputs.setdefault(w, []).append(f)
-    out_w, out_f = seq.succ
 
-    def build(lab: str, depth: int) -> tuple:
-        if depth > MAX_NESTING:
+    def build(lab: str, addr: tuple) -> tuple:
+        if len(addr) > MAX_NESTING:
             raise ValueError(f"label tree deeper than {MAX_NESTING} levels")
-        built = [build(c, depth + 1) for c in children.get(lab, ())]
-        built.sort(key=lambda pair: pair[0]._key)
-        node = NestedSequent(tuple(inputs.get(lab, ())),
-                             out_f if lab == out_w else None,
-                             tuple(sub for sub, _ in built))
-        m = {lab: ()}
-        for i, (_, sub_map) in enumerate(built):
-            for l2, addr in sub_map.items():
-                m[l2] = (i,) + addr
-        return node, m
+        m[lab] = addr
+        kids = enumerate(children.get(lab, ()))
+        return _tnode(lab, tuple(inputs.get(lab, ())),
+                      seq.succ[1] if lab == seq.succ[0] else None,
+                      tuple(build(c, addr + (i,)) for i, c in kids))
 
-    return build(cert.root, 0)
+    return build(cert.root, ()), m
 
 
 def to_nested(seq: LabelledSequent) -> NestedSequent:
-    return to_nested_with_map(seq)[0]
+    return _label_tree(seq)[0][1]
+
+
+def _place(t: tuple, addr: tuple) -> tuple:
+    """The address in t's nested node of the node at address addr of t."""
+    out = []
+    for i in addr:
+        keys = [k[1]._key for k in t[2]]
+        out.append(sorted(range(len(keys)), key=keys.__getitem__).index(i))
+        t = t[2][i]
+    return tuple(out)
 
 
 def canonical_relabel(seq: LabelledSequent) -> LabelledSequent:
@@ -144,56 +146,50 @@ def canonical_relabel(seq: LabelledSequent) -> LabelledSequent:
     Two tree sequents that differ only by a label bijection relabel to
     equal sequents, so this is the normal form for comparisons.
     """
-    n, m = to_nested_with_map(seq)
-    order: dict = {}
-    q = deque([((), n)])
-    while q:
-        addr, node = q.popleft()
-        order[addr] = f"w{len(order)}"
-        for j, c in enumerate(node.children):
-            q.append((addr + (j,), c))
-    ren = {lab: order[addr] for lab, addr in m.items()}
+    t, m = _label_tree(seq)
+    at = {lab: _place(t, addr) for lab, addr in m.items()}
+    order = sorted(at, key=lambda lab: (len(at[lab]), at[lab]))
+    ren = {lab: f"w{i}" for i, lab in enumerate(order)}
     return LabelledSequent(
         tuple((ren[w], ren[u]) for w, u in seq.rel),
         tuple((ren[w], f) for w, f in seq.ante),
         (ren[seq.succ[0]], seq.succ[1]))
 
 
-_TO_NESTED_RULE = {
-    "id": "id", "botL": "botI",
-    "andL": "andI", "orL": "orI", "impL": "impI",
-    "andR": "andO", "orR": "orO", "impR": "impO",
-    "diaL": "diaI", "boxR": "boxO",
-    "d": "d", "pdia": "pdia", "pbox": "pbox",
-}
+def _grown(t: tuple, m: dict, L: LabelledSequent, touched: set,
+           P: LabelledSequent) -> tuple:
+    """(label tree, label-to-address map) of P, a premise of a rule
+    instance at L that edits the touched labels, from L's: the nodes of
+    those labels and of a moved succedent are rebuilt from P, a new label
+    a bracket under its parent, and so are the nodes above them."""
+    new = P.rel[len(L.rel):]
+    if P.succ != L.succ:
+        touched = touched | {L.succ[0], P.succ[0]}
+
+    def node(lab: str, kids: tuple = ()) -> tuple:
+        return _tnode(lab, tuple(f for w, f in P.ante if w == lab),
+                      P.succ[1] if P.succ[0] == lab else None, kids)
+
+    for lab in touched - {u for _, u in new}:
+        at, path = m[lab], [t]
+        for i in at:
+            path.append(path[-1][2][i])
+        grow, kids = tuple(node(u) for w, u in new if w == lab), path.pop()[2]
+        if grow:
+            if len(at) >= MAX_NESTING:
+                raise ValueError(f"label tree deeper than {MAX_NESTING} levels")
+            m = {**m, **{k[0]: at + (len(kids) + j,) for j, k in enumerate(grow)}}
+        t = node(lab, kids + grow)
+        for i, up in zip(reversed(at), reversed(path)):
+            t = _tnode(up[0], up[1].inputs, up[1].output, up[2][:i] + (t,) + up[2][i + 1:])
+    return t, m
+
+
+_TO_NESTED_RULE = {"id": "id", "botL": "botI", "andL": "andI", "orL": "orI",
+                   "impL": "impI", "andR": "andO", "orR": "orO", "impR": "impO",
+                   "diaL": "diaI", "boxR": "boxO", "d": "d", "pdia": "pdia",
+                   "pbox": "pbox"}
 _TO_LABELLED_RULE = {v: k for k, v in _TO_NESTED_RULE.items()}
-
-
-def _nested_params(L: LabelledSequent, n: NestedSequent, m: dict,
-                   rule: str, params: dict) -> dict:
-    """The nested params of a labelled refined instance, whose conclusion
-    translates to n with label-to-address map m."""
-    walk = None
-    if rule in ("pdia", "pbox"):
-        path = PropPath.from_list(params["path"])
-        walk = PropPath(tuple(path_id(m[x]) for x in path.nodes),
-                        path.steps).to_list()
-    w, f = L.succ[0], None
-    if rule == "id":
-        f = L.succ[1]
-    elif rule == "botL":
-        w, f = next((w, f) for w, f in L.ante if isinstance(f, Bot))
-    elif rule in ("andL", "orL", "impL", "diaL", "pbox"):
-        w, f = params["world"], parse_formula(params["formula"])
-    elif rule == "d":
-        w = params["world"]
-        if w not in m:
-            raise ValueError(f"d at {w!r}, a label not in the conclusion, "
-                             "has no nested counterpart")
-    index = None if f is None else node_at(n, m[w]).inputs.index(f)
-    if rule == "orR":
-        index = int(params["side"] == "right")
-    return _params(_TO_NESTED_RULE[rule], m[w], index, walk)
 
 
 def _proof_to_nested(p: Proof, ax: AxiomSet) -> Proof:
@@ -201,69 +197,45 @@ def _proof_to_nested(p: Proof, ax: AxiomSet) -> Proof:
         if node.rule in ("S", "diaR", "boxL"):
             raise ValueError(f"rule {node.rule!r} has no nested counterpart; "
                              "eliminate the relational rules first")
-    ok = check_labelled(p, ax, "refined")
-    if not ok:
-        raise ValueError(f"input proof fails the checker at {ok.at}: {ok.message}")
-    cert = is_labelled_tree(p.conclusion)
-    if cert is None:
+    if is_labelled_tree(p.conclusion) is None:
         raise ValueError("conclusion is not a labelled tree sequent")
-    root = cert.root
 
-    def visit(q: Proof, _):
-        n, m = to_nested_with_map(q.conclusion)
-        if m.get(root) != ():
-            raise ValueError(
-                f"fixed root property failed at {render_labelled_sequent(q.conclusion)}")
-        params = _nested_params(q.conclusion, n, m, q.rule, q.params)
-        return n, _TO_NESTED_RULE[q.rule], params, [(sub, None) for sub in q.premises]
+    def visit(q: Proof, prems: list, refit, parent) -> tuple:
+        L, rule, params = q.conclusion, q.rule, q.params
+        t, m = _label_tree(L) if parent is None or refit else _grown(*parent, L)
+        w, f = L.succ[0], None
+        if rule == "id":
+            f = L.succ[1]
+        elif rule == "botL":
+            w, f = next((w, f) for w, f in L.ante if isinstance(f, Bot))
+        elif rule in ("andL", "orL", "impL", "diaL", "pbox", "d"):
+            w = params["world"]
+            f = None if rule == "d" else parse_formula(params["formula"])
+        if w not in m:
+            raise ValueError(f"d at {w!r}, a label not in the conclusion, "
+                             "has no nested counterpart")
+        path = params["path"] if rule in ("pdia", "pbox") else [w]
+        at = {x: _place(t, m[x]) for x in {w, *path[0::2]}}
+        walk = [path_id(at[x]) if i % 2 == 0 else x for i, x in enumerate(path)]
+        index = None if f is None else node_at(t[1], at[w]).inputs.index(f)
+        if rule == "orR":
+            index = int(params["side"] == "right")
+        out = _TO_NESTED_RULE[rule]
+        return (t[1], out, _params(out, at[w], index, walk),
+                [(t, m, L, {path[-1]})] * len(prems))
 
-    return rebuild(p, visit)
-
-
-def _labelled_params(q: Proof, inst: tuple, m: dict, fresh: int) -> tuple:
-    """(params, extended map, next fresh index) for one rule instance,
-    read by read_nested as inst."""
-    rule, n = q.rule, q.conclusion
-    at, index, f, target = inst
-
-    def grew() -> tuple:
-        new = at + (len(node_at(n, at).children),)
-        lab = f"w{fresh}"
-        return lab, {**m, new: lab}
-
-    if rule in ("id", "botI", "andO", "impO"):
-        return {}, m, fresh
-    if rule == "orO":
-        return {"side": "right" if index else "left"}, m, fresh
-    if rule in ("andI", "orI", "impI"):
-        return {"world": m[at], "formula": render_formula(f)}, m, fresh
-    if rule == "diaI":
-        lab, m2 = grew()
-        return {"world": m[at], "formula": render_formula(f), "fresh": lab}, m2, fresh + 1
-    if rule == "boxO":
-        lab, m2 = grew()
-        return {"fresh": lab}, m2, fresh + 1
-    if rule == "d":
-        lab, m2 = grew()
-        return {"world": m[at], "fresh": lab}, m2, fresh + 1
-    path = PropPath.from_list(q.params["path"])
-    lab_path = PropPath(tuple(m[parse_path_id(x)] for x in path.nodes),
-                        path.steps).to_list()
-    if rule == "pdia":
-        return {"path": lab_path}, m, fresh
-    return {"world": m[at], "formula": render_formula(f), "to": m[target],
-            "path": lab_path}, m, fresh
+    # a premise stored exactly as computed grows from its parent's tree
+    return checked_rebuild(
+        p, lambda s, r, ps: premises_of_labelled(s, r, ps, ax), REFINED_RULES,
+        "rule {!r} not in refined mode", visit,
+        lambda a, b: (a.rel, a.ante, a.succ) == (b.rel, b.ante, b.succ))
 
 
 def _realign(stored: NestedSequent, shape: NestedSequent, m: dict) -> dict:
-    """Labels of a stored premise's addresses, via a matching of its
-    bracket tree against the rule-computed premise shape, labelled by m.
-
-    The two trees are multiset-equal, so a greedy matching of equal
-    children always completes, and any such matching is sound.
-    """
-    out = {}
-    todo = [(stored, shape, (), ())]
+    """Labels of a stored premise's addresses, by a greedy matching of its
+    bracket tree against the multiset-equal premise shape labelled by m,
+    which always completes; any such matching is sound."""
+    out, todo = {}, [(stored, shape, (), ())]
     while todo:
         a, b, at_a, at_b = todo.pop()
         out[at_a] = m[at_b]
@@ -272,30 +244,57 @@ def _realign(stored: NestedSequent, shape: NestedSequent, m: dict) -> dict:
     return out
 
 
-def _proof_to_labelled(p: Proof, ax: AxiomSet) -> Proof:
-    ok = check_nested(p, ax)
-    if not ok:
-        raise ValueError(f"input proof fails the checker at {ok.at}: {ok.message}")
-    L0, names = to_labelled_with_map(p.conclusion)
+def _same(a: NestedSequent, b: NestedSequent) -> bool:
+    """Whether two nested sequents are equal in their stored order too."""
+    return a is b or (a.inputs == b.inputs and a.output is b.output
+                      and len(a.children) == len(b.children)
+                      and all(map(_same, a.children, b.children)))
 
-    def visit(q: Proof, state) -> tuple:
+
+def _proof_to_labelled(p: Proof, ax: AxiomSet) -> Proof:
+    L0, names = to_labelled_with_map(p.conclusion)
+    if to_nested(L0) != p.conclusion:
+        raise ValueError(f"translation drifted at {render_labelled_sequent(L0)}")
+
+    # m gains new brackets in place: a branch adds only addresses its own
+    # sequents lack, so what an earlier branch added is never read.
+    def visit(q: Proof, shapes: list, refit, state) -> tuple:
         L, m, fresh = state
-        if to_nested(L) != q.conclusion:
-            raise ValueError(
-                f"translation drifted at {render_labelled_sequent(L)}")
+        if refit is not None:
+            m = _realign(q.conclusion, refit, m)
         rule = _TO_LABELLED_RULE[q.rule]
-        inst = read_nested(q.conclusion, q.rule, q.params)
-        params, m2, fresh2 = _labelled_params(q, inst, m, fresh)
+        at, index, f, target = read_nested(q.conclusion, q.rule, q.params)
+        params: dict = {}
+        if q.rule in ("andI", "orI", "impI", "diaI", "d", "pbox"):
+            params["world"] = m[at]
+        if q.rule in ("andI", "orI", "impI", "diaI", "pbox"):
+            params["formula"] = render_formula(f)
+        if q.rule == "orO":
+            params["side"] = "right" if index else "left"
+        if q.rule in ("diaI", "boxO", "d"):  # the new bracket is labelled in m
+            new = at + (len(node_at(q.conclusion, at).children),)
+            params["fresh"] = m[new] = f"w{fresh}"
+            fresh += 1
+        if q.rule == "pbox":
+            params["to"] = m[target]
+        if q.rule in ("pdia", "pbox"):
+            params["path"] = [m[parse_path_id(x)] if i % 2 == 0 else x
+                              for i, x in enumerate(q.params["path"])]
         try:
             prems = premises_of_labelled(L, rule, params, ax)
         except RuleError as e:
             raise ValueError(f"translated instance of {rule} is invalid: {e}") from e
-        shapes = _premises(q.conclusion, q.rule, *inst)
-        return L, rule, params, [
-            (sub, (prem, _realign(sub.conclusion, shape, m2), fresh2))
-            for sub, prem, shape in zip(q.premises, prems, shapes)]
+        w = m[at]  # both calculi must make the same edit at the principal
+        for prem, shape in zip(prems, shapes):
+            node = node_at(shape, at)
+            if (Counter(node.inputs) != Counter(f for u, f in prem.ante if u == w)
+                    or node.output is not (prem.succ[1] if prem.succ[0] == w else None)):
+                raise ValueError(f"translation drifted at {render_labelled_sequent(prem)}")
+        return L, rule, params, [(prem, m, fresh) for prem in prems]
 
-    return rebuild(p, visit, (L0, names, len(names)))
+    return checked_rebuild(
+        p, lambda s, r, ps: premises_of_nested(s, r, ps, ax), NESTED_RULES,
+        "unknown rule {!r}", visit, _same, (L0, names, len(names)))
 
 
 def translate_proof(p, direction: str, ax: AxiomSet):
@@ -304,8 +303,9 @@ def translate_proof(p, direction: str, ax: AxiomSet):
     direction names the target: "nested" takes a propagation-only
     labelled proof of a tree sequent to a nested proof; "labelled" goes
     the other way.  The proof's conclusion must be a sequent of the other
-    calculus.  The input is checked first and the rule-by-rule mapping
-    keeps every witness path letter-for-letter.
+    calculus.  The input is checked in the same walk, a failure named at
+    the checker's address; the rule-by-rule mapping keeps every witness
+    path letter-for-letter.
     """
     source_of = {"nested": LabelledSequent, "labelled": NestedSequent}
     if direction not in source_of:
@@ -313,6 +313,4 @@ def translate_proof(p, direction: str, ax: AxiomSet):
     if not (isinstance(p, Proof) and isinstance(p.conclusion, source_of[direction])):
         other = "labelled" if direction == "nested" else "nested"
         raise ValueError(f"direction {direction!r} needs a {other} proof")
-    if direction == "nested":
-        return _proof_to_nested(p, ax)
-    return _proof_to_labelled(p, ax)
+    return (_proof_to_nested if direction == "nested" else _proof_to_labelled)(p, ax)

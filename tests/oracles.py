@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's algorithms: string derivability
 is a breadth-first closure over one-step rewrites, path search is a naive
-length-bounded enumeration, and model evaluation expands quantifiers
-without memoization.
+length-bounded enumeration, model evaluation expands quantifiers
+without memoization, and proof translation re-translates every node's
+whole sequent after a separate checker walk.
 """
 
 from __future__ import annotations
@@ -11,8 +12,17 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from imseq.formula import And, Atom, Bot, Box, Dia, Imp, Or
-from imseq.grammar import Grammar, PropGraph, Sym, syms
+from imseq.formula import (MAX_NESTING, And, Atom, Bot, Box, Dia, Imp, Or,
+                           parse_formula, render_formula)
+from imseq.grammar import Grammar, PropGraph, PropPath, Sym, syms
+from imseq.labelled import (check_labelled, premises_of_labelled,
+                            render_labelled_sequent)
+from imseq.nested import (NestedSequent, _params, _premises, check_nested,
+                          match_children, node_at, parse_path_id, path_id,
+                          read_nested)
+from imseq.proof import RuleError, rebuild
+from imseq.translate import (_TO_LABELLED_RULE, _TO_NESTED_RULE,
+                             is_labelled_tree, to_labelled_with_map)
 
 
 def one_step(g: Grammar, s) -> set:
@@ -128,3 +138,157 @@ def rand_formula(rng: random.Random, depth: int):
     if kind == "D":
         return Dia(rand_formula(rng, depth - 1))
     return Box(rand_formula(rng, depth - 1))
+
+
+# --- reference proof translation ----------------------------------------
+#
+# The translation as it stood before the one-walk rewrite: the input is
+# checked in a walk of its own, and every node's whole sequent is
+# translated again, so it is quadratic in proof height.  Kept as the
+# differential reference for imseq.translate.translate_proof.
+
+def ref_to_nested_with_map(seq):
+    """(nested sequent, label-to-address map), children sorted by key."""
+    cert = is_labelled_tree(seq)
+    if cert is None:
+        raise ValueError("relational atoms do not form a tree over the labels")
+    children: dict = {}
+    for w, u in seq.rel:
+        children.setdefault(w, []).append(u)
+    inputs: dict = {}
+    for w, f in seq.ante:
+        inputs.setdefault(w, []).append(f)
+    out_w, out_f = seq.succ
+
+    def build(lab, depth):
+        if depth > MAX_NESTING:
+            raise ValueError(f"label tree deeper than {MAX_NESTING} levels")
+        built = [build(c, depth + 1) for c in children.get(lab, ())]
+        built.sort(key=lambda pair: pair[0]._key)
+        node = NestedSequent(tuple(inputs.get(lab, ())),
+                             out_f if lab == out_w else None,
+                             tuple(sub for sub, _ in built))
+        m = {lab: ()}
+        for i, (_, sub_map) in enumerate(built):
+            for l2, addr in sub_map.items():
+                m[l2] = (i,) + addr
+        return node, m
+
+    return build(cert.root, 0)
+
+
+def _ref_nested_params(L, n, m, rule, params):
+    walk = None
+    if rule in ("pdia", "pbox"):
+        path = PropPath.from_list(params["path"])
+        walk = PropPath(tuple(path_id(m[x]) for x in path.nodes),
+                        path.steps).to_list()
+    w, f = L.succ[0], None
+    if rule == "id":
+        f = L.succ[1]
+    elif rule == "botL":
+        w, f = next((w, f) for w, f in L.ante if isinstance(f, Bot))
+    elif rule in ("andL", "orL", "impL", "diaL", "pbox"):
+        w, f = params["world"], parse_formula(params["formula"])
+    elif rule == "d":
+        w = params["world"]
+        if w not in m:
+            raise ValueError(f"d at {w!r}, a label not in the conclusion, "
+                             "has no nested counterpart")
+    index = None if f is None else node_at(n, m[w]).inputs.index(f)
+    if rule == "orR":
+        index = int(params["side"] == "right")
+    return _params(_TO_NESTED_RULE[rule], m[w], index, walk)
+
+
+def ref_proof_to_nested(p, ax):
+    for node in p.nodes():
+        if node.rule in ("S", "diaR", "boxL"):
+            raise ValueError(f"rule {node.rule!r} has no nested counterpart; "
+                             "eliminate the relational rules first")
+    ok = check_labelled(p, ax, "refined")
+    if not ok:
+        raise ValueError(f"input proof fails the checker at {ok.at}: {ok.message}")
+    cert = is_labelled_tree(p.conclusion)
+    if cert is None:
+        raise ValueError("conclusion is not a labelled tree sequent")
+    root = cert.root
+
+    def visit(q, _):
+        n, m = ref_to_nested_with_map(q.conclusion)
+        if m.get(root) != ():
+            raise ValueError("fixed root property failed at "
+                             f"{render_labelled_sequent(q.conclusion)}")
+        params = _ref_nested_params(q.conclusion, n, m, q.rule, q.params)
+        return n, _TO_NESTED_RULE[q.rule], params, [(sub, None) for sub in q.premises]
+
+    return rebuild(p, visit)
+
+
+def _ref_labelled_params(q, inst, m, fresh):
+    rule, n = q.rule, q.conclusion
+    at, index, f, target = inst
+
+    def grew():
+        new = at + (len(node_at(n, at).children),)
+        lab = f"w{fresh}"
+        return lab, {**m, new: lab}
+
+    if rule in ("id", "botI", "andO", "impO"):
+        return {}, m, fresh
+    if rule == "orO":
+        return {"side": "right" if index else "left"}, m, fresh
+    if rule in ("andI", "orI", "impI"):
+        return {"world": m[at], "formula": render_formula(f)}, m, fresh
+    if rule == "diaI":
+        lab, m2 = grew()
+        return {"world": m[at], "formula": render_formula(f), "fresh": lab}, m2, fresh + 1
+    if rule == "boxO":
+        lab, m2 = grew()
+        return {"fresh": lab}, m2, fresh + 1
+    if rule == "d":
+        lab, m2 = grew()
+        return {"world": m[at], "fresh": lab}, m2, fresh + 1
+    path = PropPath.from_list(q.params["path"])
+    lab_path = PropPath(tuple(m[parse_path_id(x)] for x in path.nodes),
+                        path.steps).to_list()
+    if rule == "pdia":
+        return {"path": lab_path}, m, fresh
+    return {"world": m[at], "formula": render_formula(f), "to": m[target],
+            "path": lab_path}, m, fresh
+
+
+def _ref_realign(stored, shape, m):
+    out = {}
+    todo = [(stored, shape, (), ())]
+    while todo:
+        a, b, at_a, at_b = todo.pop()
+        out[at_a] = m[at_b]
+        for i, j in enumerate(match_children(a, b)):
+            todo.append((a.children[i], b.children[j], at_a + (i,), at_b + (j,)))
+    return out
+
+
+def ref_proof_to_labelled(p, ax):
+    ok = check_nested(p, ax)
+    if not ok:
+        raise ValueError(f"input proof fails the checker at {ok.at}: {ok.message}")
+    L0, names = to_labelled_with_map(p.conclusion)
+
+    def visit(q, state):
+        L, m, fresh = state
+        if ref_to_nested_with_map(L)[0] != q.conclusion:
+            raise ValueError(f"translation drifted at {render_labelled_sequent(L)}")
+        rule = _TO_LABELLED_RULE[q.rule]
+        inst = read_nested(q.conclusion, q.rule, q.params)
+        params, m2, fresh2 = _ref_labelled_params(q, inst, m, fresh)
+        try:
+            prems = premises_of_labelled(L, rule, params, ax)
+        except RuleError as e:
+            raise ValueError(f"translated instance of {rule} is invalid: {e}") from e
+        shapes = _premises(q.conclusion, q.rule, *inst)
+        return L, rule, params, [
+            (sub, (prem, _ref_realign(sub.conclusion, shape, m2), fresh2))
+            for sub, prem, shape in zip(q.premises, prems, shapes)]
+
+    return rebuild(p, visit, (L0, names, len(names)))

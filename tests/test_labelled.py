@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from imseq.formula import axiom_set, parse_formula
+from imseq.grammar import PropPath, Sym, path_in_graph
 from imseq.labelled import (CheckResult, LabelledProof, LabelledSequent,
                             RuleError, check_labelled, lseq,
                             parse_labelled_sequent, premises_of_labelled,
@@ -235,3 +238,32 @@ def test_check_nested_failure_address():
 def test_prop_graph_includes_formula_labels():
     pg = prop_graph_of(seq("; w: p |- v: q"))
     assert pg.nodes == frozenset({"w", "v"}) and pg.edges == frozenset()
+
+
+def test_propagation_walks_agree_with_the_graph():
+    """pdia and pbox test a walk's steps against the relational atoms;
+    on random walks, both in and out of the graph, they refuse as off the
+    graph exactly the walks path_in_graph refuses in prop_graph_of's."""
+    rng = random.Random(7101)
+    ax = axiom_set([(1, 1)])
+    agree = on_graph = 0
+    for _ in range(400):
+        labs = ["w", "u", "v", "x"][:rng.randrange(1, 5)]
+        rel = tuple((rng.choice(labs), rng.choice(labs)) for _ in range(rng.randrange(4)))
+        s = LabelledSequent(rel, (("w", parse_formula("[]p")),),
+                            (labs[-1], parse_formula("<>p")))
+        start = rng.choice(["w", labs[-1]])
+        nodes = [start] + [rng.choice(labs + ["z"]) for _ in range(rng.randrange(4))]
+        walk = PropPath(tuple(nodes), tuple(rng.choice([Sym.FWD, Sym.BWD])
+                                            for _ in nodes[1:]))
+        in_graph = path_in_graph(prop_graph_of(s), walk)
+        rule, params = (("pbox", {"world": "w", "formula": "[]p", "to": walk.end})
+                        if start == "w" else ("pdia", {}))
+        try:
+            premises_of_labelled(s, rule, {**params, "path": walk.to_list()}, ax)
+            ok = True
+        except RuleError as e:
+            ok = str(e) != "path does not lie in the conclusion's graph"
+        agree += ok == in_graph
+        on_graph += ok
+    assert agree == 400 and 50 < on_graph < 350
