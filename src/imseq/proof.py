@@ -4,9 +4,10 @@ A proof is a tree of rule instances in either calculus: a node names
 its conclusion, its rule, its explicit params and its premise proofs.
 The calculi differ only in their sequents and in the function that
 computes the premises of one backward rule application, so one walk
-checks both, and one walk (rebuild) carries every proof rewrite.  Every
-walk here uses an explicit stack, so proof height is bounded by memory,
-not by the interpreter's recursion limit.
+checks both, and one walk (rebuild) carries every proof rewrite;
+checked_rebuild does both in one pass.  Every walk here uses an
+explicit stack, so proof height is bounded by memory, not by the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
