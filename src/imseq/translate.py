@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter, is_, itemgetter
 from typing import Optional
 
 from .formula import MAX_NESTING, AxiomSet, Bot, parse_formula, render_formula
@@ -248,7 +248,8 @@ def _same(a: NestedSequent, b: NestedSequent) -> bool:
     """Whether two nested sequents are equal in their stored order too."""
     return a is b or (a.inputs == b.inputs and a.output is b.output
                       and len(a.children) == len(b.children)
-                      and all(map(_same, a.children, b.children)))
+                      and (all(map(is_, a.children, b.children))
+                           or all(map(_same, a.children, b.children))))
 
 
 def _proof_to_labelled(p: Proof, ax: AxiomSet) -> Proof:

@@ -315,7 +315,10 @@ def _shuffled(p, rng):
             s = LabelledSequent(tuple(rel), tuple(ante), s.succ)
         else:
             s, moved = scramble(s)
-            def move(x): return path_id(moved[parse_path_id(x)])
+
+            def move(x):
+                return path_id(moved[parse_path_id(x)])
+
             if "at" in params:
                 params["at"] = move(params["at"])
             if "path" in params:
@@ -327,10 +330,10 @@ def _shuffled(p, rng):
 
 
 def _same_translation(p, direction, ax):
-    new = dump_proof(translate_proof(p, direction, ax))
+    out = translate_proof(p, direction, ax)
     ref = (ref_proof_to_nested if direction == "nested" else ref_proof_to_labelled)(p, ax)
-    assert new == dump_proof(ref)
-    return translate_proof(p, direction, ax)
+    assert dump_proof(out) == dump_proof(ref)
+    return out
 
 
 def test_translation_matches_the_reference_walk():
