@@ -189,15 +189,19 @@ def cmd_model_eval(ns) -> int:
         return 1
     if ns.formula is not None:
         f = parse_formula(ns.formula)
-        ok = (eval_formula(model, ns.world, f) if ns.world
-              else globally_true(model, f))
-    elif ns.sequent is not None:
-        if ns.interp is None:
-            raise _Fail(2, "--sequent needs --interp label=world,...")
-        ok = sat_sequent(model, _parse_interp(ns.interp),
-                         parse_labelled_sequent(ns.sequent))
-    else:
+    elif ns.sequent is None:
         raise _Fail(2, "give --formula or --sequent")
+    elif ns.interp is None:
+        raise _Fail(2, "--sequent needs --interp label=world,...")
+    else:
+        interp, s = _parse_interp(ns.interp), parse_labelled_sequent(ns.sequent)
+    try:
+        if ns.formula is None:
+            ok = sat_sequent(model, interp, s)
+        else:
+            ok = eval_formula(model, ns.world, f) if ns.world else globally_true(model, f)
+    except ValueError as e:  # a world the model lacks, a label left unmapped
+        raise _Fail(2, str(e))
     print("true" if ok else "false")
     return 0 if ok else 1
 

@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import random
 
-from .formula import (And, Atom, AxiomSet, Bot, Box, Dia, Formula, Imp, Or,
-                      render_formula)
-from .grammar import grammar_from_axioms, reach_all
-from .labelled import (LabelledProof, LabelledSequent, premises_of_labelled,
-                       prop_graph_of)
+from .formula import And, Atom, AxiomSet, Bot, Box, Dia, Formula, Imp, Or
+from .grammar import PropPath, Sym, grammar_from_axioms, reach_all
+from .labelled import (LabelledProof, LabelledSequent, labelled_params,
+                       premises_of_labelled, prop_graph_of)
 from .nested import NestedSequent, all_paths, map_node
 from .proof import RuleError
 from .translate import to_labelled
 
 _ATOMS = ("p", "q", "r")
+_SPLIT_LEFT = {And: "andL", Or: "orL", Imp: "impL"}
 
 
 def random_formula(rng: random.Random, depth: int, atoms: tuple = _ATOMS) -> Formula:
@@ -132,46 +132,41 @@ def random_labelled_proof(rng: random.Random, ax: AxiomSet,
         reach = reach_all(prop_graph_of(seq), g) if mode == "refined" else {}
         out = []
         for w, f in ante:
-            fr = render_formula(f)
-            if isinstance(f, And):
-                out.append(("andL", {"world": w, "formula": fr}))
-            elif isinstance(f, Or):
-                out.append(("orL", {"world": w, "formula": fr}))
-            elif isinstance(f, Imp):
-                out.append(("impL", {"world": w, "formula": fr}))
+            if type(f) in _SPLIT_LEFT:
+                rule = _SPLIT_LEFT[type(f)]
+                out.append((rule, labelled_params(rule, w, f)))
             elif isinstance(f, Dia):
-                out.append(("diaL", {"world": w, "formula": fr, "fresh": fresh(seq)}))
+                out.append(("diaL", labelled_params("diaL", w, f, u=fresh(seq))))
             elif isinstance(f, Box):
                 if mode == "base":
                     tos = sorted({u for a, u in rel if a == w})
                     if tos:
-                        out.append(("boxL", {"world": w, "formula": fr,
-                                             "to": rng.choice(tos)}))
+                        out.append(("boxL", labelled_params("boxL", w, f,
+                                                            u=rng.choice(tos))))
                 else:
-                    hits = sorted((t, p.to_list()) for (a, t), p in reach.items()
-                                  if a == w)
+                    hits = sorted((t, p) for (a, t), p in reach.items() if a == w)
                     if hits:
                         t, path = rng.choice(hits)
-                        out.append(("pbox", {"world": w, "formula": fr,
-                                             "to": t, "path": path}))
+                        out.append(("pbox", labelled_params("pbox", w, f, u=t,
+                                                            walk=path)))
         if isinstance(f_s, And):
             out.append(("andR", {}))
         elif isinstance(f_s, Or):
-            out.append(("orR", {"side": rng.choice(("left", "right"))}))
+            out.append(("orR", labelled_params("orR", i=rng.choice((0, 1)))))
         elif isinstance(f_s, Imp):
             out.append(("impR", {}))
         elif isinstance(f_s, Box):
-            out.append(("boxR", {"fresh": fresh(seq)}))
+            out.append(("boxR", labelled_params("boxR", u=fresh(seq))))
         elif isinstance(f_s, Dia):
             if mode == "base":
                 tos = sorted({u for a, u in rel if a == w_s})
                 if tos:
-                    out.append(("diaR", {"to": rng.choice(tos)}))
+                    out.append(("diaR", labelled_params("diaR", u=rng.choice(tos))))
             else:
-                hits = sorted((t, p.to_list()) for (a, t), p in reach.items()
-                              if a == w_s)
+                hits = sorted((t, p) for (a, t), p in reach.items() if a == w_s)
                 if hits:
-                    out.append(("pdia", {"path": rng.choice(hits)[1]}))
+                    walk = rng.choice(hits)[1]
+                    out.append(("pdia", labelled_params("pdia", walk=walk)))
         if mode == "base":
             adj: dict = {}
             for a, b in rel:
@@ -180,11 +175,12 @@ def random_labelled_proof(rng: random.Random, ax: AxiomSet,
                 start = rng.choice(labs)
                 cn = _chain(rng, adj, start, n)
                 ck = _chain(rng, adj, start, k)
-                if cn is not None and ck is not None:
-                    out.append(("S", {"n": n, "k": k,
-                                      "chain_n": cn, "chain_k": ck}))
+                if cn is not None and ck is not None:  # back along cn, on along ck
+                    walk = PropPath(tuple(cn[::-1] + ck[1:]),
+                                    (Sym.BWD,) * n + (Sym.FWD,) * k)
+                    out.append(("S", labelled_params("S", walk=walk)))
         if ax.has_d:
-            out.append(("d", {"world": rng.choice(labs), "fresh": fresh(seq)}))
+            out.append(("d", labelled_params("d", rng.choice(labs), u=fresh(seq))))
         return out
 
     def grow(seq: LabelledSequent, budget: int) -> LabelledProof:

@@ -5,7 +5,12 @@ A sequent is ``rel ; ante |- succ`` with a multiset of relational atoms
 succedent formula.  Proof nodes name a rule and carry explicit params
 (principal formula, eigenvariable, chains, witness path), so checking
 is plain structural matching with no search; ``proof.check`` walks the
-tree and ``premises_of_labelled`` matches one rule instance.
+tree and ``premises_of_labelled`` matches one rule instance.  This
+module alone knows how an instance is written: ``read_labelled`` reads
+its params as (label, formula, index, eigenvariable or target, walk),
+``labelled_params`` writes them back, and ``_premises`` builds the
+premises from that reading.  A ``d`` instance must name a label of its
+conclusion, so refined premises of a tree sequent stay tree sequents.
 
 Modes: ``base`` uses the relational rules (diaR, boxL, S), ``refined``
 replaces those three with the path-conditioned propagation rules (pdia,
@@ -17,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .formula import (Atom, AxiomSet, Bot, Box, Dia, Formula, Imp, And, Or,
                       ParseError, parse_formula, render_formula)
@@ -143,193 +148,202 @@ MODE_RULES = {
 }
 
 
-def _find_once(items: tuple, wanted) -> int:
-    for i, x in enumerate(items):
-        if x == wanted:
-            return i
-    raise RuleError(f"{_show(wanted)} not present")
-
-
-def _show(item) -> str:
-    if len(item) == 2 and isinstance(item[1], Formula):
-        return f"{item[0]}: {render_formula(item[1])}"
-    return f"{item[0]} R {item[1]}"
+def _find_once(ante: tuple, wanted: tuple) -> int:
+    try:
+        return ante.index(wanted)
+    except ValueError:
+        raise RuleError(f"{wanted[0]}: {render_formula(wanted[1])} not present") from None
 
 
 def prop_graph_of(seq: LabelledSequent) -> PropGraph:
     return graph_from_pairs(seq.rel, extra_nodes=seq.labels())
 
 
-def _check_path(seq: LabelledSequent, path: PropPath, start: str,
-                ax: AxiomSet) -> None:
-    """RuleError unless path starts at start, walks the conclusion's
-    propagation graph (a d step along a relational atom, a b step
-    against one; a walk with no steps stays at a label), and spells a
-    string derivable from the forward letter."""
-    if path.start != start:
-        raise RuleError(f"path must start at {start!r}, starts at {path.start!r}")
-    rel = set(seq.rel)
-    steps = zip(path.nodes, path.steps, path.nodes[1:])
-    if not (all(((a, b) if c is Sym.FWD else (b, a)) in rel for a, c, b in steps)
-            and (path.steps or path.start in seq.labels())):
-        raise RuleError("path does not lie in the conclusion's graph")
-    g = grammar_from_axioms(ax)
-    if not derives(g, Sym.FWD, path.steps):
-        raise RuleError(f"path string {path.string!r} not derivable from the forward letter")
+# main connective of the principal antecedent member, and of the succedent
+_ANTE_RULES = {"andL": And, "orL": Or, "impL": Imp, "diaL": Dia, "boxL": Box,
+               "pbox": Box}
+_SUCC_RULES = {"id": (Atom, "an atomic"), "andR": (And, "a conjunctive"),
+               "orR": (Or, "a disjunctive"), "impR": (Imp, "an implicative"),
+               "diaR": (Dia, "a diamond"), "boxR": (Box, "a box"),
+               "pdia": (Dia, "a diamond")}
 
 
-def _principal(seq: LabelledSequent, params: dict, cls) -> tuple:
-    w = _p_str(params, "world")
-    f = _p_formula(params, "formula")
-    if not isinstance(f, cls):
-        raise RuleError(f"principal {render_formula(f)!r} has the wrong main connective")
-    i = _find_once(seq.ante, (w, f))
-    return w, f, i
+def read_labelled(seq: LabelledSequent, rule: str, params: dict) -> tuple:
+    """(w, f, i, u, walk) of a rule instance, as _premises takes them.
+
+    w and f are the principal's label and formula (the succedent's for
+    a right rule; for d and S, f is None and w the new atom's source), i
+    the principal's antecedent index (for orR the disjunct kept: 0 left,
+    1 right), u the eigenvariable or target label, and walk the path
+    from w to u: the pdia/pbox path, and for S the walk back along
+    chain_n and on along chain_k, which spells the grammar production
+    its pair adds.
+
+    RuleError unless the instance matches the rule; every condition is
+    checked except the two that need the axiom set: the d and S gates
+    and the derivability of a pdia/pbox walk (premises_of_labelled).
+    """
+    w, f = seq.succ
+    i = u = walk = None
+    if rule in _ANTE_RULES:
+        w, f = _p_str(params, "world"), _p_formula(params, "formula")
+        if not isinstance(f, _ANTE_RULES[rule]):
+            raise RuleError(f"principal {render_formula(f)!r} has the wrong "
+                            "main connective")
+        i = _find_once(seq.ante, (w, f))
+    elif rule in _SUCC_RULES:
+        cls, kind = _SUCC_RULES[rule]
+        if not isinstance(f, cls):
+            raise RuleError(f"{rule} needs {kind} succedent")
+    elif rule == "botL":
+        i = next((j for j, (_, a) in enumerate(seq.ante) if isinstance(a, Bot)), None)
+        if i is None:
+            raise RuleError("botL needs a falsum antecedent member")
+        w, f = seq.ante[i]
+    elif rule == "d":
+        w, f = _p_str(params, "world"), None
+    elif rule == "S":
+        n, k = _p_int(params, "n"), _p_int(params, "k")
+        cn = _p_chain(params, "chain_n", n + 1)
+        ck = _p_chain(params, "chain_k", k + 1)
+        if cn[0] != ck[0]:
+            raise RuleError("chains must share their first label")
+        rel = set(seq.rel)
+        for chain in (cn, ck):
+            for a, b in zip(chain, chain[1:]):
+                if (a, b) not in rel:
+                    raise RuleError(f"chain atom {a} R {b} not present")
+        walk = PropPath(tuple(cn[::-1] + ck[1:]),
+                        (Sym.BWD,) * n + (Sym.FWD,) * k)
+        w, f, u = walk.start, None, walk.end
+    else:
+        raise RuleError(f"unknown rule {rule!r}")
+    if rule in ("andL", "orL", "impL", "andR", "botL"):  # read in full
+        return w, f, i, u, walk
+
+    if rule == "id":
+        i = _find_once(seq.ante, seq.succ)
+    elif rule == "orR":
+        side = _p_str(params, "side")
+        if side not in ("left", "right"):
+            raise RuleError("param 'side' must be 'left' or 'right'")
+        i = int(side == "right")
+    elif rule in ("diaL", "boxR", "d"):
+        u, labels = _p_str(params, "fresh"), seq.labels()
+        if u in labels:
+            raise RuleError(f"eigenvariable {u!r} occurs in the conclusion")
+        if w not in labels:  # only a d instance can name an absent label
+            raise RuleError(f"world {w!r} is not a label of the conclusion")
+    elif rule in ("diaR", "boxL", "pbox"):
+        u = _p_str(params, "to")
+    if (rule in ("orR", "impR") and "formula" in params
+            and _p_formula(params, "formula") != f):
+        raise RuleError("param 'formula' disagrees with the succedent")
+    if rule in ("diaR", "boxR") and "from" in params and _p_str(params, "from") != w:
+        raise RuleError("param 'from' disagrees with the succedent label")
+    if rule in ("diaR", "boxL"):
+        if (w, u) not in seq.rel:
+            raise RuleError(f"{rule} needs the atom {w} R {u}")
+    elif rule in ("pdia", "pbox"):
+        walk = _p_path(params, "path")
+        if rule == "pbox" and walk.end != u:
+            raise RuleError("param 'to' disagrees with the path's endpoint")
+        if walk.start != w:
+            raise RuleError(f"path must start at {w!r}, starts at {walk.start!r}")
+        # a d step goes along a relational atom, a b step against one
+        rel = set(seq.rel)
+        steps = zip(walk.nodes, walk.steps, walk.nodes[1:])
+        if not (all(((a, b) if c is Sym.FWD else (b, a)) in rel for a, c, b in steps)
+                and (walk.steps or w in seq.labels())):
+            raise RuleError("path does not lie in the conclusion's graph")
+        u = walk.end
+    return w, f, i, u, walk
 
 
-def _fresh(seq: LabelledSequent, params: dict, key: str = "fresh") -> str:
-    u = _p_str(params, key)
-    if u in seq.labels():
-        raise RuleError(f"eigenvariable {u!r} occurs in the conclusion")
-    return u
+def _premises(seq: LabelledSequent, rule: str, w: str, f, i, u, walk) -> list:
+    """Premises of a backward application, trusting its arguments, which
+    read_labelled reads from a rule instance's params."""
+    rel, ante, succ = seq.rel, seq.ante, seq.succ
+    if rule in ("id", "botL"):
+        return []
+    if rule == "andL":
+        return [LabelledSequent(rel, ante[:i] + ((w, f.left), (w, f.right)) + ante[i + 1:],
+                                succ)]
+    if rule == "orL":
+        return [LabelledSequent(rel, ante[:i] + ((w, f.left),) + ante[i + 1:], succ),
+                LabelledSequent(rel, ante[:i] + ((w, f.right),) + ante[i + 1:], succ)]
+    if rule == "impL":
+        return [LabelledSequent(rel, ante, (w, f.left)),
+                LabelledSequent(rel, ante[:i] + ((w, f.right),) + ante[i + 1:], succ)]
+    if rule == "andR":
+        return [LabelledSequent(rel, ante, (w, f.left)),
+                LabelledSequent(rel, ante, (w, f.right))]
+    if rule == "orR":
+        return [LabelledSequent(rel, ante, (w, f.right if i else f.left))]
+    if rule == "impR":
+        return [LabelledSequent(rel, ante + ((w, f.left),), (w, f.right))]
+    if rule == "diaL":
+        return [LabelledSequent(rel + ((w, u),), ante[:i] + ((u, f.body),) + ante[i + 1:],
+                                succ)]
+    if rule == "boxR":
+        return [LabelledSequent(rel + ((w, u),), ante, (u, f.body))]
+    if rule in ("diaR", "pdia"):
+        return [LabelledSequent(rel, ante, (u, f.body))]
+    if rule in ("boxL", "pbox"):
+        return [LabelledSequent(rel, ante + ((u, f.body),), succ)]
+    # d and S add the atom w R u
+    return [LabelledSequent(rel + ((w, u),), ante, succ)]
 
 
 def premises_of_labelled(seq: LabelledSequent, rule: str, params: dict,
                          ax: AxiomSet) -> list:
     """Premises of a backward rule application, or RuleError.
 
-    Validates the whole instance: principal membership, side conditions,
-    eigenvariables, chains, and propagation paths.
+    Checks the conditions that need the axiom set (d needs seriality, an
+    S pair must be one of its hsl pairs, a pdia/pbox walk's string must
+    derive from the forward letter), reads the instance with
+    read_labelled, which checks the rest, and computes the premises with
+    _premises.
     """
-    rel, ante, succ = seq.rel, seq.ante, seq.succ
-    w_s, f_s = succ
-
-    if rule == "id":
-        if not isinstance(f_s, Atom):
-            raise RuleError("id needs an atomic succedent")
-        _find_once(ante, succ)
-        return []
-
-    if rule == "botL":
-        if not any(isinstance(a, Bot) for _, a in ante):
-            raise RuleError("botL needs a falsum antecedent member")
-        return []
-
-    if rule == "andL":
-        w, f, i = _principal(seq, params, And)
-        new = ante[:i] + ((w, f.left), (w, f.right)) + ante[i + 1:]
-        return [LabelledSequent(rel, new, succ)]
-
-    if rule == "orL":
-        w, f, i = _principal(seq, params, Or)
-        return [
-            LabelledSequent(rel, ante[:i] + ((w, f.left),) + ante[i + 1:], succ),
-            LabelledSequent(rel, ante[:i] + ((w, f.right),) + ante[i + 1:], succ),
-        ]
-
-    if rule == "impL":
-        w, f, i = _principal(seq, params, Imp)
-        left = LabelledSequent(rel, ante, (w, f.left))
-        right = LabelledSequent(rel, ante[:i] + ((w, f.right),) + ante[i + 1:], succ)
-        return [left, right]
-
-    if rule == "andR":
-        if not isinstance(f_s, And):
-            raise RuleError("andR needs a conjunctive succedent")
-        return [LabelledSequent(rel, ante, (w_s, f_s.left)),
-                LabelledSequent(rel, ante, (w_s, f_s.right))]
-
-    if rule == "orR":
-        if not isinstance(f_s, Or):
-            raise RuleError("orR needs a disjunctive succedent")
-        side = _p_str(params, "side")
-        if side not in ("left", "right"):
-            raise RuleError("param 'side' must be 'left' or 'right'")
-        if "formula" in params and _p_formula(params, "formula") != f_s:
-            raise RuleError("param 'formula' disagrees with the succedent")
-        chosen = f_s.left if side == "left" else f_s.right
-        return [LabelledSequent(rel, ante, (w_s, chosen))]
-
-    if rule == "impR":
-        if not isinstance(f_s, Imp):
-            raise RuleError("impR needs an implicative succedent")
-        if "formula" in params and _p_formula(params, "formula") != f_s:
-            raise RuleError("param 'formula' disagrees with the succedent")
-        return [LabelledSequent(rel, ante + ((w_s, f_s.left),), (w_s, f_s.right))]
-
-    if rule == "diaL":
-        w, f, i = _principal(seq, params, Dia)
-        u = _fresh(seq, params)
-        new = ante[:i] + ((u, f.body),) + ante[i + 1:]
-        return [LabelledSequent(rel + ((w, u),), new, succ)]
-
-    if rule == "diaR":
-        if not isinstance(f_s, Dia):
-            raise RuleError("diaR needs a diamond succedent")
-        u = _p_str(params, "to")
-        if "from" in params and _p_str(params, "from") != w_s:
-            raise RuleError("param 'from' disagrees with the succedent label")
-        if (w_s, u) not in rel:
-            raise RuleError(f"diaR needs the atom {w_s} R {u}")
-        return [LabelledSequent(rel, ante, (u, f_s.body))]
-
-    if rule == "boxR":
-        if not isinstance(f_s, Box):
-            raise RuleError("boxR needs a box succedent")
-        u = _fresh(seq, params)
-        if "from" in params and _p_str(params, "from") != w_s:
-            raise RuleError("param 'from' disagrees with the succedent label")
-        return [LabelledSequent(rel + ((w_s, u),), ante, (u, f_s.body))]
-
-    if rule == "boxL":
-        w, f, i = _principal(seq, params, Box)
-        u = _p_str(params, "to")
-        if (w, u) not in rel:
-            raise RuleError(f"boxL needs the atom {w} R {u}")
-        return [LabelledSequent(rel, ante + ((u, f.body),), succ)]
-
-    if rule == "d":
-        if not ax.has_d:
-            raise RuleError("rule d needs the seriality axiom")
-        w = _p_str(params, "world")
-        u = _fresh(seq, params)
-        if w == u:
-            raise RuleError("d needs distinct endpoint labels")
-        return [LabelledSequent(rel + ((w, u),), ante, succ)]
-
+    if rule == "d" and not ax.has_d:
+        raise RuleError("rule d needs the seriality axiom")
     if rule == "S":
-        n = _p_int(params, "n")
-        k = _p_int(params, "k")
+        n, k = _p_int(params, "n"), _p_int(params, "k")
         if (n, k) not in ax.hsl:
             raise RuleError(f"pair ({n},{k}) not in the axiom set")
-        cn = _p_chain(params, "chain_n", n + 1)
-        ck = _p_chain(params, "chain_k", k + 1)
-        if cn[0] != ck[0]:
-            raise RuleError("chains must share their first label")
-        rel_set = set(rel)
-        for chain in (cn, ck):
-            for a, b in zip(chain, chain[1:]):
-                if (a, b) not in rel_set:
-                    raise RuleError(f"chain atom {a} R {b} not present")
-        return [LabelledSequent(rel + ((cn[-1], ck[-1]),), ante, succ)]
+    w, f, i, u, walk = read_labelled(seq, rule, params)
+    if rule in ("pdia", "pbox") and not derives(grammar_from_axioms(ax), Sym.FWD,
+                                                walk.steps):
+        raise RuleError(f"path string {walk.string!r} not derivable "
+                        "from the forward letter")
+    return _premises(seq, rule, w, f, i, u, walk)
 
-    if rule == "pdia":
-        if not isinstance(f_s, Dia):
-            raise RuleError("pdia needs a diamond succedent")
-        path = _p_path(params, "path")
-        _check_path(seq, path, w_s, ax)
-        return [LabelledSequent(rel, ante, (path.end, f_s.body))]
 
-    if rule == "pbox":
-        w, f, i = _principal(seq, params, Box)
-        u = _p_str(params, "to")
-        path = _p_path(params, "path")
-        if path.end != u:
-            raise RuleError("param 'to' disagrees with the path's endpoint")
-        _check_path(seq, path, w, ax)
-        return [LabelledSequent(rel, ante + ((u, f.body),), succ)]
+# the params keys of each rule, in the order labelled_params writes them
+_KEYS = {"id": (), "botL": (), "andL": ("world", "formula"),
+         "orL": ("world", "formula"), "impL": ("world", "formula"), "andR": (),
+         "orR": ("side",), "impR": (), "diaL": ("world", "formula", "fresh"),
+         "diaR": ("to",), "boxR": ("fresh",), "boxL": ("world", "formula", "to"),
+         "d": ("world", "fresh"), "pdia": ("path",),
+         "pbox": ("world", "formula", "to", "path")}
 
-    raise RuleError(f"unknown rule {rule!r}")
+
+def labelled_params(rule: str, w: Optional[str] = None, f: Optional[Formula] = None,
+                    i: Optional[int] = None, u: Optional[str] = None,
+                    walk: Optional[PropPath] = None) -> dict:
+    """The params read_labelled reads back as (w, f, i, u, walk); each
+    rule writes only its own keys, and S only its walk, as the pair and
+    the two chains."""
+    if rule == "S":
+        n = walk.steps.count(Sym.BWD)
+        return {"n": n, "k": len(walk.steps) - n,
+                "chain_n": list(walk.nodes[n::-1]), "chain_k": list(walk.nodes[n:])}
+    vals = {"world": w, "side": "right" if i else "left", "fresh": u, "to": u}
+    if f is not None:
+        vals["formula"] = render_formula(f)
+    if walk is not None:
+        vals["path"] = walk.to_list()
+    return {key: vals[key] for key in _KEYS[rule]}
 
 
 def check_labelled(p: LabelledProof, ax: AxiomSet, mode: str = "base") -> CheckResult:

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 from .formula import (MAX_NESTING, Atom, AxiomSet, Bot, Box, Dia, Formula, Imp,
                       And, Or, ParseError, parse_formula, render_formula)
-from .grammar import (Grammar, PropGraph, Sym, _Saturator, derives,
+from .grammar import (Grammar, PropGraph, PropPath, Sym, _Saturator, derives,
                       grammar_from_axioms, reach_masks)
 from .proof import CheckResult, Proof, RuleError, _p_int, _p_path, _p_str, check
 
@@ -407,6 +407,13 @@ def read_nested(seq: NestedSequent, rule: str, params: dict) -> tuple:
     return at, index, f, target
 
 
+def read_walk(seq: NestedSequent, params: dict) -> PropPath:
+    """A pdia/pbox instance's walk with its nodes as addresses, or
+    RuleError if a node id names no node of seq."""
+    path = _p_path(params, "path")
+    return PropPath(tuple(_p_id(seq, v) for v in path.nodes), path.steps)
+
+
 def premises_of_nested(seq: NestedSequent, rule: str, params: dict,
                        ax: AxiomSet) -> list:
     """Premises of a backward application at the given addresses, or
@@ -420,12 +427,11 @@ def premises_of_nested(seq: NestedSequent, rule: str, params: dict,
     if rule == "d" and not ax.has_d:
         raise RuleError("rule d needs the seriality axiom")
     if rule in ("pdia", "pbox"):
-        path = _p_path(params, "path")
-        addrs = [_p_id(seq, v) for v in path.nodes]
-        if not all(map(_is_edge, addrs, path.steps, addrs[1:])):
+        walk = read_walk(seq, params)
+        if not all(map(_is_edge, walk.nodes, walk.steps, walk.nodes[1:])):
             raise RuleError("path does not lie in the sequent's graph")
-        if not derives(grammar_from_axioms(ax), Sym.FWD, path.steps):
-            raise RuleError(f"path string {path.string!r} not derivable "
+        if not derives(grammar_from_axioms(ax), Sym.FWD, walk.steps):
+            raise RuleError(f"path string {walk.string!r} not derivable "
                             "from the forward letter")
     return _premises(seq, rule, *read_nested(seq, rule, params))
 

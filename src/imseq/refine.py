@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from .formula import AxiomSet
 from .grammar import PropPath, Sym
-from .labelled import LabelledProof, check_labelled, premises_of_labelled
-from .proof import RuleError, _p_chain, _p_int, rebuild
+from .labelled import (LabelledProof, check_labelled, labelled_params,
+                       premises_of_labelled, read_labelled)
+from .proof import RuleError, rebuild
 
 
 def _detour_path(path: PropPath, edge: tuple, cn: list, ck: list) -> PropPath:
@@ -42,17 +43,8 @@ def _detour_path(path: PropPath, edge: tuple, cn: list, ck: list) -> PropPath:
     return PropPath(tuple(nodes), tuple(steps))
 
 
-def _propagation_instance(q: LabelledProof) -> tuple:
-    """(rule, params) of q with diaR and boxL as one-step propagations."""
-    fwd = Sym.FWD.value
-    if q.rule == "diaR":
-        return "pdia", {"path": [q.conclusion.succ[0], fwd, q.params["to"]]}
-    if q.rule == "boxL":
-        return "pbox", {"world": q.params["world"],
-                        "formula": q.params["formula"],
-                        "to": q.params["to"],
-                        "path": [q.params["world"], fwd, q.params["to"]]}
-    return q.rule, dict(q.params)
+# the propagation rule each base relational rule becomes
+_PROPAGATION = {"diaR": "pdia", "boxL": "pbox"}
 
 
 def eliminate_structural(p: LabelledProof, ax: AxiomSet) -> LabelledProof:
@@ -62,7 +54,7 @@ def eliminate_structural(p: LabelledProof, ax: AxiomSet) -> LabelledProof:
     the same conclusion without diaR, boxL, or S.  Callers wanting a
     guarantee can re-check the result in refined mode.
 
-    One top-down walk: an S node is skipped and its params are carried
+    One top-down walk: an S node is skipped and its chains are carried
     to the nodes above, whose conclusions are then recomputed from the
     S node's conclusion (the S edge dropped) and whose propagation
     paths are detoured around every carried S edge, innermost first.  A
@@ -76,19 +68,20 @@ def eliminate_structural(p: LabelledProof, ax: AxiomSet) -> LabelledProof:
         concl, carried = state
         if not carried:
             concl = q.conclusion
-        while q.rule == "S":
-            carried = carried + (q.params,)
+        while q.rule == "S":  # its walk goes back along chain_n, on along chain_k
+            walk = read_labelled(q.conclusion, "S", q.params)[4]
+            n = walk.steps.count(Sym.BWD)
+            carried = carried + ((walk.nodes[n::-1], walk.nodes[n:]),)
             q = q.premises[0]
-        rule, params = _propagation_instance(q)
+        rule, params = _PROPAGATION.get(q.rule, q.rule), dict(q.params)
+        if rule != q.rule or carried and rule in ("pdia", "pbox"):
+            w, f, i, u, path = read_labelled(q.conclusion, q.rule, q.params)
+            path = path or PropPath((w, u), (Sym.FWD,))  # diaR, boxL: one step
+            for cn, ck in reversed(carried):
+                path = _detour_path(path, (cn[-1], ck[-1]), cn, ck)
+            params = labelled_params(rule, w, f, i, u, path)
         if not carried:
             return concl, rule, params, [(s, (None, ())) for s in q.premises]
-        if rule in ("pdia", "pbox"):
-            path = PropPath.from_list(params["path"])
-            for sp in reversed(carried):
-                cn = _p_chain(sp, "chain_n", _p_int(sp, "n") + 1)
-                ck = _p_chain(sp, "chain_k", _p_int(sp, "k") + 1)
-                path = _detour_path(path, (cn[-1], ck[-1]), cn, ck)
-            params["path"] = path.to_list()
         if not q.premises:
             return concl, rule, params, []
         try:

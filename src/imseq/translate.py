@@ -21,12 +21,14 @@ from dataclasses import dataclass
 from operator import attrgetter, is_, itemgetter
 from typing import Optional
 
-from .formula import MAX_NESTING, AxiomSet, Bot, parse_formula, render_formula
-from .labelled import (REFINED_RULES, LabelledSequent, premises_of_labelled,
+from .formula import MAX_NESTING, AxiomSet
+from .grammar import PropPath
+from .labelled import (REFINED_RULES, LabelledSequent, labelled_params,
+                       premises_of_labelled, read_labelled,
                        render_labelled_sequent)
 from .nested import (NESTED_RULES, NestedSequent, _params, is_full,
-                     match_children, node_at, output_position, parse_path_id,
-                     path_id, premises_of_nested, read_nested)
+                     match_children, node_at, output_position, path_id,
+                     premises_of_nested, read_nested, read_walk)
 from .proof import Proof, RuleError, checked_rebuild
 
 
@@ -201,27 +203,16 @@ def _proof_to_nested(p: Proof, ax: AxiomSet) -> Proof:
         raise ValueError("conclusion is not a labelled tree sequent")
 
     def visit(q: Proof, prems: list, refit, parent) -> tuple:
-        L, rule, params = q.conclusion, q.rule, q.params
+        L, rule = q.conclusion, q.rule
         t, m = _label_tree(L) if parent is None or refit else _grown(*parent, L)
-        w, f = L.succ[0], None
-        if rule == "id":
-            f = L.succ[1]
-        elif rule == "botL":
-            w, f = next((w, f) for w, f in L.ante if isinstance(f, Bot))
-        elif rule in ("andL", "orL", "impL", "diaL", "pbox", "d"):
-            w = params["world"]
-            f = None if rule == "d" else parse_formula(params["formula"])
-        if w not in m:
-            raise ValueError(f"d at {w!r}, a label not in the conclusion, "
-                             "has no nested counterpart")
-        path = params["path"] if rule in ("pdia", "pbox") else [w]
+        w, f, i, _, walk = read_labelled(L, rule, q.params)
+        path = walk.to_list() if walk else [w]
         at = {x: _place(t, m[x]) for x in {w, *path[0::2]}}
-        walk = [path_id(at[x]) if i % 2 == 0 else x for i, x in enumerate(path)]
-        index = None if f is None else node_at(t[1], at[w]).inputs.index(f)
-        if rule == "orR":
-            index = int(params["side"] == "right")
+        if i is not None and rule != "orR":  # the principal's place in its node
+            i = node_at(t[1], at[w]).inputs.index(f)
+        ids = [path_id(at[x]) if j % 2 == 0 else x for j, x in enumerate(path)]
         out = _TO_NESTED_RULE[rule]
-        return (t[1], out, _params(out, at[w], index, walk),
+        return (t[1], out, _params(out, at[w], i, ids),
                 [(t, m, L, {path[-1]})] * len(prems))
 
     # a premise stored exactly as computed grows from its parent's tree
@@ -264,23 +255,17 @@ def _proof_to_labelled(p: Proof, ax: AxiomSet) -> Proof:
         if refit is not None:
             m = _realign(q.conclusion, refit, m)
         rule = _TO_LABELLED_RULE[q.rule]
-        at, index, f, target = read_nested(q.conclusion, q.rule, q.params)
-        params: dict = {}
-        if q.rule in ("andI", "orI", "impI", "diaI", "d", "pbox"):
-            params["world"] = m[at]
-        if q.rule in ("andI", "orI", "impI", "diaI", "pbox"):
-            params["formula"] = render_formula(f)
-        if q.rule == "orO":
-            params["side"] = "right" if index else "left"
+        at, index, f, _ = read_nested(q.conclusion, q.rule, q.params)
+        u = walk = None
         if q.rule in ("diaI", "boxO", "d"):  # the new bracket is labelled in m
             new = at + (len(node_at(q.conclusion, at).children),)
-            params["fresh"] = m[new] = f"w{fresh}"
+            u = m[new] = f"w{fresh}"
             fresh += 1
-        if q.rule == "pbox":
-            params["to"] = m[target]
-        if q.rule in ("pdia", "pbox"):
-            params["path"] = [m[parse_path_id(x)] if i % 2 == 0 else x
-                              for i, x in enumerate(q.params["path"])]
+        elif q.rule in ("pdia", "pbox"):
+            walk = read_walk(q.conclusion, q.params)
+            walk = PropPath(tuple(m[x] for x in walk.nodes), walk.steps)
+            u = walk.end
+        params = labelled_params(rule, m[at], f, index, u, walk)
         try:
             prems = premises_of_labelled(L, rule, params, ax)
         except RuleError as e:

@@ -245,6 +245,25 @@ def test_model_eval(tmp_path, capsys):
     assert code == 0 and out.strip() == "true"
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--formula", "p", "--world", "zz"), "unknown world 'zz'"),
+    (("--sequent", "w R u ; w: []p |- u: p", "--interp", "w=a"),
+     "interpretation misses label 'u'"),
+    (("--sequent", "w R u ; w: []p |- u: p", "--interp", "w=a,u=zz"),
+     "label 'u' maps outside the model"),
+])
+def test_model_eval_usage_errors_exit_2(tmp_path, capsys, args, message):
+    """A world or label the model lacks is a usage error (2), not the
+    false answer (1)."""
+    model = tmp_path / "model.txt"
+    model.write_text("worlds: a b\nacc: a b\nval: b p\n")
+    code, out, err = run(capsys, "model-eval", str(model), *args)
+    assert (code, out) == (2, "") and message in err and "Traceback" not in err
+    code, out, _ = run(capsys, "model-eval", str(model), "--formula", "p",
+                       "--world", "a")
+    assert (code, out.strip()) == (1, "false")
+
+
 def test_model_eval_reports_frame_violation(tmp_path, capsys):
     model = tmp_path / "model.txt"
     model.write_text("worlds: a b\nacc: a b\n")

@@ -2,19 +2,22 @@
 
 A rule instance names its principal through params, and both checkers
 turn whatever params a proof file holds into premises or a RuleError.
-The first test pins the nested premise function's outcome on seeded
-instances, valid and broken, so that its first-failure messages and
-their order cannot drift; the second feeds both calculi arbitrary JSON
-values under every param key.
+The first two tests pin each calculus's premise function's outcome on
+seeded instances, valid and broken, so that its first-failure messages
+and their order cannot drift; the third feeds both calculi arbitrary
+JSON values under every param key.
 """
 
 import hashlib
 import random
 
-from imseq.formula import And, Atom, Bot, Box, Dia, Imp, Or, axiom_set
+from imseq.formula import (And, Atom, Bot, Box, Dia, Imp, Or, axiom_set,
+                           render_formula)
 from imseq.gen import random_formula, random_full_nested, random_tree_labelled
 from imseq.grammar import Sym, grammar_from_axioms, reach_all
-from imseq.labelled import BASE_RULES, REFINED_RULES, premises_of_labelled
+from imseq.labelled import (BASE_RULES, REFINED_RULES, LabelledSequent,
+                            premises_of_labelled, prop_graph_of,
+                            render_labelled_sequent)
 from imseq.nested import (NESTED_RULES, NestedSequent, all_paths, map_node,
                           node_at, output_position, path_id,
                           premises_of_nested, prop_graph_nested, render_nested)
@@ -158,6 +161,168 @@ def test_nested_premise_outcomes_match_frozen_digest():
         h.update(out.encode() + b"\n")
     assert tally["ok"] > 800 and tally["err"] > 800
     assert h.hexdigest() == OUTCOME_DIGEST
+
+
+LABELLED_RULES = sorted(BASE_RULES | REFINED_RULES) + ["bogus"]
+# the connective a rule's principal antecedent member (or succedent) must have
+ANTE_CLS = {"botL": Bot, "andL": And, "orL": Or, "impL": Imp, "diaL": Dia,
+            "boxL": Box, "pbox": Box}
+SUCC_CLS = {"id": Atom, "andR": And, "orR": Or, "impR": Imp, "diaR": Dia,
+            "boxR": Box, "pdia": Dia}
+LABELLED_DIGEST = "17310d58b22ae10b4993aa7a8e4613c0710595cab73281a5af2b7f9675651b78"
+
+
+def _of_class(rng, cls):
+    if cls is Bot:
+        return Bot()
+    if cls is Atom:
+        return Atom(rng.choice("pqr"))
+    body = random_formula(rng, 1)
+    return cls(body) if cls in (Dia, Box) else cls(body, random_formula(rng, 1))
+
+
+def _graph_sequent(rng):
+    """A labelled sequent whose relational atoms need not form a tree:
+    repeated atoms, self loops and labels with two parents."""
+    labs = [f"x{i}" for i in range(rng.randint(1, 4))]
+    rel = [(rng.choice(labs), rng.choice(labs))
+           for _ in range(rng.randrange(2 * len(labs) + 1))]
+    ante = [(rng.choice(labs), random_formula(rng, 2)) for _ in range(rng.randrange(4))]
+    return LabelledSequent(tuple(rel), tuple(ante),
+                           (rng.choice(labs), random_formula(rng, 2)))
+
+
+def _labelled_forced(rng, seq, rule):
+    """seq, often changed so that the rule's principal exists somewhere."""
+    if rng.random() < 0.35:
+        return seq
+    rel, ante, succ = seq.rel, seq.ante, seq.succ
+    labs = sorted(seq.labels())
+    if rule in SUCC_CLS:
+        succ = (succ[0], _of_class(rng, SUCC_CLS[rule]))
+        if rule == "id" and rng.random() < 0.7:
+            ante = ante + ((succ[0] if rng.random() < 0.8 else rng.choice(labs),
+                            succ[1]),)
+    elif rule in ANTE_CLS:
+        ante = ante + ((rng.choice(labs), _of_class(rng, ANTE_CLS[rule])),)
+    return LabelledSequent(rel, tuple(rng.sample(ante, len(ante))), succ)
+
+
+def _chains(rng, seq, n, k):
+    """Two chains of n + 1 and k + 1 labels from a common start, walked
+    along the relational atoms when they allow it."""
+    adj = {}
+    for a, b in seq.rel:
+        adj.setdefault(a, []).append(b)
+    start = rng.choice(sorted(seq.labels()))
+    out = []
+    for length in (n, k):
+        chain = [start]
+        for _ in range(length):
+            nxt = adj.get(chain[-1])
+            chain.append(rng.choice(nxt) if nxt and rng.random() < 0.9
+                         else rng.choice(sorted(seq.labels())))
+        out.append(chain)
+    return out
+
+
+def _labelled_walk(rng, seq, start, ax):
+    """A path param: a reach_all witness from start, often broken."""
+    walks = reach_all(prop_graph_of(seq), grammar_from_axioms(ax))
+    labs = sorted(seq.labels())
+    keys = sorted(k for k in walks if k[0] == start or rng.random() < 0.1)
+    if not keys or rng.random() < 0.05:
+        return [start, rng.choice("db"), rng.choice(labs)]
+    walk = walks[rng.choice(keys)].to_list()
+    kind = rng.randrange(8)
+    if kind == 0 and len(walk) > 1:  # flip one letter
+        i = rng.randrange(1, len(walk), 2)
+        walk[i] = Sym(walk[i]).converse().value
+    elif kind == 1 and len(walk) > 1:  # truncate by one step
+        walk = walk[:-2]
+    elif kind == 2:  # an absent or empty node name
+        walk[2 * rng.randrange(len(walk) // 2 + 1)] = rng.choice(("zz", ""))
+    elif kind == 3:  # an even-length list
+        walk = walk + ["d"]
+    elif kind == 4:  # an unknown letter
+        walk = walk + ["x", walk[0]]
+    elif kind == 5 and rng.random() < 0.3:
+        return rng.choice(("x0", 3))
+    return walk
+
+
+def _labelled_instance(rng):
+    ax = rng.choice(AXIOM_SETS)
+    rule = rng.choice(LABELLED_RULES)
+    seq = (random_tree_labelled(rng, rng.randint(1, 2), 2, 2) if rng.random() < 0.6
+           else _graph_sequent(rng))
+    seq = _labelled_forced(rng, seq, rule)
+    labs = sorted(seq.labels())
+    cls = ANTE_CLS.get(rule)
+    hits = [(w, f) for w, f in seq.ante if cls is not None and isinstance(f, cls)]
+    w, f = rng.choice(hits) if hits and rng.random() < 0.9 else (
+        rng.choice(seq.ante) if seq.ante else seq.succ)
+    if rule != "d" and rng.random() < 0.08:
+        w = rng.choice(("zz", "", 7))
+    params = {}
+    if rule == "d" or rng.random() < 0.95:
+        params["world"] = rng.choice(labs) if rule == "d" else w
+    if rule in ANTE_CLS and rng.random() < 0.97 or rng.random() < 0.3:
+        params["formula"] = render_formula(f if rule in ANTE_CLS else seq.succ[1])
+        if rng.random() < 0.15:
+            params["formula"] = rng.choice((
+                render_formula(random_formula(rng, 2)), "p &", 7))
+    if rng.random() < 0.9:
+        params["fresh"] = rng.choice(("u0", "u0", "u1", rng.choice(labs), ""))
+    tos = sorted({b for a, b in seq.rel if a == (w if rule != "diaR" else seq.succ[0])})
+    if rng.random() < 0.9:
+        params["to"] = (rng.choice(tos) if tos and rng.random() < 0.8
+                        else rng.choice(labs + ["zz"]))
+    if rng.random() < 0.15:
+        params["from"] = rng.choice((seq.succ[0], rng.choice(labs), 0))
+    if rule == "orR" or rng.random() < 0.05:
+        params["side"] = rng.choice(("left", "right", "right", "left", "up"))
+    if rule == "S" or rng.random() < 0.05:
+        pairs = sorted(ax.hsl)
+        n, k = (rng.choice(pairs) if pairs and rng.random() < 0.8
+                else (rng.randrange(3), rng.randrange(3)))
+        cn, ck = _chains(rng, seq, n, k)
+        if rng.random() < 0.1:
+            n = rng.choice((n + 1, -1, "1"))
+        params.update(n=n, k=k, chain_n=cn, chain_k=ck)
+        if rng.random() < 0.1:
+            del params[rng.choice(("n", "k", "chain_n", "chain_k"))]
+    if rule in ("pdia", "pbox") or rng.random() < 0.05:
+        start = seq.succ[0] if rule == "pdia" else w
+        if rng.random() < 0.95 and isinstance(start, str):
+            params["path"] = _labelled_walk(rng, seq, start, ax)
+            if rule == "pbox" and isinstance(params["path"], list) and rng.random() < 0.8:
+                params["to"] = params["path"][-1]
+    return seq, rule, params, ax
+
+
+def _labelled_outcome(seq, rule, params, ax) -> str:
+    try:
+        prems = premises_of_labelled(seq, rule, params, ax)
+    except RuleError as e:
+        return f"err {e}"
+    return "ok " + " | ".join(render_labelled_sequent(s) for s in prems)
+
+
+def test_labelled_premise_outcomes_match_frozen_digest():
+    """premises_of_labelled gives the same premises, or the same first
+    RuleError message, on 4,000 seeded instances: every rule of both
+    modes, four axiom sets, tree and non-tree conclusions, valid and
+    broken params.  A d instance names only labels of its conclusion."""
+    rng = random.Random(4242)
+    h = hashlib.sha256()
+    tally = {"ok": 0, "err": 0}
+    for _ in range(4000):
+        out = _labelled_outcome(*_labelled_instance(rng))
+        tally[out[:out.index(" ")]] += 1
+        h.update(out.encode() + b"\n")
+    assert tally["ok"] > 800 and tally["err"] > 800
+    assert h.hexdigest() == LABELLED_DIGEST
 
 
 NESTED_KEYS = ("at", "index", "side", "path")

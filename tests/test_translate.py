@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -208,14 +209,19 @@ def test_translate_rejects_non_tree_conclusion():
 
 
 def test_translate_rejects_d_at_an_absent_label():
-    """The refined checker lets d name any label; one the conclusion
-    lacks has no node for the new bracket."""
+    """d must name a label of its conclusion: a new atom from an absent
+    label would leave no labelled tree, so every mode refuses it, and
+    translation reports the checker's failure."""
     ax = axiom_set(d=True)
     leaf = LabelledProof(L("zz R u ; w: false |- w: p"), "botL", {}, ())
     p = LabelledProof(L("; w: false |- w: p"), "d", {"world": "zz", "fresh": "u"},
                       (leaf,))
-    assert check_labelled(p, ax, "refined")
-    with pytest.raises(ValueError, match="'zz', a label not in the conclusion"):
+    message = "d: world 'zz' is not a label of the conclusion"
+    for mode in ("base", "refined", "either"):
+        res = check_labelled(p, ax, mode)
+        assert (res.ok, res.message, res.at) == (False, message, "root")
+    with pytest.raises(ValueError, match="input proof fails the checker at root: "
+                       + re.escape(message)):
         translate_proof(p, "nested", ax)
 
 
