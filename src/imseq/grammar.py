@@ -25,6 +25,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .formula import AxiomSet
@@ -41,9 +42,16 @@ class Sym(str, Enum):
         return self.value
 
 
+_SYM = {"d": Sym.FWD, "b": Sym.BWD}
+
+
 def syms(text: Iterable[str]) -> tuple[Sym, ...]:
     """Convert 'd'/'b' characters (or Syms) to a symbol tuple."""
-    return tuple(Sym(c) for c in text)
+    text = tuple(text)
+    try:
+        return tuple(map(_SYM.__getitem__, text))
+    except (KeyError, TypeError):  # Sym's own ValueError names the bad letter
+        return tuple(Sym(c) for c in text)
 
 
 def converse_string(s: Iterable[Sym]) -> tuple[Sym, ...]:
@@ -68,8 +76,10 @@ class Grammar:
         return sorted(self.productions, key=lambda p: (p.lhs.value, tuple(c.value for c in p.rhs)))
 
 
+@lru_cache(maxsize=256)
 def grammar_from_axioms(ax: AxiomSet) -> Grammar:
-    """Two productions per (n, k) pair; the seriality flag adds none."""
+    """Two productions per (n, k) pair; the seriality flag adds none.
+    The last 256 axiom sets' grammars are kept; a grammar is immutable."""
     prods = set()
     for n, k in ax.hsl:
         prods.add(Production(Sym.FWD, (Sym.BWD,) * n + (Sym.FWD,) * k))
@@ -103,6 +113,14 @@ class PropPath:
         if not self.nodes or len(self.nodes) != len(self.steps) + 1:
             raise ValueError("path needs len(nodes) == len(steps) + 1")
 
+    @classmethod
+    def _trusted(cls, nodes: tuple, steps: tuple) -> "PropPath":
+        """The path of nodes and steps that the caller has already
+        checked to fit, without __post_init__'s check."""
+        p = object.__new__(cls)
+        p.__dict__.update(nodes=nodes, steps=steps)
+        return p
+
     @property
     def start(self) -> str:
         return self.nodes[0]
@@ -116,7 +134,7 @@ class PropPath:
         return "".join(c.value for c in self.steps)
 
     def converse(self) -> "PropPath":
-        return PropPath(tuple(reversed(self.nodes)), converse_string(self.steps))
+        return PropPath._trusted(tuple(reversed(self.nodes)), converse_string(self.steps))
 
     def to_list(self) -> list:
         out: list[str] = [self.nodes[0]]
@@ -130,7 +148,7 @@ class PropPath:
         items = list(items)
         if len(items) % 2 == 0:
             raise ValueError("path list must alternate node, letter, node")
-        return PropPath(tuple(items[0::2]), syms(items[1::2]))
+        return PropPath._trusted(tuple(items[0::2]), syms(items[1::2]))
 
     def __str__(self) -> str:
         return " ".join(self.to_list())
@@ -264,7 +282,7 @@ class _Saturator:
             else:
                 # a step's part unfolds before its full: push it last
                 todo.extend(reversed(why))
-        return PropPath(tuple(nodes), tuple(steps))
+        return PropPath._trusted(tuple(nodes), tuple(steps))
 
 
 def derives(g: Grammar, start: Sym, target: Iterable[Sym]) -> bool:
@@ -274,11 +292,28 @@ def derives(g: Grammar, start: Sym, target: Iterable[Sym]) -> bool:
     edge i→i+1 per letter, so the only walk from 0 to n spells the
     target.  The empty target needs no special case: the saturator
     seeds every nullable symbol as a walk from a node to itself.
+
+    Targets up to DERIVES_MEMO_TEXT letters are answered from a memo of
+    the last DERIVES_MEMO_SIZE questions.
     """
     t = syms(target)
+    if len(t) <= DERIVES_MEMO_TEXT:
+        return _derives_memo(g, start, t)
+    return _derives(g, start, t)
+
+
+def _derives(g: Grammar, start: Sym, t: tuple) -> bool:
     line = PropGraph(frozenset(range(len(t) + 1)),
                      frozenset((i, c, i + 1) for i, c in enumerate(t)))
     return _Saturator(line, g).full(start, 0, len(t)) is not None
+
+
+# As parse_formula's memo: at most DERIVES_MEMO_SIZE questions whose
+# target has at most DERIVES_MEMO_TEXT letters, so a long-lived process
+# keeps a bounded amount of them.
+DERIVES_MEMO_SIZE = 4096
+DERIVES_MEMO_TEXT = 64
+_derives_memo = lru_cache(maxsize=DERIVES_MEMO_SIZE)(_derives)
 
 
 def reachable(pg: PropGraph, g: Grammar, start: str, end: str) -> Optional[PropPath]:

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .formula import (Atom, AxiomSet, Bot, Box, Dia, Formula, Imp, And, Or,
@@ -29,7 +30,7 @@ from .formula import (Atom, AxiomSet, Bot, Box, Dia, Formula, Imp, And, Or,
 from .grammar import (PropGraph, PropPath, Sym, derives, grammar_from_axioms,
                       graph_from_pairs)
 from .proof import (CheckResult, Proof, RuleError, _p_chain, _p_formula,
-                    _p_int, _p_path, _p_str, check)
+                    _p_int, _p_path, _p_str, check, lazy_attribute)
 
 _LABEL = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
@@ -48,34 +49,55 @@ class LabelledSequent:
             if not (isinstance(w, str) and w):
                 raise ValueError(f"bad label {w!r}")
 
-    @cached_property
-    def _key(self):
+    @lazy_attribute
+    def _key(self) -> tuple:
         return (
             tuple(sorted(f"{w} R {u}" for w, u in self.rel)),
             tuple(sorted(f"{w}: {render_formula(a)}" for w, a in self.ante)),
             f"{self.succ[0]}: {render_formula(self.succ[1])}",
         )
 
+    @lazy_attribute
+    def _labels(self) -> frozenset:
+        return frozenset(chain.from_iterable(self.rel)).union(
+            map(itemgetter(0), self.ante), (self.succ[0],))
+
     def __eq__(self, other):
         if not isinstance(other, LabelledSequent):
             return NotImplemented
-        return self._key == other._key
+        if not (self.rel == other.rel and self.ante == other.ante
+                and self.succ == other.succ):
+            return self._key == other._key
+        # equal in stored order is equal as multisets, with no key built;
+        # a label set one of them has serves the other
+        mine, theirs = self.__dict__, other.__dict__
+        if "_labels" in theirs:
+            mine.setdefault("_labels", theirs["_labels"])
+        elif "_labels" in mine:
+            theirs["_labels"] = mine["_labels"]
+        return True
 
     def __hash__(self):
         return hash(self._key)
 
-    def labels(self) -> set:
-        out = set()
-        for w, u in self.rel:
-            out.add(w)
-            out.add(u)
-        for w, _ in self.ante:
-            out.add(w)
-        out.add(self.succ[0])
-        return out
+    def labels(self) -> frozenset:
+        """Every label of the sequent: computed once, and carried to the
+        premises that the rules build."""
+        return self._labels
 
     def __str__(self) -> str:
         return render_labelled_sequent(self)
+
+
+def _premise(rel: tuple, ante: tuple, succ: tuple, labels) -> LabelledSequent:
+    """A sequent whose labels the caller has checked, as the rules build
+    their premises from a conclusion's: no label is re-validated.
+    labels is its label set when already known, else None."""
+    s = object.__new__(LabelledSequent)
+    s.__dict__.update(rel=rel, ante=ante, succ=succ)
+    if labels is not None:
+        s.__dict__["_labels"] = labels
+    return s
 
 
 def lseq(rel: Iterable = (), ante: Iterable = (), succ: tuple = None) -> LabelledSequent:
@@ -213,8 +235,8 @@ def read_labelled(seq: LabelledSequent, rule: str, params: dict) -> tuple:
             for a, b in zip(chain, chain[1:]):
                 if (a, b) not in rel:
                     raise RuleError(f"chain atom {a} R {b} not present")
-        walk = PropPath(tuple(cn[::-1] + ck[1:]),
-                        (Sym.BWD,) * n + (Sym.FWD,) * k)
+        walk = PropPath._trusted(tuple(cn[::-1] + ck[1:]),
+                                 (Sym.BWD,) * n + (Sym.FWD,) * k)
         w, f, u = walk.start, None, walk.end
     else:
         raise RuleError(f"unknown rule {rule!r}")
@@ -262,61 +284,74 @@ def read_labelled(seq: LabelledSequent, rule: str, params: dict) -> tuple:
 
 def _premises(seq: LabelledSequent, rule: str, w: str, f, i, u, walk) -> list:
     """Premises of a backward application, trusting its arguments, which
-    read_labelled reads from a rule instance's params."""
+    read_labelled reads from a rule instance's params.  A premise has
+    the conclusion's labels, and diaL, boxR and d add the label u; the
+    set is carried over when the conclusion has it already."""
     rel, ante, succ = seq.rel, seq.ante, seq.succ
+    labels = seq.__dict__.get("_labels")
     if rule in ("id", "botL"):
         return []
+    if rule in ("diaL", "boxR", "d") and labels is not None:
+        labels = labels | {u}
+
+    def make(rel, ante, succ):
+        return _premise(rel, ante, succ, labels)
+
     if rule == "andL":
-        return [LabelledSequent(rel, ante[:i] + ((w, f.left), (w, f.right)) + ante[i + 1:],
-                                succ)]
+        return [make(rel, ante[:i] + ((w, f.left), (w, f.right)) + ante[i + 1:], succ)]
     if rule == "orL":
-        return [LabelledSequent(rel, ante[:i] + ((w, f.left),) + ante[i + 1:], succ),
-                LabelledSequent(rel, ante[:i] + ((w, f.right),) + ante[i + 1:], succ)]
+        return [make(rel, ante[:i] + ((w, f.left),) + ante[i + 1:], succ),
+                make(rel, ante[:i] + ((w, f.right),) + ante[i + 1:], succ)]
     if rule == "impL":
-        return [LabelledSequent(rel, ante, (w, f.left)),
-                LabelledSequent(rel, ante[:i] + ((w, f.right),) + ante[i + 1:], succ)]
+        return [make(rel, ante, (w, f.left)),
+                make(rel, ante[:i] + ((w, f.right),) + ante[i + 1:], succ)]
     if rule == "andR":
-        return [LabelledSequent(rel, ante, (w, f.left)),
-                LabelledSequent(rel, ante, (w, f.right))]
+        return [make(rel, ante, (w, f.left)), make(rel, ante, (w, f.right))]
     if rule == "orR":
-        return [LabelledSequent(rel, ante, (w, f.right if i else f.left))]
+        return [make(rel, ante, (w, f.right if i else f.left))]
     if rule == "impR":
-        return [LabelledSequent(rel, ante + ((w, f.left),), (w, f.right))]
+        return [make(rel, ante + ((w, f.left),), (w, f.right))]
     if rule == "diaL":
-        return [LabelledSequent(rel + ((w, u),), ante[:i] + ((u, f.body),) + ante[i + 1:],
-                                succ)]
+        return [make(rel + ((w, u),), ante[:i] + ((u, f.body),) + ante[i + 1:], succ)]
     if rule == "boxR":
-        return [LabelledSequent(rel + ((w, u),), ante, (u, f.body))]
+        return [make(rel + ((w, u),), ante, (u, f.body))]
     if rule in ("diaR", "pdia"):
-        return [LabelledSequent(rel, ante, (u, f.body))]
+        return [make(rel, ante, (u, f.body))]
     if rule in ("boxL", "pbox"):
-        return [LabelledSequent(rel, ante + ((u, f.body),), succ)]
+        return [make(rel, ante + ((u, f.body),), succ)]
     # d and S add the atom w R u
-    return [LabelledSequent(rel + ((w, u),), ante, succ)]
+    return [make(rel + ((w, u),), ante, succ)]
 
 
-def premises_of_labelled(seq: LabelledSequent, rule: str, params: dict,
-                         ax: AxiomSet) -> list:
-    """Premises of a backward rule application, or RuleError.
-
-    Checks the conditions that need the axiom set (d needs seriality, an
-    S pair must be one of its hsl pairs, a pdia/pbox walk's string must
-    derive from the forward letter), reads the instance with
-    read_labelled, which checks the rest, and computes the premises with
-    _premises.
-    """
+def read_labelled_checked(seq: LabelledSequent, rule: str, params: dict,
+                          ax: AxiomSet) -> tuple:
+    """read_labelled's reading of a rule instance, or RuleError, after
+    the conditions that need the axiom set: d needs seriality, an S pair
+    must be one of its hsl pairs, a pdia/pbox walk's string must derive
+    from the forward letter."""
     if rule == "d" and not ax.has_d:
         raise RuleError("rule d needs the seriality axiom")
     if rule == "S":
         n, k = _p_int(params, "n"), _p_int(params, "k")
         if (n, k) not in ax.hsl:
             raise RuleError(f"pair ({n},{k}) not in the axiom set")
-    w, f, i, u, walk = read_labelled(seq, rule, params)
+    reading = read_labelled(seq, rule, params)
+    walk = reading[4]
     if rule in ("pdia", "pbox") and not derives(grammar_from_axioms(ax), Sym.FWD,
                                                 walk.steps):
         raise RuleError(f"path string {walk.string!r} not derivable "
                         "from the forward letter")
-    return _premises(seq, rule, w, f, i, u, walk)
+    return reading
+
+
+def premises_of_labelled(seq: LabelledSequent, rule: str, params: dict,
+                         ax: AxiomSet) -> list:
+    """Premises of a backward rule application, or RuleError.
+
+    Reads the instance with read_labelled_checked, which checks every
+    condition, and computes the premises with _premises.
+    """
+    return _premises(seq, rule, *read_labelled_checked(seq, rule, params, ax))
 
 
 # the params keys of each rule, in the order labelled_params writes them

@@ -7,6 +7,12 @@ multiset equality; stored order is kept for serialization and for
 addressing, so positions stay meaningful under the structural
 transformations (rules only append children, never reorder them).
 
+Equality and hashing go through a node's class: one live token per
+equality class, interned as formulas are, from the node's formulas and
+its children's classes.  A node computes its class when first compared
+or hashed, so ``==`` costs a pointer comparison after that and the
+search builds no class for a node it never keys.
+
 Nodes are addressed by child-index paths rendered as ``r``, ``r.0``,
 ``r.0.1``.  The propagation graph of a sequent has one node per tree
 position and a forward/backward edge pair per bracket.
@@ -14,15 +20,63 @@ position and a forward/backward edge pair per bracket.
 
 from __future__ import annotations
 
+import re
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .formula import (MAX_NESTING, Atom, AxiomSet, Bot, Box, Dia, Formula, Imp,
                       And, Or, ParseError, parse_formula, render_formula)
 from .grammar import (Grammar, PropGraph, PropPath, Sym, _Saturator, derives,
                       grammar_from_axioms, reach_masks)
-from .proof import CheckResult, Proof, RuleError, _p_int, _p_path, _p_str, check
+from .proof import (CheckResult, Proof, RuleError, _p_int, _p_path, _p_str, check,
+                    lazy_attribute)
+
+
+class _Class:
+    """The token of one equality class of nested sequents."""
+
+    __slots__ = ("__weakref__",)
+
+
+# (inputs by id, output, child classes by id) -> a weak reference to the
+# live token of the class.  The key holds its formulas and child tokens,
+# so none of their ids is reused while the entry lives.  A token is made
+# under the lock, and its entry goes when it dies, by the atomic removal
+# WeakValueDictionary uses, which keeps an entry that a new token for
+# the same key has taken over.  A plain dict of plain references costs a
+# third of a WeakValueDictionary's time per class.
+_CLASSES: dict = {}
+_MAKING = threading.Lock()
+_class_of = attrgetter("_cls")
+
+
+def _class_dead(key: tuple, ref: weakref.ref):
+    _remove_dead_weakref(_CLASSES, key)
+
+
+def _intern_class(key: tuple) -> _Class:
+    ref = _CLASSES.get(key)
+    c = None if ref is None else ref()
+    if c is None:
+        with _MAKING:
+            ref = _CLASSES.get(key)
+            c = None if ref is None else ref()
+            if c is None:
+                c = _Class()
+                _CLASSES[key] = weakref.ref(c, partial(_class_dead, key))
+    return c
+
+
+def _multiset(items) -> tuple:
+    """A multiset of objects compared by identity, as the tuple of its
+    items sorted by id."""
+    items = tuple(items)
+    return tuple(sorted(items, key=id)) if len(items) > 1 else items
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,8 +85,15 @@ class NestedSequent:
     output: Optional[Formula]
     children: tuple  # of NestedSequent
 
-    @cached_property
-    def _key(self):
+    @lazy_attribute
+    def _cls(self) -> _Class:
+        """The node's class: equal nodes, and only they, share it."""
+        return _intern_class((_multiset(self.inputs), self.output,
+                              _multiset(map(_class_of, self.children))))
+
+    @lazy_attribute
+    def _key(self) -> tuple:
+        """Rendered items, sorted: a class's text, which orders output."""
         return (
             tuple(sorted(render_formula(f) for f in self.inputs)),
             "" if self.output is None else "o " + render_formula(self.output),
@@ -42,10 +103,18 @@ class NestedSequent:
     def __eq__(self, other):
         if not isinstance(other, NestedSequent):
             return NotImplemented
-        return self._key == other._key
+        if "_cls" in self.__dict__ and "_cls" in other.__dict__:
+            return self._cls is other._cls
+        # equal in stored order is equal as multisets, with no class built
+        return ((self.inputs == other.inputs and self.output is other.output
+                 and self.children == other.children) or self._cls is other._cls)
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self._cls)
+
+    def __reduce__(self):
+        # a copy interns its own class; the stored one would not be shared
+        return type(self), (self.inputs, self.output, self.children)
 
     def __str__(self) -> str:
         return render_nested(self)
@@ -88,55 +157,67 @@ def render_nested(s: NestedSequent) -> str:
     return ", ".join(items)
 
 
+_DELIMITERS = re.compile(r"[\[\],]")
+
+
 def _split_items(text: str) -> list:
-    items = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
+    """The top-level items of text, stripped and nonempty, each as (item,
+    whether it is one bracket: its first '[' closes at its last
+    character)."""
+    items: list = []
+    depth = start = 0
+    close = -1  # where the current item's first top-level bracket closed
+    for m in _DELIMITERS.finditer(text):
+        i = m.start()
+        ch = text[i]
         if ch == "[":
             depth += 1
         elif ch == "]":
             depth -= 1
             if depth < 0:
                 raise ParseError("unbalanced ']'", i)
-        elif ch == "," and depth == 0:
-            items.append(text[start:i])
+            if depth == 0 and close < start:
+                close = i
+        elif depth == 0:
+            _add_item(items, text, start, i, close)
             start = i + 1
     if depth != 0:
         raise ParseError("unbalanced '['")
-    items.append(text[start:])
-    return [it for it in (x.strip() for x in items) if it]
+    _add_item(items, text, start, len(text), close)
+    return items
 
 
-def _is_bracket(item: str) -> bool:
-    if not item.startswith("["):
-        return False
-    depth = 0
-    for i, ch in enumerate(item):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth == 0:
-                return i == len(item) - 1
-    return False
+def _add_item(items: list, text: str, start: int, end: int, close: int):
+    item = text[start:end]
+    body = item.strip()
+    if body:
+        items.append((body, body[0] == "[" and close == start + len(item.rstrip()) - 1))
 
 
 def parse_nested(text: str) -> NestedSequent:
     """Parse sequent text; ParseError on bad syntax or past MAX_NESTING
     bracket levels."""
-    return _parse_node(text, 0)
+    return _parse_node(text, 0, None)
 
 
-def _parse_node(text: str, depth: int) -> NestedSequent:
+def _parse_node(text: str, depth: int, memo: Optional[dict]) -> NestedSequent:
+    """The node that text describes, read at bracket depth depth.  memo,
+    when not None, is a dict that related parses share (those of one
+    proof file): a text read before at the same depth is answered from
+    it, as the same node; keyed by depth too, errors past MAX_NESTING
+    stay those of a parse alone."""
+    if memo is not None:
+        node = memo.get((text, depth))
+        if node is not None:
+            return node
     inputs = []
     output = None
     children = []
-    for item in _split_items(text):
-        if _is_bracket(item):
+    for item, bracket in _split_items(text):
+        if bracket:
             if depth == MAX_NESTING:
                 raise ParseError(f"sequent nested deeper than {MAX_NESTING} bracket levels")
-            children.append(_parse_node(item[1:-1], depth + 1))
+            children.append(_parse_node(item[1:-1], depth + 1, memo))
             continue
         if "^" not in item:
             raise ParseError(f"formula item needs a ^i or ^o marker: {item!r}")
@@ -149,7 +230,10 @@ def _parse_node(text: str, depth: int) -> NestedSequent:
             output = parse_formula(body)
         else:
             raise ParseError(f"bad polarity marker {pol!r} in {item!r}")
-    return NestedSequent(tuple(inputs), output, tuple(children))
+    node = NestedSequent(tuple(inputs), output, tuple(children))
+    if memo is not None:
+        memo[text, depth] = node
+    return node
 
 
 def path_id(path: tuple) -> str:
@@ -178,12 +262,12 @@ def match_children(a: NestedSequent, b: NestedSequent) -> list:
     siblings are interchangeable, so any such matching is sound.
     ValueError if some child of a has no partner.
     """
-    free: dict = {}  # equality key -> unused indices into b, first on top
+    free: dict = {}  # class -> unused indices into b, first on top
     for j in reversed(range(len(b.children))):
-        free.setdefault(b.children[j]._key, []).append(j)
+        free.setdefault(b.children[j]._cls, []).append(j)
     out = []
     for c in a.children:
-        spare = free.get(c._key)
+        spare = free.get(c._cls)
         if not spare:
             raise ValueError("bracket trees do not align")
         out.append(spare.pop())
@@ -411,21 +495,18 @@ def read_walk(seq: NestedSequent, params: dict) -> PropPath:
     """A pdia/pbox instance's walk with its nodes as addresses, or
     RuleError if a node id names no node of seq."""
     path = _p_path(params, "path")
-    return PropPath(tuple(_p_id(seq, v) for v in path.nodes), path.steps)
+    return PropPath._trusted(tuple(_p_id(seq, v) for v in path.nodes), path.steps)
 
 
-def premises_of_nested(seq: NestedSequent, rule: str, params: dict,
-                       ax: AxiomSet) -> list:
-    """Premises of a backward application at the given addresses, or
-    RuleError.
-
-    Checks the side conditions (d needs seriality; a pdia/pbox walk must
-    lie in the sequent's graph and its string derive from the forward
-    letter), reads the instance with read_nested, and computes the
-    premises with _premises.
-    """
+def read_nested_checked(seq: NestedSequent, rule: str, params: dict,
+                        ax: AxiomSet) -> tuple:
+    """(read_nested's reading, walk) of a rule instance, or RuleError,
+    after the side conditions: d needs seriality; a pdia/pbox walk, read
+    by read_walk, must lie in the sequent's graph and its string derive
+    from the forward letter.  walk is None for the other rules."""
     if rule == "d" and not ax.has_d:
         raise RuleError("rule d needs the seriality axiom")
+    walk = None
     if rule in ("pdia", "pbox"):
         walk = read_walk(seq, params)
         if not all(map(_is_edge, walk.nodes, walk.steps, walk.nodes[1:])):
@@ -433,7 +514,18 @@ def premises_of_nested(seq: NestedSequent, rule: str, params: dict,
         if not derives(grammar_from_axioms(ax), Sym.FWD, walk.steps):
             raise RuleError(f"path string {walk.string!r} not derivable "
                             "from the forward letter")
-    return _premises(seq, rule, *read_nested(seq, rule, params))
+    return read_nested(seq, rule, params), walk
+
+
+def premises_of_nested(seq: NestedSequent, rule: str, params: dict,
+                       ax: AxiomSet) -> list:
+    """Premises of a backward application at the given addresses, or
+    RuleError.
+
+    Reads the instance with read_nested_checked, which checks every
+    condition, and computes the premises with _premises.
+    """
+    return _premises(seq, rule, *read_nested_checked(seq, rule, params, ax)[0])
 
 
 def check_nested(p: NestedProof, ax: AxiomSet) -> CheckResult:
@@ -556,7 +648,7 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
             return leaf
         if budget <= 0:
             return None
-        key = seq._key
+        key = seq._cls
         if key in seen or fail.get(key, -1) >= budget:
             return None
         seen = seen | {key}

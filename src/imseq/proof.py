@@ -22,6 +22,27 @@ class RuleError(ValueError):
     """A rule application that does not match its scheme."""
 
 
+class lazy_attribute:
+    """A method read as an attribute: computed on first read and stored
+    in the instance's __dict__, where later reads find it at C speed.
+
+    Unlike functools.cached_property in Python 3.11 it takes no lock, so
+    two threads may both compute a value; the values here are pure
+    functions of immutable instances, so either result serves.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class Proof:
     conclusion: object  # LabelledSequent or NestedSequent

@@ -4,14 +4,17 @@ One node is {"rule", "conclusion", "params", "premises"}; conclusions
 are sequent strings in the calculus's text syntax and params are
 JSON-plain already.  Loading re-parses the strings, so dump then load
 reproduces the proof and load then dump is bit-exact up to whitespace.
+The writer's output is ``json.dumps(proof_to_dict(p), indent=2)`` plus
+a newline, byte for byte, for proofs up to MAX_PROOF_HEIGHT levels.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .labelled import parse_labelled_sequent
-from .nested import parse_nested
+from .nested import _parse_node
 from .proof import Proof
 
 
@@ -67,12 +70,87 @@ def _load(text: str, parse) -> Proof:
     return _from_dict(root, parse)
 
 
+# The tallest proof dump_proof writes.  A proof of height h nests 2h
+# JSON containers, and json.loads recurses once per container on top of
+# its caller's frames, under Python's default limit of 1000: from the
+# top of a program it reads about 495 levels, so this bound leaves the
+# caller about 90 frames.
+MAX_PROOF_HEIGHT = 450
+
+
+def _newline(level: int) -> str:
+    """A line break and the indent of JSON nesting level level."""
+    return "\n" + "  " * level
+
+
 def dump_proof(p) -> str:
-    d = proof_to_dict(p)
+    """The proof as indented JSON; ValueError for a proof taller than
+    MAX_PROOF_HEIGHT, which the loader might not read back.
+
+    Written from an explicit stack, with the C string encoder; a params
+    value that is not a string, an int or a list of strings is written
+    by json.dumps and indented in place.
+    """
+    if not isinstance(p, Proof):
+        raise ValueError(f"not a proof object: {type(p).__name__}")
+    out: list = []
+    todo: list = [(p, 0)]  # (proof, its depth) or text, next on top
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        q, depth = item
+        if depth == MAX_PROOF_HEIGHT:
+            raise ValueError("proof is nested too deeply to write")
+        at, inner, deeper = map(_newline, range(2 * depth, 2 * depth + 3))
+        params = q.params if type(q.params) is dict else dict(q.params)
+        out.append(f'{{{inner}"rule": {_value(q.rule, 2 * depth + 1)},'
+                   f'{inner}"conclusion": {encode_basestring_ascii(str(q.conclusion))},'
+                   f'{inner}"params": {_params(params, 2 * depth + 1)},'
+                   f'{inner}"premises": ')
+        if not q.premises:
+            out.append(f"[]{at}}}")
+            continue
+        out.append("[" + deeper)
+        todo.append(f"{inner}]{at}}}")
+        for j in reversed(range(len(q.premises))):
+            todo.append((q.premises[j], depth + 1))
+            if j:
+                todo.append("," + deeper)
+    out.append("\n")
+    return "".join(out)
+
+
+def _params(params: dict, level: int) -> str:
+    """A params object at JSON nesting level level, as json.dumps with
+    indent=2 writes it there."""
+    if not params:
+        return "{}"
+    if not all(type(k) is str for k in params):
+        return _value(params, level)
+    inner = _newline(level + 1)
+    items = [f"{encode_basestring_ascii(k)}: {_value(v, level + 1)}"
+             for k, v in params.items()]
+    return "{" + inner + ("," + inner).join(items) + _newline(level) + "}"
+
+
+def _value(v, level: int) -> str:
+    """A JSON value at nesting level level, as json.dumps with indent=2
+    writes it there."""
+    if type(v) is str:
+        return encode_basestring_ascii(v)
+    if type(v) is int:
+        return int.__repr__(v)
+    if type(v) is list and v and all(type(x) is str for x in v):
+        inner = _newline(level + 1)
+        return ("[" + inner + ("," + inner).join(map(encode_basestring_ascii, v))
+                + _newline(level) + "]")
     try:
-        return json.dumps(d, indent=2) + "\n"
+        text = json.dumps(v, indent=2)
     except RecursionError:
         raise ValueError("proof is nested too deeply to write") from None
+    return text.replace("\n", _newline(level))
 
 
 def load_labelled_proof(text: str) -> Proof:
@@ -80,4 +158,8 @@ def load_labelled_proof(text: str) -> Proof:
 
 
 def load_nested_proof(text: str) -> Proof:
-    return _load(text, parse_nested)
+    """The nested proof in text.  Each bracket text of the file is parsed
+    once per depth; its nodes are shared by every conclusion that holds
+    it."""
+    memo: dict = {}
+    return _load(text, lambda conclusion: _parse_node(conclusion, 0, memo))

@@ -24,11 +24,13 @@ from typing import Optional
 from .formula import MAX_NESTING, AxiomSet
 from .grammar import PropPath
 from .labelled import (REFINED_RULES, LabelledSequent, labelled_params,
-                       premises_of_labelled, read_labelled,
+                       premises_of_labelled, read_labelled_checked,
                        render_labelled_sequent)
+from .labelled import _premises as _labelled_premises
 from .nested import (NESTED_RULES, NestedSequent, _params, is_full,
                      match_children, node_at, output_position, path_id,
-                     premises_of_nested, read_nested, read_walk)
+                     read_nested_checked)
+from .nested import _premises as _nested_premises
 from .proof import Proof, RuleError, checked_rebuild
 
 
@@ -202,10 +204,18 @@ def _proof_to_nested(p: Proof, ax: AxiomSet) -> Proof:
     if is_labelled_tree(p.conclusion) is None:
         raise ValueError("conclusion is not a labelled tree sequent")
 
+    # checked_rebuild calls premises on a node just before visit
+    reading = None
+
+    def premises(s: LabelledSequent, rule: str, params: dict) -> list:
+        nonlocal reading
+        reading = read_labelled_checked(s, rule, params, ax)
+        return _labelled_premises(s, rule, *reading)
+
     def visit(q: Proof, prems: list, refit, parent) -> tuple:
         L, rule = q.conclusion, q.rule
         t, m = _label_tree(L) if parent is None or refit else _grown(*parent, L)
-        w, f, i, _, walk = read_labelled(L, rule, q.params)
+        w, f, i, _, walk = reading
         path = walk.to_list() if walk else [w]
         at = {x: _place(t, m[x]) for x in {w, *path[0::2]}}
         if i is not None and rule != "orR":  # the principal's place in its node
@@ -217,8 +227,7 @@ def _proof_to_nested(p: Proof, ax: AxiomSet) -> Proof:
 
     # a premise stored exactly as computed grows from its parent's tree
     return checked_rebuild(
-        p, lambda s, r, ps: premises_of_labelled(s, r, ps, ax), REFINED_RULES,
-        "rule {!r} not in refined mode", visit,
+        p, premises, REFINED_RULES, "rule {!r} not in refined mode", visit,
         lambda a, b: (a.rel, a.ante, a.succ) == (b.rel, b.ante, b.succ))
 
 
@@ -248,6 +257,14 @@ def _proof_to_labelled(p: Proof, ax: AxiomSet) -> Proof:
     if to_nested(L0) != p.conclusion:
         raise ValueError(f"translation drifted at {render_labelled_sequent(L0)}")
 
+    # checked_rebuild calls premises on a node just before visit
+    reading = None
+
+    def premises(s: NestedSequent, rule: str, params: dict) -> list:
+        nonlocal reading
+        reading = read_nested_checked(s, rule, params, ax)
+        return _nested_premises(s, rule, *reading[0])
+
     # m gains new brackets in place: a branch adds only addresses its own
     # sequents lack, so what an earlier branch added is never read.
     def visit(q: Proof, shapes: list, refit, state) -> tuple:
@@ -255,15 +272,14 @@ def _proof_to_labelled(p: Proof, ax: AxiomSet) -> Proof:
         if refit is not None:
             m = _realign(q.conclusion, refit, m)
         rule = _TO_LABELLED_RULE[q.rule]
-        at, index, f, _ = read_nested(q.conclusion, q.rule, q.params)
-        u = walk = None
+        (at, index, f, _), walk = reading
+        u = None
         if q.rule in ("diaI", "boxO", "d"):  # the new bracket is labelled in m
             new = at + (len(node_at(q.conclusion, at).children),)
             u = m[new] = f"w{fresh}"
             fresh += 1
-        elif q.rule in ("pdia", "pbox"):
-            walk = read_walk(q.conclusion, q.params)
-            walk = PropPath(tuple(m[x] for x in walk.nodes), walk.steps)
+        elif walk is not None:  # pdia, pbox
+            walk = PropPath._trusted(tuple(m[x] for x in walk.nodes), walk.steps)
             u = walk.end
         params = labelled_params(rule, m[at], f, index, u, walk)
         try:
@@ -279,8 +295,8 @@ def _proof_to_labelled(p: Proof, ax: AxiomSet) -> Proof:
         return L, rule, params, [(prem, m, fresh) for prem in prems]
 
     return checked_rebuild(
-        p, lambda s, r, ps: premises_of_nested(s, r, ps, ax), NESTED_RULES,
-        "unknown rule {!r}", visit, _same, (L0, names, len(names)))
+        p, premises, NESTED_RULES, "unknown rule {!r}", visit, _same,
+        (L0, names, len(names)))
 
 
 def translate_proof(p, direction: str, ax: AxiomSet):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import imseq.grammar
 from imseq.formula import axiom_set
 from imseq.grammar import (Grammar, Production, PropGraph, PropPath, Sym,
                            converse_string, derives, grammar_from_axioms,
@@ -284,3 +285,28 @@ def test_reach_witnesses_match_frozen_digest():
                 h.update(f"{x} {y} {None if p is None else p.to_list()}\n".encode())
     assert h.hexdigest() == (
         "3190748dc22b0e323e2f1fa98f918d20865f778584002863f48d4cf83aba3ead")
+
+
+def test_memos_answer_as_fresh_work_and_stay_bounded():
+    """derives answers from its memo as a fresh saturation does, keeps
+    no target past DERIVES_MEMO_TEXT letters and at most
+    DERIVES_MEMO_SIZE questions; equal axiom sets share one grammar."""
+    G = imseq.grammar
+    assert g_of((2, 1)) is grammar_from_axioms(axiom_set([(2, 1), (2, 1)]))
+    assert g_of((2, 1)) == grammar_from_axioms(axiom_set([(2, 1)], d=True))
+    info = G._derives_memo.cache_info()
+    assert info.maxsize == G.DERIVES_MEMO_SIZE
+    rng = random.Random(9103)
+    grammars = [g_of((1, 1)), g_of((2, 0)), g_of((0, 1), (1, 2))]
+    for n in list(range(12)) + [G.DERIVES_MEMO_TEXT, G.DERIVES_MEMO_TEXT + 1, 90]:
+        for _ in range(4):
+            g, t = rng.choice(grammars), "".join(rng.choice("db") for _ in range(n))
+            want = G._derives(g, D, syms(t))
+            assert derives(g, D, t) is want and derives(g, D, syms(t)) is want
+    G._derives_memo.cache_clear()
+    derives(grammars[0], D, "d" * (G.DERIVES_MEMO_TEXT + 1))
+    assert G._derives_memo.cache_info().currsize == 0
+    with pytest.raises(ValueError, match="'x' is not a valid Sym"):
+        derives(grammars[0], D, "dxb")
+    with pytest.raises(ValueError, match="is not a valid Sym"):
+        syms(["d", ["b"]])

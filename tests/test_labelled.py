@@ -1,8 +1,11 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 from imseq.formula import axiom_set, parse_formula
+from imseq.gen import random_formula, random_labelled_proof, random_tree_labelled
 from imseq.grammar import PropPath, Sym, path_in_graph
 from imseq.labelled import (CheckResult, LabelledProof, LabelledSequent,
                             RuleError, check_labelled, lseq,
@@ -267,3 +270,79 @@ def test_propagation_walks_agree_with_the_graph():
         agree += ok == in_graph
         on_graph += ok
     assert agree == 400 and 50 < on_graph < 350
+
+
+def _shuffled(rng, s):
+    """An equal sequent with its atoms and antecedent in a new order."""
+    rel, ante = list(s.rel), list(s.ante)
+    rng.shuffle(rel)
+    rng.shuffle(ante)
+    return LabelledSequent(tuple(rel), tuple(ante), s.succ)
+
+
+def _edited(rng, s):
+    """s with one atom or one formula changed, added or dropped."""
+    rel, ante, succ = list(s.rel), list(s.ante), s.succ
+    k = rng.randrange(5)
+    if k == 0 and ante:
+        i = rng.randrange(len(ante))
+        ante[i] = (ante[i][0], random_formula(rng, 1))
+    elif k == 1 and rel:
+        rel.append(rng.choice(rel))
+    elif k == 2 and ante:
+        del ante[rng.randrange(len(ante))]
+    elif k == 3:
+        succ = (succ[0], random_formula(rng, 1))
+    else:
+        rel.append((succ[0], "fresh"))
+    return _shuffled(rng, LabelledSequent(tuple(rel), tuple(ante), succ))
+
+
+def _sequents(rng, n):
+    """Tree sequents, and the conclusions of random base and refined
+    proofs, whose premises the rules built."""
+    out = []
+    while len(out) < n:
+        out.append(random_tree_labelled(rng, 2, 2))
+        for mode in ("base", "refined"):
+            p = random_labelled_proof(rng, axiom_set([(1, 1)], d=True), mode, budget=3)
+            out.extend(q.conclusion for q in p.nodes())
+    return out[:n]
+
+
+def test_equality_and_hash_agree_with_the_key():
+    rng = random.Random(7207)
+    seqs = _sequents(rng, 800)
+    equal = 0
+    for a in seqs:
+        for b in (_shuffled(rng, a), _edited(rng, a), rng.choice(seqs)):
+            same = a._key == b._key
+            assert (a == b) is same and (b == a) is same and (a != b) is not same
+            assert (hash(a) == hash(b)) is same
+            equal += same
+    assert 800 <= equal < 2000
+
+
+def test_premises_carry_the_labels_they_have():
+    """A premise the rules built, or a sequent found equal to one with
+    its label set, holds the label set a fresh copy computes."""
+    rng = random.Random(7211)
+    for s in _sequents(rng, 600):
+        want = ({w for atom in s.rel for w in atom} | {w for w, _ in s.ante}
+                | {s.succ[0]})
+        computed = LabelledSequent(s.rel, s.ante, s.succ)
+        assert computed.labels() == want
+        copies = [LabelledSequent(s.rel, s.ante, s.succ) for _ in range(3)]
+        assert copies[0] == computed and computed == copies[1]
+        assert copies[2] == s and s.labels() == want
+        assert all(c.labels() == want for c in copies)
+
+
+def test_labelled_sequents_survive_pickle_and_copy():
+    rng = random.Random(7213)
+    for s in _sequents(rng, 100):
+        h, labels = hash(s), s.labels()
+        for twin in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+            assert twin == s and s == twin and hash(twin) == h
+            assert twin.labels() == labels
+            assert render_labelled_sequent(twin) == render_labelled_sequent(s)

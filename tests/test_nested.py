@@ -1,6 +1,11 @@
+import copy
+import gc
 import hashlib
 import json
+import pickle
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -12,7 +17,8 @@ from imseq.formula import (MAX_NESTING, And, Atom, BENCHMARKS, Bot, Box, Dia,
                            parse_formula)
 from imseq.grammar import Sym, _Saturator, grammar_from_axioms, reach_all
 from imseq.nested import (EMPTY, NestedProof, _reach_targets, _witness,
-                          all_paths, check_nested, is_full, map_node, node_at,
+                          all_paths, check_nested, is_full, map_node,
+                          match_children, node_at,
                           nseq, output_count, output_position, output_pruned,
                           parse_nested, parse_path_id, path_id,
                           premises_of_nested, prop_graph_nested, prove_bounded,
@@ -464,3 +470,101 @@ def test_prover_reach_table_matches_reach_all(monkeypatch):
     for seq in (chain, random_tree(rng, 60)):
         for pairs in ([(1, 1)], [(2, 0)], [(0, 2)], [(1, 2)]):
             agrees(seq, pairs, False)
+
+
+def _fresh(s, rng=None):
+    """An equal sequent of new nodes, with no class or key stored; rng,
+    when given, shuffles the inputs and brackets of every node."""
+    inputs, kids = list(s.inputs), [_fresh(c, rng) for c in s.children]
+    if rng is not None:
+        rng.shuffle(inputs)
+        rng.shuffle(kids)
+    return nseq(inputs, s.output, kids)
+
+
+def _edited(rng, s):
+    """s with one input formula of one node replaced, added or dropped,
+    or its output moved to a bracket, as new nodes."""
+    at = rng.choice(all_paths(s))
+    f = rng.choice([P, Q, R, Dia(P), Imp(Q, R)])
+
+    def edit(nd):
+        k = rng.randrange(4)
+        if k == 0 and nd.inputs:
+            i = rng.randrange(len(nd.inputs))
+            return nseq(nd.inputs[:i] + (f,) + nd.inputs[i + 1:], nd.output, nd.children)
+        if k == 1 and nd.inputs:
+            return nseq(nd.inputs[1:], nd.output, nd.children)
+        if k == 2 and nd.output is not None and nd.children:
+            kid = nd.children[0]
+            return nseq(nd.inputs, None, (nseq(kid.inputs, nd.output, kid.children),)
+                        + nd.children[1:])
+        return nseq(nd.inputs + (f,), nd.output, nd.children)
+    return _fresh(map_node(s, at, edit))
+
+
+def test_equality_and_hash_agree_with_the_key():
+    """Classes against rendered keys on a few thousand pairs: equal
+    reorderings, one-formula edits, independent draws, and the same pair
+    compared with and without stored classes."""
+    rng = random.Random(6007)
+    pairs = 0
+    for _ in range(800):
+        a = random_full_nested(rng, rng.randrange(4), [P, Q, R])
+        for b in (_fresh(a), _fresh(a, rng), _edited(rng, a),
+                  random_full_nested(rng, rng.randrange(3), [P, Q])):
+            a2 = _fresh(a)
+            same = a._key == b._key
+            assert (a2 == b) is same and (b == a2) is same
+            assert (a2 != b) is not same
+            assert (hash(a) == hash(b)) is same  # classes stored now
+            assert (a == b) is same and (a2 == b) is same
+            if same:
+                assert match_children(a, b) is not None
+            pairs += 1
+    assert pairs == 3200
+
+
+def test_sequents_survive_pickle_and_copy():
+    rng = random.Random(6011)
+    for _ in range(50):
+        s = random_full_nested(rng, 3, [P, Q, R])
+        h = hash(s)  # a class stored on the node must not travel
+        for twin in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+            assert twin == s and s == twin and hash(twin) == h
+            assert render_nested(twin) == render_nested(s)
+            assert _fresh(s, rng) == twin
+
+
+def test_class_table_shrinks_after_collection():
+    gc.collect()
+    before = len(imseq.nested._CLASSES)
+    made = [nseq((Atom(f"fresh{i}"),), None, (nseq((P,)),)) for i in range(5000)]
+    assert len({hash(s) for s in made}) == 5000
+    assert len(imseq.nested._CLASSES) >= before + 5000
+    del made
+    gc.collect()
+    assert len(imseq.nested._CLASSES) == before
+
+
+def test_threads_share_one_class_per_sequent():
+    results = [None] * 4
+
+    def build(slot):
+        results[slot] = [nseq((Atom(f"t{i}"),), P, (nseq((Q,)), EMPTY))._cls
+                         for i in range(3000)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    first = results[0]
+    for other in results[1:]:
+        assert all(a is b for a, b in zip(first, other, strict=True))
