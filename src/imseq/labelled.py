@@ -286,7 +286,9 @@ def _premises(seq: LabelledSequent, rule: str, w: str, f, i, u, walk) -> list:
     """Premises of a backward application, trusting its arguments, which
     read_labelled reads from a rule instance's params.  A premise has
     the conclusion's labels, and diaL, boxR and d add the label u; the
-    set is carried over when the conclusion has it already."""
+    set is carried over when the conclusion has it already.  impL's
+    first premise is the exception: it drops the succedent's label,
+    which on a sequent that is not a tree may occur nowhere else."""
     rel, ante, succ = seq.rel, seq.ante, seq.succ
     labels = seq.__dict__.get("_labels")
     if rule in ("id", "botL"):
@@ -303,7 +305,8 @@ def _premises(seq: LabelledSequent, rule: str, w: str, f, i, u, walk) -> list:
         return [make(rel, ante[:i] + ((w, f.left),) + ante[i + 1:], succ),
                 make(rel, ante[:i] + ((w, f.right),) + ante[i + 1:], succ)]
     if rule == "impL":
-        return [make(rel, ante, (w, f.left)),
+        # w labels the principal formula, so only another label can go
+        return [_premise(rel, ante, (w, f.left), labels if succ[0] == w else None),
                 make(rel, ante[:i] + ((w, f.right),) + ante[i + 1:], succ)]
     if rule == "andR":
         return [make(rel, ante, (w, f.left)), make(rel, ante, (w, f.right))]

@@ -122,13 +122,15 @@ def _p_path(params: dict, key: str) -> PropPath:
 
 
 def _check_node(node: Proof, at: str, came_from, premises_fn, allowed,
-                refusal: str):
+                refusal: str, with_reading: bool = False):
     """One node's step of check: the premises premises_fn computes for
     the node, or the failing CheckResult.
 
     at is the node's address ("" at the root).  came_from is (parent
     rule, premise index, computed conclusion) when the node's conclusion
     still has to be compared with the one its parent computed, else None.
+    with_reading says that premises_fn returns (premises, reading), and
+    then so does this.
     """
     if came_from is not None and node.conclusion != came_from[2]:
         parent_rule, i, want = came_from
@@ -140,15 +142,16 @@ def _check_node(node: Proof, at: str, came_from, premises_fn, allowed,
     if node.rule not in allowed:
         return CheckResult(False, refusal.format(node.rule), where)
     try:
-        expected = premises_fn(node.conclusion, node.rule, node.params)
+        got = premises_fn(node.conclusion, node.rule, node.params)
     except RuleError as e:
         return CheckResult(False, f"{node.rule}: {e}", where)
+    expected = got[0] if with_reading else got
     if len(node.premises) != len(expected):
         return CheckResult(
             False,
             f"{node.rule}: expected {len(expected)} premises, got {len(node.premises)}",
             where)
-    return expected
+    return got
 
 
 def check(proof: Proof, premises_fn, allowed, refusal: str) -> CheckResult:
@@ -209,22 +212,25 @@ def checked_rebuild(proof: Proof, premises_fn, allowed, refusal: str,
     """rebuild that checks the proof it walks as check does, and raises
     ValueError naming the first failure in preorder with check's message.
 
-    visit(node, premises, refit, state) returns (conclusion, rule,
-    params, [state, ...]), one state per premise, where premises are the
-    ones premises_fn computed.  A premise's stored conclusion that
-    fits(stored, computed) skips the comparison with the computed one;
-    refit is that computed conclusion when the stored one did not fit,
-    and None when it did and at the root.
+    premises_fn(conclusion, rule, params) returns (premises, reading):
+    the premise sequents and the instance as the caller read it, or
+    raises RuleError.  visit(node, premises, reading, refit, state)
+    returns (conclusion, rule, params, [state, ...]), one state per
+    premise.  A premise's stored conclusion that fits(stored, computed)
+    skips the comparison with the computed one; refit is that computed
+    conclusion when the stored one did not fit, and None when it did
+    and at the root.
     """
     def step(node: Proof, st) -> tuple:
         at, came_from, inner = st
         fit = came_from is None or fits(node.conclusion, came_from[2])
         got = _check_node(node, at, None if fit else came_from,
-                          premises_fn, allowed, refusal)
+                          premises_fn, allowed, refusal, with_reading=True)
         if isinstance(got, CheckResult):
             raise ValueError(f"input proof fails the checker at {got.at}: {got.message}")
+        got, reading = got
         conclusion, rule, params, states = visit(
-            node, got, None if fit else came_from[2], inner)
+            node, got, reading, None if fit else came_from[2], inner)
         prefix = f"{at}." if at else ""
         return conclusion, rule, params, [
             (sub, (f"{prefix}{j}", (node.rule, j, got[j]), s))

@@ -5,7 +5,8 @@ are sequent strings in the calculus's text syntax and params are
 JSON-plain already.  Loading re-parses the strings, so dump then load
 reproduces the proof and load then dump is bit-exact up to whitespace.
 The writer's output is ``json.dumps(proof_to_dict(p), indent=2)`` plus
-a newline, byte for byte, for proofs up to MAX_PROOF_HEIGHT levels.
+a newline, byte for byte, for proofs up to MAX_PROOF_HEIGHT levels; the
+writer and the loaders refuse a taller proof.
 """
 
 from __future__ import annotations
@@ -16,6 +17,17 @@ from json.encoder import encode_basestring_ascii
 from .labelled import parse_labelled_sequent
 from .nested import _parse_node
 from .proof import Proof
+
+
+# The tallest proof dump_proof writes and the loaders read.  A proof of
+# height h nests 2h JSON containers, and json.loads recurses once per
+# container on top of its caller's frames, under Python's default limit
+# of 1000: called from the top of a program it reads 496 levels of a
+# d-chain, and each frame of its caller costs half a level (from a
+# pytest test body, 34 frames down, it reads 477).  This bound leaves
+# the caller about 90 frames, and a file taller than it is refused
+# whether or not json.loads could read it.
+MAX_PROOF_HEIGHT = 450
 
 
 def proof_to_dict(p) -> dict:
@@ -36,9 +48,11 @@ def _from_dict(root, parse) -> Proof:
     """Validate and parse the nodes in preorder, then build the proofs
     bottom-up, with explicit stacks."""
     order = []  # (node dict, parsed conclusion), preorder
-    todo = [root]
+    todo = [(root, 1)]  # (node dict, its height from the root)
     while todo:
-        d = todo.pop()
+        d, depth = todo.pop()
+        if depth > MAX_PROOF_HEIGHT:
+            raise ValueError("proof file is nested too deeply to read")
         if not isinstance(d, dict):
             raise ValueError("proof node must be a JSON object")
         missing = {"rule", "conclusion", "params", "premises"} - d.keys()
@@ -53,7 +67,7 @@ def _from_dict(root, parse) -> Proof:
         if not isinstance(d["premises"], list):
             raise ValueError("premises must be a list")
         order.append((d, parse(d["conclusion"])))
-        todo.extend(reversed(d["premises"]))
+        todo.extend((e, depth + 1) for e in reversed(d["premises"]))
     # in reverse preorder a node's premises are the top of `built`, first on top
     built: list = []
     for d, conclusion in reversed(order):
@@ -70,14 +84,6 @@ def _load(text: str, parse) -> Proof:
     return _from_dict(root, parse)
 
 
-# The tallest proof dump_proof writes.  A proof of height h nests 2h
-# JSON containers, and json.loads recurses once per container on top of
-# its caller's frames, under Python's default limit of 1000: from the
-# top of a program it reads about 495 levels, so this bound leaves the
-# caller about 90 frames.
-MAX_PROOF_HEIGHT = 450
-
-
 def _newline(level: int) -> str:
     """A line break and the indent of JSON nesting level level."""
     return "\n" + "  " * level
@@ -85,7 +91,7 @@ def _newline(level: int) -> str:
 
 def dump_proof(p) -> str:
     """The proof as indented JSON; ValueError for a proof taller than
-    MAX_PROOF_HEIGHT, which the loader might not read back.
+    MAX_PROOF_HEIGHT, which the loaders refuse.
 
     Written from an explicit stack, with the C string encoder; a params
     value that is not a string, an int or a list of strings is written

@@ -204,15 +204,11 @@ def _proof_to_nested(p: Proof, ax: AxiomSet) -> Proof:
     if is_labelled_tree(p.conclusion) is None:
         raise ValueError("conclusion is not a labelled tree sequent")
 
-    # checked_rebuild calls premises on a node just before visit
-    reading = None
-
-    def premises(s: LabelledSequent, rule: str, params: dict) -> list:
-        nonlocal reading
+    def premises(s: LabelledSequent, rule: str, params: dict) -> tuple:
         reading = read_labelled_checked(s, rule, params, ax)
-        return _labelled_premises(s, rule, *reading)
+        return _labelled_premises(s, rule, *reading), reading
 
-    def visit(q: Proof, prems: list, refit, parent) -> tuple:
+    def visit(q: Proof, prems: list, reading: tuple, refit, parent) -> tuple:
         L, rule = q.conclusion, q.rule
         t, m = _label_tree(L) if parent is None or refit else _grown(*parent, L)
         w, f, i, _, walk = reading
@@ -257,17 +253,13 @@ def _proof_to_labelled(p: Proof, ax: AxiomSet) -> Proof:
     if to_nested(L0) != p.conclusion:
         raise ValueError(f"translation drifted at {render_labelled_sequent(L0)}")
 
-    # checked_rebuild calls premises on a node just before visit
-    reading = None
-
-    def premises(s: NestedSequent, rule: str, params: dict) -> list:
-        nonlocal reading
+    def premises(s: NestedSequent, rule: str, params: dict) -> tuple:
         reading = read_nested_checked(s, rule, params, ax)
-        return _nested_premises(s, rule, *reading[0])
+        return _nested_premises(s, rule, *reading[0]), reading
 
     # m gains new brackets in place: a branch adds only addresses its own
     # sequents lack, so what an earlier branch added is never read.
-    def visit(q: Proof, shapes: list, refit, state) -> tuple:
+    def visit(q: Proof, shapes: list, reading: tuple, refit, state) -> tuple:
         L, m, fresh = state
         if refit is not None:
             m = _realign(q.conclusion, refit, m)

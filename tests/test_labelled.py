@@ -346,3 +346,54 @@ def test_labelled_sequents_survive_pickle_and_copy():
             assert twin == s and s == twin and hash(twin) == h
             assert twin.labels() == labels
             assert render_labelled_sequent(twin) == render_labelled_sequent(s)
+
+
+def test_a_label_dropped_by_impl_is_gone_from_the_premise():
+    """impL's first premise loses a succedent label found nowhere else,
+    so a later d instance may not name it, whether or not the
+    conclusion's label set was computed before its premises."""
+    axd = axiom_set(d=True)
+    inner = node("d", "w R x ; w: p -> false, w: p |- w: p",
+                 [leaf("id", "w R x, v R y ; w: p -> false, w: p |- w: p")],
+                 world="v", fresh="y")
+    imp = node("impL", "w R x ; w: p -> false, w: p |- v: r",
+               [inner, leaf("botL", "w R x ; w: false, w: p |- v: r")],
+               world="w", formula="p -> false")
+    root = node("d", "; w: p -> false, w: p |- v: r", [imp], world="w", fresh="x")
+    for _ in range(2):
+        r = check_labelled(root, axd)
+        assert not r.ok and r.at == "0.0"
+        assert r.message == "d: world 'v' is not a label of the conclusion"
+        for q in root.nodes():
+            q.conclusion.labels()
+    # and the freed label may serve as a fresh one
+    s = seq("w R x ; w: p -> false, w: p |- v: r")
+    s.labels()
+    [p, _] = premises_of_labelled(s, "impL", {"world": "w", "formula": "p -> false"}, axd)
+    [q] = premises_of_labelled(p, "d", {"world": "w", "fresh": "v"}, axd)
+    assert q == seq("w R x, w R v ; w: p -> false, w: p |- w: p")
+
+
+def test_premises_built_after_labels_hold_fresh_labels():
+    """Every premise of a conclusion whose label set was computed first
+    holds the set a fresh computation gives, on the nodes of random
+    proofs and on their impL nodes moved to an isolated succedent."""
+    rng = random.Random(7219)
+    ax = axiom_set([(1, 1)], d=True)
+    cases = []
+    for mode in ("base", "refined") * 60:
+        for q in random_labelled_proof(rng, ax, mode, budget=4).nodes():
+            s = q.conclusion
+            cases.append((s, q.rule, q.params))
+            if q.rule == "impL":
+                cases.append((LabelledSequent(s.rel, s.ante, ("lone", s.succ[1])),
+                              q.rule, q.params))
+    rules = set()
+    for s, rule, params in cases:
+        s = LabelledSequent(s.rel, s.ante, s.succ)
+        s.labels()
+        for prem in premises_of_labelled(s, rule, params, ax):
+            assert prem.labels() == LabelledSequent(prem.rel, prem.ante,
+                                                    prem.succ).labels()
+            rules.add(rule)
+    assert {"impL", "diaL", "boxR", "d", "pdia", "pbox", "S"} <= rules

@@ -136,6 +136,26 @@ def test_writer_bound_round_trips_and_refuses_one_level_more():
         dump_proof(d_chain(MAX_PROOF_HEIGHT + 1))
 
 
+def chain_text(conclusion: str, height: int) -> str:
+    """A proof file of the given height, every node concluding conclusion."""
+    c = json.dumps(conclusion)
+    head = f'{{"rule": "d", "conclusion": {c}, "params": {{}}, "premises": [' * (height - 1)
+    leaf = f'{{"rule": "id", "conclusion": {c}, "params": {{}}, "premises": []}}'
+    return head + leaf + "]}" * (height - 1)
+
+
+def test_loaders_refuse_what_the_writer_refuses():
+    """The loaders read a file up to MAX_PROOF_HEIGHT levels and refuse
+    one level more, though json.loads reads it."""
+    for load, conclusion in ((load_nested_proof, "p^i, p^o"),
+                             (load_labelled_proof, "; w: p |- w: p")):
+        assert load(chain_text(conclusion, MAX_PROOF_HEIGHT)).height() == MAX_PROOF_HEIGHT
+        taller = chain_text(conclusion, MAX_PROOF_HEIGHT + 1)
+        json.loads(taller)
+        with pytest.raises(ValueError, match="proof file is nested too deeply to read"):
+            load(taller)
+
+
 def test_shared_brackets_load_as_each_text_parses_alone():
     """A bracket text repeated in a file, at one depth and at two, loads
     as parse_nested reads each conclusion alone, and past MAX_NESTING at
