@@ -361,25 +361,28 @@ def _p_input(seq: NestedSequent, params: dict, path: tuple, cls=None):
     return idx, f
 
 
-def _input_replaced(nd: NestedSequent, idx: int, *fs) -> NestedSequent:
-    return NestedSequent(nd.inputs[:idx] + fs[:1] + nd.inputs[idx + 1:] + fs[1:],
-                         nd.output, nd.children)
+# A node edit (path, idx, fs, out, kid) rewrites the node at path: the
+# input at idx becomes fs[0] and the rest of fs is appended (with idx
+# None, all of fs is appended), the output becomes out unless out is
+# _KEEP, and kid, unless None, is appended as a new bracket.  Edits only
+# append children, so every node keeps its address.
+_KEEP = object()
 
 
-def _input_removed(nd: NestedSequent, idx: int) -> NestedSequent:
-    return NestedSequent(nd.inputs[:idx] + nd.inputs[idx + 1:], nd.output, nd.children)
+def _edit(path: tuple, idx: Optional[int] = None, fs: tuple = (),
+          out=_KEEP, kid: Optional[NestedSequent] = None) -> tuple:
+    return path, idx, fs, out, kid
 
 
-def _input_appended(nd: NestedSequent, f: Formula) -> NestedSequent:
-    return NestedSequent(nd.inputs + (f,), nd.output, nd.children)
-
-
-def _output_set(nd: NestedSequent, f: Optional[Formula]) -> NestedSequent:
-    return NestedSequent(nd.inputs, f, nd.children)
-
-
-def _child_appended(nd: NestedSequent, child: NestedSequent) -> NestedSequent:
-    return NestedSequent(nd.inputs, nd.output, nd.children + (child,))
+def _edited(nd: NestedSequent, idx: Optional[int], fs: tuple, out,
+            kid: Optional[NestedSequent]) -> NestedSequent:
+    inputs = nd.inputs
+    if idx is not None:
+        inputs = inputs[:idx] + fs[:1] + inputs[idx + 1:] + fs[1:]
+    elif fs:
+        inputs += fs
+    return NestedSequent(inputs, nd.output if out is _KEEP else out,
+                         nd.children if kid is None else nd.children + (kid,))
 
 
 def _is_edge(a: tuple, c: Sym, b: tuple) -> bool:
@@ -389,9 +392,10 @@ def _is_edge(a: tuple, c: Sym, b: tuple) -> bool:
     return len(child) == len(parent) + 1 and child[:-1] == parent
 
 
-def _premises(seq: NestedSequent, rule: str, at: tuple, index: Optional[int],
-              f: Optional[Formula], target: Optional[tuple]) -> list:
-    """Premises of a backward application, trusting its arguments.
+def _premise_edits(seq: NestedSequent, rule: str, at: tuple, index: Optional[int],
+                   f: Optional[Formula], target: Optional[tuple]) -> tuple:
+    """The rule table: for each premise of a backward application, the
+    node edits that make it from seq, applied in order.
 
     at is the principal node's path (for pdia/pbox the path's start and
     target its end), index the principal input's position (for orO the
@@ -401,40 +405,69 @@ def _premises(seq: NestedSequent, rule: str, at: tuple, index: Optional[int],
     these arguments from a rule instance's params.
     """
     if rule in ("botI", "id"):
-        return []
+        return ()
     if rule == "andI":
-        return [map_node(seq, at, lambda nd: _input_replaced(nd, index, f.left, f.right))]
+        return ((_edit(at, index, (f.left, f.right)),),)
     if rule == "andO":
-        return [map_node(seq, at, lambda nd: _output_set(nd, f.left)),
-                map_node(seq, at, lambda nd: _output_set(nd, f.right))]
+        return (_edit(at, out=f.left),), (_edit(at, out=f.right),)
     if rule == "orI":
-        return [map_node(seq, at, lambda nd: _input_replaced(nd, index, f.left)),
-                map_node(seq, at, lambda nd: _input_replaced(nd, index, f.right))]
+        return (_edit(at, index, (f.left,)),), (_edit(at, index, (f.right,)),)
     if rule == "orO":
-        chosen = f.right if index else f.left
-        return [map_node(seq, at, lambda nd: _output_set(nd, chosen))]
+        return ((_edit(at, out=f.right if index else f.left),),)
     if rule == "impO":
-        return [map_node(seq, at,
-                         lambda nd: _input_appended(_output_set(nd, f.right), f.left))]
+        return ((_edit(at, fs=(f.left,), out=f.right),),)
     if rule == "impI":
-        left = map_node(output_pruned(seq), at, lambda nd: _output_set(nd, f.left))
-        right = map_node(seq, at, lambda nd: _input_replaced(nd, index, f.right))
-        return [left, right]
+        return ((_edit(output_position(seq)[0], out=None), _edit(at, out=f.left)),
+                (_edit(at, index, (f.right,)),))
     if rule == "boxO":
-        return [map_node(seq, at,
-                         lambda nd: _child_appended(_output_set(nd, None),
-                                                    nseq(output=f.body)))]
+        return ((_edit(at, out=None, kid=nseq(output=f.body)),),)
     if rule == "diaI":
-        return [map_node(seq, at,
-                         lambda nd: _child_appended(_input_removed(nd, index),
-                                                    nseq(inputs=(f.body,))))]
+        return ((_edit(at, index, kid=nseq(inputs=(f.body,))),),)
     if rule == "d":
-        return [map_node(seq, at, lambda nd: _child_appended(nd, EMPTY))]
+        return ((_edit(at, kid=EMPTY),),)
     if rule == "pdia":
-        pruned = map_node(seq, at, lambda nd: _output_set(nd, None))
-        return [map_node(pruned, target, lambda nd: _output_set(nd, f.body))]
+        return ((_edit(at, out=None), _edit(target, out=f.body)),)
     # pbox
-    return [map_node(seq, target, lambda nd: _input_appended(nd, f.body))]
+    return ((_edit(target, fs=(f.body,)),),)
+
+
+def _applied(seq: NestedSequent, edits: tuple) -> NestedSequent:
+    """The premise that one premise's edits make from seq."""
+    for path, idx, fs, out, kid in edits:
+        seq = replace_at(seq, path, _edited(node_at(seq, path), idx, fs, out, kid))
+    return seq
+
+
+def _premises(seq: NestedSequent, rule: str, at: tuple, index: Optional[int],
+              f: Optional[Formula], target: Optional[tuple]) -> list:
+    """Premises of a backward application, trusting its arguments, which
+    are _premise_edits' arguments."""
+    return [_applied(seq, edits)
+            for edits in _premise_edits(seq, rule, at, index, f, target)]
+
+
+def _touched(seq: NestedSequent, edits: tuple) -> Optional[tuple]:
+    """(path, node) of the node of the premise that edits make from seq
+    that gained an input or an output, or None if none did.  node has
+    the premise's formulas there, but its brackets may be seq's: only
+    the touched node is built, not the premise.
+
+    That is the principal of andI, andO, orI, orO, impO and impI, the
+    walk's target of pdia and pbox, and diaI's new bracket.  boxO's new
+    bracket gains an output but no input, so it is left out; boxO and d
+    touch no node.  A node that lost formulas or gained only a bracket
+    holds no leaf that it did not hold in seq.
+    """
+    for path, idx, fs, out, kid in edits:
+        if kid is not None and kid.inputs:
+            return path + (len(node_at(seq, path).children),), kid
+        if fs or out is not _KEEP and out is not None:
+            node = node_at(seq, path)
+            for e in edits:
+                if e[0] == path:
+                    node = _edited(node, *e[1:])
+            return path, node
+    return None
 
 
 # main connective of the principal input, and of the principal output
@@ -535,16 +568,45 @@ def check_nested(p: NestedProof, ax: AxiomSet) -> CheckResult:
                  NESTED_RULES, "unknown rule {!r}")
 
 
-def _try_leaf(seq: NestedSequent, positions: list) -> Optional[NestedProof]:
-    for path, node in positions:
-        for idx, f in enumerate(node.inputs):
-            if isinstance(f, Bot):
-                return NestedProof(seq, "botI",
-                                   {"at": path_id(path), "index": idx}, ())
-            if isinstance(f, Atom) and node.output == f:
-                return NestedProof(seq, "id",
-                                   {"at": path_id(path), "index": idx}, ())
+def _node_leaf(node: NestedSequent) -> Optional[tuple]:
+    """(rule, index) of node's first input that closes it, botI on false
+    and id on the atom that is its output, or None."""
+    out = node.output
+    for idx, f in enumerate(node.inputs):
+        if isinstance(f, Bot):
+            return "botI", idx
+        if f is out and isinstance(f, Atom):
+            return "id", idx
     return None
+
+
+def _leaf_proof(seq: NestedSequent, path: tuple, rule: str, idx: int) -> NestedProof:
+    return NestedProof(seq, rule, {"at": path_id(path), "index": idx}, ())
+
+
+def _try_leaf(seq: NestedSequent, positions: list) -> Optional[NestedProof]:
+    """The leaf proof of seq at its first closing node in preorder, or
+    None."""
+    for path, node in positions:
+        leaf = _node_leaf(node)
+        if leaf is not None:
+            return _leaf_proof(seq, path, *leaf)
+    return None
+
+
+def _local_leaf(seq: NestedSequent, edits: tuple) -> Optional[tuple]:
+    """(path, rule, index) of the leaf that closes the premise edits make
+    from seq, or None, read off its touched node alone.
+
+    seq must be no leaf: then no untouched node of the premise is one,
+    and the touched node's first closing input is the one _try_leaf
+    finds in the built premise.
+    """
+    touched = _touched(seq, edits)
+    if touched is None:
+        return None
+    leaf = _node_leaf(touched[1])
+    return None if leaf is None else (touched[0],) + leaf
 
 
 def _reach_targets(shape: tuple, g: Grammar) -> list:
@@ -593,17 +655,23 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
     budget.  Incomplete in general.
 
     The search addresses nodes by child-index paths and computes
-    premises with _premises, without re-checking side conditions: a
-    pdia/pbox target is one the sequent's own propagation graph reaches,
-    and d is tried only under seriality.  The graph depends on the
-    bracket tree alone, so its reachable pairs are computed once per
-    tree shape, by the bitmask closure reach_masks, and kept for this
-    call only.  Params, with ``r.0.1`` ids and the witness walk, are
-    built only for the nodes of proofs found; the walks unfold from one
-    worklist saturation per tree shape, also kept for this call only,
-    and are reach_all's walks.  The proof about to be returned
-    is run through check_nested, and a failure raises RuntimeError, so
-    results always check.
+    premises from _premise_edits, without re-checking side conditions:
+    a pdia/pbox target is one the sequent's own propagation graph
+    reaches, and d is tried only under seriality.  Only the goal is
+    scanned whole for a leaf.  A premise's conclusion is no leaf, so a
+    premise can close only at the node its rule touched (_touched), and
+    its leaf test runs there alone.  Premises searched at budget 0
+    close by that test or not at all, so they are decided, in order,
+    before any is built, and built only when all of them close; the
+    rest are built one at a time as the search reaches them.  The
+    graph depends on the bracket tree alone, so its reachable pairs are
+    computed once per tree shape, by the bitmask closure reach_masks,
+    and kept for this call only.  Params, with ``r.0.1`` ids and the
+    witness walk, are built only for the nodes of proofs found; the
+    walks unfold from one worklist saturation per tree shape, also kept
+    for this call only, and are reach_all's walks.  The proof about to
+    be returned is run through check_nested, and a failure raises
+    RuntimeError, so results always check.
     Raises ValueError for a goal that is not full or a negative depth.
     """
     if not is_full(goal):
@@ -632,8 +700,20 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
         return _witness(sat, src, dst)
 
     def attempt(seq, rule, at, index, f, target, budget, seen):
+        prems = _premise_edits(seq, rule, at, index, f, target)
+        leaves = []
+        for edits in prems:
+            leaf = _local_leaf(seq, edits)
+            if leaf is None and budget == 1:
+                # searched at budget 0, this premise would fail
+                return None
+            leaves.append(leaf)
         subs = []
-        for prem in _premises(seq, rule, at, index, f, target):
+        for edits, leaf in zip(prems, leaves):
+            prem = _applied(seq, edits)
+            if leaf is not None:
+                subs.append(_leaf_proof(prem, *leaf))
+                continue
             sub = search(prem, budget - 1, seen)
             if sub is None:
                 return None
@@ -642,16 +722,12 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
         return NestedProof(seq, rule, _params(rule, at, index, walk), tuple(subs))
 
     def search(seq, budget, seen):
-        positions = _positions(seq)
-        leaf = _try_leaf(seq, positions)
-        if leaf is not None:
-            return leaf
-        if budget <= 0:
-            return None
+        # seq is no leaf, and budget is at least 1
         key = seq._cls
         if key in seen or fail.get(key, -1) >= budget:
             return None
         seen = seen | {key}
+        positions = _positions(seq)
 
         def commit(rule, at, index, f):
             got = attempt(seq, rule, at, index, f, None, budget, seen)
@@ -722,7 +798,9 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
         fail[key] = max(fail.get(key, -1), budget)
         return None
 
-    proof = search(goal, depth, frozenset())
+    proof = _try_leaf(goal, _positions(goal))
+    if proof is None and depth > 0:
+        proof = search(goal, depth, frozenset())
     # search and attempt form a reference cycle that holds these tables
     # until a full garbage collection; free them now.
     reach_by_shape.clear()

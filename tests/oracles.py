@@ -4,7 +4,9 @@ These deliberately avoid the library's algorithms: string derivability
 is a breadth-first closure over one-step rewrites, path search is a naive
 length-bounded enumeration, model evaluation expands quantifiers
 without memoization, and proof translation re-translates every node's
-whole sequent after a separate checker walk.
+whole sequent after a separate checker walk.  The reference prover
+builds every premise it searches and scans every node of it for a leaf,
+and its failure cache can be switched off.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ from collections import deque
 
 from imseq.formula import (MAX_NESTING, And, Atom, Bot, Box, Dia, Imp, Or,
                            parse_formula, render_formula)
-from imseq.grammar import Grammar, PropGraph, PropPath, Sym, syms
+from imseq.grammar import (Grammar, PropGraph, PropPath, Sym, _Saturator,
+                           grammar_from_axioms, syms)
 from imseq.labelled import (check_labelled, premises_of_labelled,
                             render_labelled_sequent)
-from imseq.nested import (NestedSequent, _params, _premises, check_nested,
-                          match_children, node_at, parse_path_id, path_id,
-                          read_nested)
+from imseq.nested import (EMPTY, NestedProof, NestedSequent, _params, _positions,
+                          _premises, _reach_targets, _witness, all_paths,
+                          check_nested, is_full, match_children, node_at,
+                          parse_path_id, path_id, prop_graph_nested, read_nested)
 from imseq.proof import RuleError, rebuild
 from imseq.translate import (_TO_LABELLED_RULE, _TO_NESTED_RULE,
                              is_labelled_tree, to_labelled_with_map)
@@ -292,3 +296,146 @@ def ref_proof_to_labelled(p, ax):
             for sub, prem, shape in zip(q.premises, prems, shapes)]
 
     return rebuild(p, visit, (L0, names, len(names)))
+
+
+def _ref_try_leaf(seq, positions):
+    for path, node in positions:
+        for idx, f in enumerate(node.inputs):
+            if isinstance(f, Bot):
+                return NestedProof(seq, "botI",
+                                   {"at": path_id(path), "index": idx}, ())
+            if isinstance(f, Atom) and node.output == f:
+                return NestedProof(seq, "id",
+                                   {"at": path_id(path), "index": idx}, ())
+    return None
+
+
+def ref_prove_bounded(goal, ax, depth, cache=True):
+    """prove_bounded's search as it stood before premises were decided at
+    the nodes their rule touched: every call walks the whole sequent and
+    scans it for a leaf, and every premise searched is built, also at
+    budget 0.  cache=False never consults the failure cache."""
+    if not is_full(goal):
+        raise ValueError("goal must have exactly one output formula")
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
+    g = grammar_from_axioms(ax)
+    fail: dict = {}
+    reach_by_shape: dict = {}
+    sat_by_shape: dict = {}
+
+    def reach_from(positions):
+        shape = tuple(path for path, _ in positions)
+        table = reach_by_shape.get(shape)
+        if table is None:
+            table = reach_by_shape[shape] = _reach_targets(shape, g)
+        return table
+
+    def witness(seq, src, dst):
+        shape = tuple(all_paths(seq))
+        sat = sat_by_shape.get(shape)
+        if sat is None:
+            sat = sat_by_shape[shape] = _Saturator(prop_graph_nested(seq), g)
+        return _witness(sat, src, dst)
+
+    def attempt(seq, rule, at, index, f, target, budget, seen):
+        subs = []
+        for prem in _premises(seq, rule, at, index, f, target):
+            sub = search(prem, budget - 1, seen)
+            if sub is None:
+                return None
+            subs.append(sub)
+        walk = None if target is None else witness(seq, at, target)
+        return NestedProof(seq, rule, _params(rule, at, index, walk), tuple(subs))
+
+    def search(seq, budget, seen):
+        positions = _positions(seq)
+        leaf = _ref_try_leaf(seq, positions)
+        if leaf is not None:
+            return leaf
+        if budget <= 0:
+            return None
+        key = seq._cls
+        if key in seen or (cache and fail.get(key, -1) >= budget):
+            return None
+        seen = seen | {key}
+
+        def commit(rule, at, index, f):
+            got = attempt(seq, rule, at, index, f, None, budget, seen)
+            if got is None:
+                fail[key] = max(fail.get(key, -1), budget)
+            return got
+
+        # non-branching invertible rules, committed
+        for path, node in positions:
+            for idx, f in enumerate(node.inputs):
+                if isinstance(f, And):
+                    return commit("andI", path, idx, f)
+                if isinstance(f, Dia):
+                    return commit("diaI", path, idx, f)
+            if isinstance(node.output, Imp):
+                return commit("impO", path, None, node.output)
+            if isinstance(node.output, Box):
+                return commit("boxO", path, None, node.output)
+
+        # branching invertible rules, committed
+        for path, node in positions:
+            if isinstance(node.output, And):
+                return commit("andO", path, None, node.output)
+            for idx, f in enumerate(node.inputs):
+                if isinstance(f, Or):
+                    return commit("orI", path, idx, f)
+
+        # choice points, backtracking
+        reach = None
+        for i, (path, node) in enumerate(positions):
+            f = node.output
+            if isinstance(f, Or):
+                for side in (0, 1):
+                    got = attempt(seq, "orO", path, side, f, None, budget, seen)
+                    if got is not None:
+                        return got
+            if isinstance(f, Dia):
+                if reach is None:
+                    reach = reach_from(positions)
+                for j in reach[i]:
+                    got = attempt(seq, "pdia", path, None, f, positions[j][0],
+                                  budget, seen)
+                    if got is not None:
+                        return got
+            for idx, f in enumerate(node.inputs):
+                if isinstance(f, Imp):
+                    got = attempt(seq, "impI", path, idx, f, None, budget, seen)
+                    if got is not None:
+                        return got
+                if isinstance(f, Box):
+                    if reach is None:
+                        reach = reach_from(positions)
+                    for j in reach[i]:
+                        target, tnode = positions[j]
+                        if f.body in tnode.inputs:
+                            continue
+                        got = attempt(seq, "pbox", path, idx, f, target, budget, seen)
+                        if got is not None:
+                            return got
+        if ax.has_d:
+            for path, node in positions:
+                if EMPTY in node.children:
+                    continue
+                got = attempt(seq, "d", path, None, None, None, budget, seen)
+                if got is not None:
+                    return got
+
+        fail[key] = max(fail.get(key, -1), budget)
+        return None
+
+    proof = search(goal, depth, frozenset())
+    reach_by_shape.clear()
+    sat_by_shape.clear()
+    fail.clear()
+    if proof is not None:
+        res = check_nested(proof, ax)
+        if not res:
+            raise RuntimeError("prover built a proof that fails to check: "
+                               f"{res.message} at {res.at}")
+    return proof

@@ -12,11 +12,14 @@ import pytest
 
 import imseq.grammar
 import imseq.nested
+from imseq import gen
 from imseq.formula import (MAX_NESTING, And, Atom, BENCHMARKS, Bot, Box, Dia,
                            Imp, Or, ParseError, axiom_set, hsl_formula,
                            parse_formula)
 from imseq.grammar import Sym, _Saturator, grammar_from_axioms, reach_all
-from imseq.nested import (EMPTY, NestedProof, _reach_targets, _witness,
+from imseq.nested import (EMPTY, NESTED_RULES, NestedProof, _applied,
+                          _local_leaf, _positions, _premise_edits,
+                          _reach_targets, _touched, _try_leaf, _witness,
                           all_paths, check_nested, is_full, map_node,
                           match_children, node_at,
                           nseq, output_count, output_position, output_pruned,
@@ -24,6 +27,8 @@ from imseq.nested import (EMPTY, NestedProof, _reach_targets, _witness,
                           premises_of_nested, prop_graph_nested, prove_bounded,
                           prove_formula, render_nested, RuleError)
 from imseq.proofio import dump_proof
+
+from oracles import ref_prove_bounded
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 NOAX = axiom_set()
@@ -391,6 +396,161 @@ def test_prover_output_matches_frozen_corpus():
             mismatches.append(i + 1)
     assert len(spec["goals"]) == 300
     assert mismatches == []
+
+
+# One sha256 over the per-goal sha256 of each outcome's dump_proof text
+# ("-" for no proof), one line per goal, on the same corpus at depth 7.
+# Frozen before premises were decided at the nodes their rule touched.
+PROVE_CORPUS_DEPTH7 = "d53e44a341f6f8fe84918246bab002c3c3443ffdd7e67299e3b64d584db8bdaf"
+
+
+def corpus_digest(depth):
+    """(digest, goals proved) of the prove corpus searched at depth."""
+    spec = json.loads(PROVE_CORPUS.read_text())
+    h = hashlib.sha256()
+    proved = 0
+    for g in spec["goals"]:
+        ax = axiom_set([tuple(p) for p in g["axioms"]["hsl"]], d=g["axioms"]["d"])
+        proof = prove_bounded(parse_nested(g["goal"]), ax, depth)
+        proved += proof is not None
+        text = "-" if proof is None else dump_proof(proof)
+        h.update(hashlib.sha256(text.encode()).hexdigest().encode() + b"\n")
+    return h.hexdigest(), proved
+
+
+def test_prover_output_matches_frozen_corpus_at_depth_7():
+    assert corpus_digest(7) == (PROVE_CORPUS_DEPTH7, 80)
+
+
+# no axiom, the erasing (0, 0), single pairs, two pairs together, and
+# seriality alone and with pairs
+AXIOM_MIXES = [axiom_set(), axiom_set([(0, 0)]), axiom_set([(1, 1)]),
+               axiom_set([(0, 1)]), axiom_set([(1, 0)]), axiom_set([(2, 0)]),
+               axiom_set([(0, 2)]), axiom_set([(1, 2), (2, 1)]),
+               axiom_set(d=True), axiom_set([(1, 1)], d=True),
+               axiom_set([(0, 0), (0, 2)], d=True)]
+
+
+def _dumped(proof):
+    return None if proof is None else dump_proof(proof)
+
+
+def test_prover_output_matches_the_reference_search():
+    """Byte-identical proofs against the search that builds and scans
+    every premise, on random goals under every axiom mix and on goals
+    whose premises close at diaI's new bracket, at a pdia target (also
+    through an erasing production, at the walk's start) and at a pbox
+    target."""
+    rng = random.Random(13013)
+    runs = proved = 0
+    for k in range(400):
+        goal = gen.random_full_nested(rng, rng.randrange(3), 2, 2, ("p", "q"))
+        ax = AXIOM_MIXES[k % len(AXIOM_MIXES)]
+        for depth in (0, 1, 2, 4, 6):
+            got = _dumped(prove_bounded(goal, ax, depth))
+            assert got == _dumped(ref_prove_bounded(goal, ax, depth)), (k, depth)
+            runs += 1
+            proved += got is not None
+    assert runs == 2000 and 200 < proved < 1800
+
+    hand = [("<>false^i, p^o", axiom_set(), "r.0"),
+            ("[ ], <>false^i, [ <>p^i ], p^o", axiom_set(), "r.2"),
+            ("[ p^i ], <>p^o", axiom_set(), "r.0"),
+            ("[ [ p^i ] ], <>p^o", axiom_set([(0, 2)]), "r.0.0"),
+            ("p^i, <>p^o", axiom_set([(0, 0)]), "r"),
+            ("[]p^i, [ p^o ]", axiom_set(), "r.0"),
+            ("[ []p^i, [ ] ], [ q^i, [ p^o ] ]", axiom_set([(1, 2)]), "r.1.0")]
+    for text, ax, at in hand:
+        goal = parse_nested(text)
+        for depth in (1, 2, 3):
+            assert (_dumped(prove_bounded(goal, ax, depth))
+                    == _dumped(ref_prove_bounded(goal, ax, depth)))
+        proof = prove_bounded(goal, ax, 1)
+        assert proof is not None
+        (leaf,) = proof.premises
+        assert leaf.premises == () and leaf.params["at"] == at
+
+
+def test_failure_cache_changes_no_verdict():
+    """The failure cache is keyed on the sequent alone while the loop
+    check depends on the branch; whether a goal is proved does not
+    depend on it."""
+    rng = random.Random(13017)
+    runs = proved = 0
+    for k in range(300):
+        goal = gen.random_full_nested(rng, rng.randrange(3), 2, 2, ("p", "q"))
+        ax = AXIOM_MIXES[k % len(AXIOM_MIXES)]
+        for depth in (3, 5):
+            got = prove_bounded(goal, ax, depth) is not None
+            assert got == (ref_prove_bounded(goal, ax, depth, cache=False)
+                           is not None), (k, depth)
+            runs += 1
+            proved += got
+    assert runs == 600 and 60 < proved < 540
+
+
+def _instances(seq):
+    """(rule, at, index, f, target) of every instance of the 13 rules
+    whose principal seq holds, with every node as a pdia/pbox target."""
+    paths = all_paths(seq)
+    for at in paths:
+        node = node_at(seq, at)
+        for idx, f in enumerate(node.inputs):
+            if isinstance(f, Bot):
+                yield "botI", at, idx, f, None
+            if isinstance(f, Atom) and f is node.output:
+                yield "id", at, idx, f, None
+            for cls, rule in ((And, "andI"), (Or, "orI"), (Imp, "impI"), (Dia, "diaI")):
+                if isinstance(f, cls):
+                    yield rule, at, idx, f, None
+            if isinstance(f, Box):
+                for target in paths:
+                    yield "pbox", at, idx, f, target
+        f = node.output
+        for cls, rule in ((And, "andO"), (Imp, "impO"), (Box, "boxO")):
+            if isinstance(f, cls):
+                yield rule, at, None, f, None
+        if isinstance(f, Or):
+            yield "orO", at, 0, f, None
+            yield "orO", at, 1, f, None
+        if isinstance(f, Dia):
+            for target in paths:
+                yield "pdia", at, None, f, target
+        yield "d", at, None, None, None
+
+
+def test_local_leaf_test_agrees_with_the_full_scan():
+    """On sequents that are no leaf, each premise of every rule instance
+    closes at its touched node exactly where a preorder scan of the
+    built premise closes it, and only there."""
+    rng = random.Random(13019)
+    rules = set()
+    closing = set()  # rules with a premise that closes
+    premises = 0
+    while premises < 6000:
+        seq = gen.random_full_nested(rng, rng.randrange(3), 2, 1, ("p", "q"))
+        if _try_leaf(seq, _positions(seq)) is not None:
+            continue
+        for inst in _instances(seq):
+            rules.add(inst[0])
+            for edits in _premise_edits(seq, *inst):
+                prem = _applied(seq, edits)
+                full = _try_leaf(prem, _positions(prem))
+                local = _local_leaf(seq, edits)
+                assert (None if full is None else
+                        (parse_path_id(full.params["at"]), full.rule,
+                         full.params["index"])) == local, (str(seq), inst)
+                touched = _touched(seq, edits)
+                if touched is not None:
+                    path, node = touched
+                    assert node_at(prem, path).inputs == node.inputs
+                    assert node_at(prem, path).output is node.output
+                premises += 1
+                if local is not None:
+                    closing.add(inst[0])
+    # no instance of botI or id applies to a sequent that is no leaf
+    assert rules == NESTED_RULES - {"botI", "id"}
+    assert closing == rules - {"boxO", "d"}
 
 
 def test_prover_rejects_a_proof_built_from_a_bad_witness(monkeypatch):
