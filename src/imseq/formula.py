@@ -420,9 +420,6 @@ class AxiomSet:
         return "{" + ", ".join(parts) + "}"
 
 
-EMPTY_AXIOMS = AxiomSet()
-
-
 def axiom_set(pairs: Iterable[tuple[int, int]] = (), d: bool = False) -> AxiomSet:
     return AxiomSet(has_d=d, hsl=frozenset(pairs))
 

@@ -303,15 +303,6 @@ def map_node(s: NestedSequent, path: tuple, fn) -> NestedSequent:
     return replace_at(s, path, fn(node_at(s, path)))
 
 
-def output_pruned(s: NestedSequent) -> NestedSequent:
-    """Drop the unique output formula; the tree must contain one."""
-    pos = output_position(s)
-    if pos is None:
-        raise ValueError("no output formula to prune")
-    path, _ = pos
-    return map_node(s, path, lambda nd: NestedSequent(nd.inputs, None, nd.children))
-
-
 def prop_graph_nested(s: NestedSequent) -> PropGraph:
     nodes = set()
     edges = set()
@@ -672,10 +663,13 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
     for this call only, and are reach_all's walks.  The proof about to
     be returned is run through check_nested, and a failure raises
     RuntimeError, so results always check.
-    Raises ValueError for a goal that is not full or a negative depth.
+    Raises ValueError for a goal that is not full, or a depth that is
+    not an int (bools included) or is negative.
     """
     if not is_full(goal):
         raise ValueError("goal must have exactly one output formula")
+    if not isinstance(depth, int) or isinstance(depth, bool):
+        raise ValueError(f"depth must be an int, got {depth!r}")
     if depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
     g = grammar_from_axioms(ax)

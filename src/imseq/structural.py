@@ -5,7 +5,9 @@ by an output-free context at a node, contracting a duplicate input, and
 merging two output-free sibling brackets.  Each walks the proof once
 with ``imseq.proof.rebuild`` (contraction also recurses on the
 formula), rebuilding every rule instance; results re-check and are
-never taller than the source.
+never taller than the source.  What an input rule does to its
+principal, which inversion and contraction replay, is read from the
+nested rule table, ``nested._premise_edits``.
 
 Occurrences are tracked by formula at a fixed node, not by position:
 stored input order inside a rebuilt proof can drift from the order a
@@ -18,16 +20,21 @@ shapes a rule instance computes.
 from __future__ import annotations
 
 from .formula import And, Dia, Imp, Or, render_formula
-from .nested import (NestedProof, NestedSequent, _premises, map_node,
-                     match_children, node_at, nseq, output_count,
-                     parse_path_id, path_id, read_nested, replace_at)
+from .nested import (_INPUT_RULES, NestedProof, NestedSequent, _applied, _edit,
+                     _premise_edits, _premises, map_node, match_children,
+                     node_at, nseq, output_count, parse_path_id, path_id,
+                     read_nested, replace_at)
 from .proof import rebuild
 
+# the input rule of each connective
+_RULE_OF = {cls: rule for rule, cls in _INPUT_RULES.items()}
 
-def _input_index(q: NestedProof, at: tuple):
-    """Position of q's principal input if it sits at node `at`, else None
-    (orO's principal is its output: its read index is the side kept)."""
-    prin, index, _, _ = read_nested(q.conclusion, q.rule, q.params)
+
+def _input_index(q: NestedProof, reading: tuple, at: tuple):
+    """Position of q's principal input, given q's read_nested reading,
+    if it sits at node `at`, else None (orO's principal is its output:
+    its read index is the side kept)."""
+    prin, index = reading[:2]
     return index if prin == at and q.rule != "orO" else None
 
 
@@ -45,12 +52,14 @@ def _remap_ids(params: dict, fn) -> dict:
     return out
 
 
-def _shift_index(q: NestedProof, at: tuple, removed: int) -> dict:
-    """q's params after input `removed` of node `at` is dropped."""
+def _params_after(q: NestedProof, reading: tuple, edit: tuple) -> dict:
+    """q's params once one node edit rewrites its conclusion: an edit
+    that drops an input ahead of q's principal input moves its index."""
+    at, i, fs = edit[:3]
     params = dict(q.params)
-    idx = _input_index(q, at)
-    if idx is not None and idx > removed:
-        params["index"] = idx - 1
+    k = _input_index(q, reading, at)
+    if k is not None and not fs and i < k:
+        params["index"] = k - 1
     return params
 
 
@@ -59,13 +68,6 @@ def _first_index(node: NestedSequent, f) -> int:
         if g == f:
             return k
     raise RuntimeError(f"lost the tracked input {render_formula(f)}")
-
-
-def _principal_holds(q: NestedProof, rule: str, at: tuple, f) -> bool:
-    if q.rule != rule:
-        return False
-    prin, _, g, _ = read_nested(q.conclusion, rule, q.params)
-    return prin == at and g == f
 
 
 def _unchanged(q: NestedProof) -> list:
@@ -137,15 +139,15 @@ def merge_proof(p: NestedProof, at: tuple, i: int, j: int) -> NestedProof:
                 rest = (rest[0] + len(ci.children),) + rest[1:]
             return at + (i,) + rest
 
+        reading = read_nested(q.conclusion, q.rule, q.params)
         params = _remap_ids(q.params, remap)
-        idx = _input_index(q, at + (j,))
+        idx = _input_index(q, reading, at + (j,))
         if idx is not None:
             params["index"] = idx + len(ci.inputs)
 
         prems = []
         if q.premises:
-            shapes = _premises(q.conclusion, q.rule,
-                               *read_nested(q.conclusion, q.rule, q.params))
+            shapes = _premises(q.conclusion, q.rule, *reading)
             for sub, shape in zip(q.premises, shapes):
                 pos = match_children(node_at(shape, at),
                                      node_at(sub.conclusion, at))
@@ -155,119 +157,112 @@ def merge_proof(p: NestedProof, at: tuple, i: int, j: int) -> NestedProof:
     return rebuild(p, visit, (i, j))
 
 
-def _invert(p: NestedProof, at: tuple, f, side: str = "left") -> NestedProof:
+def _invert(p: NestedProof, at: tuple, f, keep: int = 0) -> NestedProof:
     """Replace one copy of the input f at a node, through the proof, by
-    what its input rule leaves in one premise (the side premise of a
-    disjunction, the consequent premise of an implication); an instance
-    of that rule on the copy gives way to that premise.  A diamond
-    leaves no input but a new bracket, so later input indices at the
-    node shift down by one."""
-    if isinstance(f, And):
-        rule, keep, repl = "andI", 0, (f.left, f.right)
-    elif isinstance(f, Or):
-        rule, keep = "orI", 0 if side == "left" else 1
-        repl = (f.right,) if keep else (f.left,)
-    elif isinstance(f, Imp):
-        rule, keep, repl = "impI", 1, (f.right,)
-    else:
-        rule, keep, repl = "diaI", 0, ()
-    brackets = (nseq(inputs=(f.body,)),) if isinstance(f, Dia) else ()
+    what premise keep of its input rule makes of it (keep is the side
+    of a disjunction, 1 for an implication's consequent premise, else
+    0); an instance of that rule on the copy gives way to that premise.
+    A diamond leaves no input but a new bracket, so later input indices
+    at the node shift down by one."""
+    rule = _RULE_OF[type(f)]
+    # What that premise does to a lone copy of f at the root, it does to
+    # a copy anywhere.  The copy's output gives impI's other premise,
+    # which the table also computes, an output to prune.
+    [(_, _, fs, out, kid)] = _premise_edits(nseq((f,), f), rule, (), 0, f, None)[keep]
 
     def visit(q, _):
-        if _principal_holds(q, rule, at, f):
+        reading = read_nested(q.conclusion, q.rule, q.params)
+        if q.rule == rule and reading[0] == at and reading[2] == f:
             return q.premises[keep]
-        idx = _first_index(node_at(q.conclusion, at), f)
-        new_conc = map_node(
-            q.conclusion, at,
-            lambda nd: NestedSequent(nd.inputs[:idx] + repl[:1]
-                                     + nd.inputs[idx + 1:] + repl[1:],
-                                     nd.output, nd.children + brackets))
-        params = dict(q.params) if repl else _shift_index(q, at, idx)
-        return new_conc, q.rule, params, _unchanged(q)
+        edit = _edit(at, _first_index(node_at(q.conclusion, at), f), fs, out, kid)
+        return (_applied(q.conclusion, (edit,)), q.rule,
+                _params_after(q, reading, edit), _unchanged(q))
 
     return rebuild(p, visit)
 
 
+def _inverted_input(p: NestedProof, at: tuple, idx, cls, kind: str):
+    """Input idx of node at of p's conclusion, or ValueError unless idx
+    is an int naming one of its inputs and that input is a cls."""
+    inputs = node_at(p.conclusion, at).inputs
+    if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < len(inputs):
+        raise ValueError(f"no input {idx!r} at {path_id(at)}")
+    if not isinstance(inputs[idx], cls):
+        raise ValueError(f"position does not hold {kind}")
+    return inputs[idx]
+
+
 def invert_and_input(p: NestedProof, at: tuple, idx: int) -> NestedProof:
     """Split a conjunctive input in place; height never grows."""
-    f = node_at(p.conclusion, at).inputs[idx]
-    if not isinstance(f, And):
-        raise ValueError("position does not hold a conjunction")
-    return _invert(p, at, f)
+    return _invert(p, at, _inverted_input(p, at, idx, And, "a conjunction"))
 
 
 def invert_or_input(p: NestedProof, at: tuple, idx: int, side: str) -> NestedProof:
-    f = node_at(p.conclusion, at).inputs[idx]
-    if not isinstance(f, Or):
-        raise ValueError("position does not hold a disjunction")
-    return _invert(p, at, f, side)
+    f = _inverted_input(p, at, idx, Or, "a disjunction")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return _invert(p, at, f, int(side == "right"))
 
 
 def invert_imp_input(p: NestedProof, at: tuple, idx: int) -> NestedProof:
     """Replace an implicative input by its consequent; height never grows."""
-    f = node_at(p.conclusion, at).inputs[idx]
-    if not isinstance(f, Imp):
-        raise ValueError("position does not hold an implication")
-    return _invert(p, at, f)
+    return _invert(p, at, _inverted_input(p, at, idx, Imp, "an implication"), 1)
 
 
 def invert_dia_input(p: NestedProof, at: tuple, idx: int) -> NestedProof:
     """Push a diamond input into a fresh bracket; height never grows."""
-    f = node_at(p.conclusion, at).inputs[idx]
-    if not isinstance(f, Dia):
-        raise ValueError("position does not hold a diamond")
-    return _invert(p, at, f)
+    return _invert(p, at, _inverted_input(p, at, idx, Dia, "a diamond"))
 
 
-def contract_tree(s: NestedSequent, at: tuple, j: int) -> NestedSequent:
-    return map_node(s, at, lambda nd: NestedSequent(
-        nd.inputs[:j] + nd.inputs[j + 1:], nd.output, nd.children))
-
-
-_CONSUMES = {"andI": And, "orI": Or, "impI": Imp, "diaI": Dia}
+def _absorbed(sub: NestedProof, at: tuple, f, m: int, edit: tuple) -> NestedProof:
+    """Premise m of an instance whose edit replaced one copy of f at a
+    node, contracted: the other copy is inverted the same way, and what
+    the edit put in the copy's place (inputs, or a bracket, whose two
+    copies are merged first) is contracted."""
+    _, _, fs, _, kid = edit
+    s = _invert(sub, at, f, m)
+    for g in fs:
+        s = _contract(s, at, g)
+    if kid is not None:
+        spots = [x for x, c in enumerate(node_at(s.conclusion, at).children)
+                 if c == kid]
+        s = merge_proof(s, at, spots[0], spots[1])
+        for g in kid.inputs:
+            s = _contract(s, at + (spots[0],), g)
+    return s
 
 
 def _contract(p: NestedProof, at: tuple, f) -> NestedProof:
     """Drop one of two copies of f at a node, through the proof.  Where a
-    rule consumed a copy, its premises are inverted and contracted on
-    the subformulas, a recursion on the formula, not the proof."""
+    rule consumed a copy, the other copy goes instead, and each premise
+    is contracted by _absorbed, a recursion on the formula, not the
+    proof; a premise that kept the copy (impI's first) is contracted on
+    f itself."""
 
     def visit(q, _):
         nd = node_at(q.conclusion, at)
         idxs = [k for k, g in enumerate(nd.inputs) if g == f]
         if len(idxs) < 2:
             raise RuntimeError(f"lost a copy of {render_formula(f)}")
-        k = _input_index(q, at)
+        reading = read_nested(q.conclusion, q.rule, q.params)
+        k = _input_index(q, reading, at)
 
-        if q.rule in _CONSUMES and k in idxs:
+        # an input rule consumed copy k, unless it is a leaf (botI, id)
+        if q.rule in _INPUT_RULES and q.premises and k in idxs:
             keep = next(x for x in idxs if x != k)
-            new_conc = contract_tree(q.conclusion, at, k)
-            i_new = keep - 1 if keep > k else keep
-            params = {"at": path_id(at), "index": i_new}
-            if q.rule == "andI":
-                s = _invert(q.premises[0], at, f)
-                s = _contract(s, at, f.left)
-                s = _contract(s, at, f.right)
-                return NestedProof(new_conc, "andI", params, (s,))
-            if q.rule == "orI":
-                sl = _contract(_invert(q.premises[0], at, f, "left"), at, f.left)
-                sr = _contract(_invert(q.premises[1], at, f, "right"), at, f.right)
-                return NestedProof(new_conc, "orI", params, (sl, sr))
-            if q.rule == "impI":
-                s0 = _contract(q.premises[0], at, f)
-                s1 = _contract(_invert(q.premises[1], at, f), at, f.right)
-                return NestedProof(new_conc, "impI", params, (s0, s1))
-            s = _invert(q.premises[0], at, f)
-            want = nseq(inputs=(f.body,))
-            spots = [x for x, c in enumerate(node_at(s.conclusion, at).children)
-                     if c == want]
-            s = merge_proof(s, at, spots[0], spots[1])
-            s = _contract(s, at + (spots[0],), f.body)
-            return NestedProof(new_conc, "diaI", params, (s,))
+            params = {"at": path_id(at), "index": keep - 1 if keep > k else keep}
+            subs = []
+            for m, (sub, edits) in enumerate(
+                    zip(q.premises, _premise_edits(q.conclusion, q.rule, *reading))):
+                made = [e for e in edits if e[:2] == (at, k)]
+                subs.append(_absorbed(sub, at, f, m, made[0]) if made
+                            else _contract(sub, at, f))
+            return NestedProof(_applied(q.conclusion, (_edit(at, k),)), q.rule,
+                               params, tuple(subs))
 
-        drop = [x for x in idxs if x != k][-1]
-        return (contract_tree(q.conclusion, at, drop), q.rule,
-                _shift_index(q, at, drop), _unchanged(q))
+        drop = _edit(at, [x for x in idxs if x != k][-1])
+        return (_applied(q.conclusion, (drop,)), q.rule,
+                _params_after(q, reading, drop), _unchanged(q))
 
     return rebuild(p, visit)
 

@@ -22,7 +22,7 @@ from imseq.nested import (EMPTY, NESTED_RULES, NestedProof, _applied,
                           _reach_targets, _touched, _try_leaf, _witness,
                           all_paths, check_nested, is_full, map_node,
                           match_children, node_at,
-                          nseq, output_count, output_position, output_pruned,
+                          nseq, output_count, output_position,
                           parse_nested, parse_path_id, path_id,
                           premises_of_nested, prop_graph_nested, prove_bounded,
                           prove_formula, render_nested, RuleError)
@@ -112,11 +112,13 @@ def test_addresses():
 def test_output_position_and_pruning():
     s = parse_nested("p^i, [ q^i ], [ [ r^o ] ]")
     assert output_position(s) == ((1, 0), R)
-    pruned = output_pruned(s)
-    assert output_count(pruned) == 0
-    assert node_at(pruned, (1, 0)).inputs == ()
-    with pytest.raises(ValueError):
-        output_pruned(pruned)
+    assert output_position(parse_nested("p^i, [ q^i ]")) is None
+    # impI's first premise prunes the output and puts the antecedent in
+    # its place at the principal node
+    t = parse_nested("p -> q^i, [ q^i ], [ [ r^o ] ]")
+    first, _ = premises_of_nested(t, "impI", {"at": "r", "index": 0}, NOAX)
+    assert output_position(first) == ((), P)
+    assert node_at(first, (1, 0)) == nseq()
 
 
 def test_prop_graph_nested():
@@ -329,6 +331,17 @@ def test_prove_rejects_negative_depth():
     with pytest.raises(ValueError):
         prove_bounded(nseq(output=f), NOAX, -3)
     assert prove_formula(f, NOAX, 0) is None
+
+
+def test_prove_rejects_a_depth_that_is_not_an_int():
+    """A fractional depth once searched budget-0.5 premises in full and
+    returned a proof taller than depth + 1."""
+    goal = parse_nested("p & q^i, q & p^o")
+    for depth in (1.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="depth must be an int"):
+            prove_bounded(goal, NOAX, depth)
+    assert prove_bounded(goal, NOAX, 1) is None
+    assert prove_bounded(goal, NOAX, 2).height() == 3
 
 
 def random_full_nested(rng, depth, live):

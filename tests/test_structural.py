@@ -1,12 +1,18 @@
 """The four structural steps must re-check and never grow proofs."""
 
+import hashlib
 import random
 
 import pytest
 
-from imseq.formula import Atom, axiom_set, parse_formula
-from imseq.nested import (NestedProof, check_nested, node_at, nseq,
-                          parse_nested, prove_bounded, prove_formula)
+from imseq.formula import (And, Atom, Dia, Imp, Or, axiom_set, parse_formula,
+                           render_formula)
+from imseq.gen import random_formula, random_full_nested
+from imseq.nested import (NestedProof, NestedSequent, all_paths, check_nested,
+                          map_node, node_at, nseq, parse_nested, path_id,
+                          prove_bounded, prove_formula, read_nested,
+                          render_nested)
+from imseq.proofio import dump_proof
 from imseq.structural import (contract_proof, invert_and_input,
                               invert_dia_input, invert_imp_input,
                               invert_or_input, merge_proof, nest_proof,
@@ -111,6 +117,40 @@ def test_invert_dia():
     assert inv.premises[0].params == {"at": "r", "index": 0}
 
 
+def test_inversions_refuse_bad_positions_and_sides():
+    """An index outside 0..len(inputs)-1, or not an int, and a side other
+    than left and right are ValueErrors, not a silent inversion of
+    another input or an IndexError."""
+    p = prove_bounded(parse_nested("q^i, p & q^i, p^o"), NOAX, 6)
+    assert invert_and_input(p, (), 1).conclusion == parse_nested("q^i, p^i, q^i, p^o")
+    for idx in (-1, 2, 7, 1.0, True, "1", None):
+        with pytest.raises(ValueError, match="no input"):
+            invert_and_input(p, (), idx)
+    with pytest.raises(ValueError, match="does not hold a conjunction"):
+        invert_and_input(p, (), 0)
+
+    p = prove_bounded(parse_nested("p | q^i, p | q^o"), NOAX, 8)
+    for side in ("middle", "Left", None, 1):
+        with pytest.raises(ValueError, match="side must be"):
+            invert_or_input(p, (), 0, side)
+    for invert in (invert_imp_input, invert_dia_input):
+        with pytest.raises(ValueError, match="no input"):
+            invert(p, (), -1)
+        with pytest.raises(ValueError, match="does not hold"):
+            invert(p, (), 0)
+
+
+def test_invert_an_output_free_proof():
+    """A proof whose conclusion has no output still inverts: its rule
+    instances have none to prune."""
+    p = checked(NestedProof(parse_nested("false^i, p -> q^i, [ <>p^i ]"), "botI",
+                            {"at": "r", "index": 0}, ()))
+    assert (invert_imp_input(p, (), 1).conclusion
+            == parse_nested("false^i, q^i, [ <>p^i ]"))
+    assert (checked(invert_dia_input(p, (0,), 0)).conclusion
+            == parse_nested("false^i, p -> q^i, [ [ p^i ] ]"))
+
+
 def test_contract_simple():
     goal = parse_nested("p & q^i, p & q^i, p & q^o")
     p = prove_bounded(goal, NOAX, 10)
@@ -206,3 +246,85 @@ def test_structural_random_round():
             merged = merge_proof(w2, (), k, k + 1)
             checked(merged, ax)
             assert merged.height() == p.height()
+
+
+STRUCTURAL_DIGEST = "3c511dd3bff1935159013327187d26f421a013fbd98acbdf0432b66acd334b70"
+INVERSIONS = {And: invert_and_input, Imp: invert_imp_input,
+              Dia: invert_dia_input}
+COPY_CLASSES = (And, Or, Imp, Dia)
+
+
+def _without_output(s):
+    return NestedSequent(s.inputs, None, tuple(map(_without_output, s.children)))
+
+
+def _duplicate_goal(rng, cls):
+    """A full sequent with two copies of an input of connective cls at a
+    random node, and that node's address and the input.  Half the time
+    the output moves to that node and asks for what a copy gives, so
+    that proofs often consume a copy."""
+    base = random_full_nested(rng, depth=1, width=2, fdepth=1)
+    at = rng.choice(all_paths(base))
+    f = (Dia(random_formula(rng, 1)) if cls is Dia
+         else cls(random_formula(rng, 1), random_formula(rng, 1)))
+
+    def add(nd):
+        ins = list(nd.inputs)
+        for _ in range(2):
+            ins.insert(rng.randrange(len(ins) + 1), f)
+        return NestedSequent(tuple(ins), nd.output, nd.children)
+
+    goal = map_node(base, at, add)
+    if rng.random() < 0.5:
+        out = (f if cls is Dia else f.left if cls is And
+               else Or(f.right, f.left) if cls is Or else f.right)
+        extra = (f.left,) if cls is Imp else ()
+        goal = map_node(_without_output(goal), at, lambda nd: NestedSequent(
+            nd.inputs + extra, out, nd.children))
+    return goal, at, f
+
+
+def _consumes(p, at, f) -> bool:
+    """Whether some instance of p applies its input rule to f at at."""
+    for q in p.nodes():
+        if q.rule in ("andI", "orI", "impI", "diaI"):
+            prin, _, g, _ = read_nested(q.conclusion, q.rule, q.params)
+            if prin == at and g == f:
+                return True
+    return False
+
+
+def test_structural_outputs_match_frozen_digest():
+    """contract_proof on the two copies, and every inversion of every
+    conjunctive, disjunctive (both sides), implicative and diamond input
+    of the conclusion, write the same proof files on 300 seeded goals
+    with a duplicated input, proved at depth 5 under {} and {(1,1), d}."""
+    rng = random.Random(1414)
+    axes = (NOAX, axiom_set([(1, 1)], d=True))
+    h = hashlib.sha256()
+    consumed = dict.fromkeys(COPY_CLASSES, 0)
+    for k in range(300):
+        cls = COPY_CLASSES[k % 4]
+        goal, at, f = _duplicate_goal(rng, cls)
+        i, j = [x for x, g in enumerate(node_at(goal, at).inputs) if g == f][:2]
+        for ax in axes:
+            p = prove_bounded(goal, ax, 5)
+            if p is None:
+                continue
+            consumed[cls] += _consumes(p, at, f)
+            h.update(f"{ax} {render_nested(goal)}\n".encode())
+            h.update(dump_proof(checked(contract_proof(p, at, i, j), ax)).encode())
+            for path in all_paths(p.conclusion):
+                for idx, g in enumerate(node_at(p.conclusion, path).inputs):
+                    if isinstance(g, Or):
+                        outs = [invert_or_input(p, path, idx, side)
+                                for side in ("left", "right")]
+                    elif type(g) in INVERSIONS:
+                        outs = [INVERSIONS[type(g)](p, path, idx)]
+                    else:
+                        continue
+                    for out in outs:
+                        h.update(f"{path_id(path)} {idx} {render_formula(g)}\n".encode())
+                        h.update(dump_proof(checked(out, ax)).encode())
+    assert all(n >= 10 for n in consumed.values()), consumed
+    assert h.hexdigest() == STRUCTURAL_DIGEST
