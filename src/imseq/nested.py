@@ -25,7 +25,7 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from operator import attrgetter
 from typing import Iterable, Optional
 
@@ -600,19 +600,79 @@ def _local_leaf(seq: NestedSequent, edits: tuple) -> Optional[tuple]:
     return None if leaf is None else (touched[0],) + leaf
 
 
-def _reach_targets(shape: tuple, g: Grammar) -> list:
-    """For a bracket tree given by its node paths in preorder (shape),
-    the indices into shape of the nodes each node reaches, in id order.
+def _id_order(k: int):
+    """Child indices 0..k-1 in the sort order of their decimal digits,
+    so that 10 comes before 2: the order of the ids ``r.10``, ``r.2``."""
+    return range(k) if k <= 10 else sorted(range(k), key=str)
 
-    Nodes are ranked in the sort order of their ids, so a reach mask
-    read from its low bit up lists targets in id order.
+
+def _reach_rows(counts: tuple, g: Grammar) -> tuple:
+    """The reach table of the bracket tree whose nodes, in preorder,
+    have counts[i] children each: (order, rows), where order lists the
+    nodes' preorder indices in the sort order of their ids and rows[i]
+    is the bitmask of the ranks in order of the nodes that node i
+    reaches.  A row read from its low bit up lists targets in id order.
+
+    Ids sort as their digit strings split at the dots, and '.' sorts
+    before every digit, so id order is the preorder that visits each
+    node's children in _id_order; no id is rendered.
     """
-    n = len(shape)
-    order = sorted(range(n), key=lambda i: path_id(shape[i]))
-    rank = {shape[i]: r for r, i in enumerate(order)}
-    masks = reach_masks(n, [(rank[path[:-1]], rank[path]) for path in shape[1:]], g)
-    return [[order[r] for r in range(n) if masks[rank[path]] >> r & 1]
-            for path in shape]
+    n = len(counts)
+    kids: list = [[] for _ in range(n)]
+    owed = [[0, counts[0]]] if counts[0] else []  # nodes still owed children
+    for i in range(1, n):
+        top = owed[-1]
+        kids[top[0]].append(i)
+        top[1] -= 1
+        if not top[1]:
+            owed.pop()
+        if counts[i]:
+            owed.append([i, counts[i]])
+    order = []
+    todo = [0]
+    while todo:
+        v = todo.pop()
+        order.append(v)
+        vk = kids[v]
+        todo.extend(vk[c] for c in reversed(_id_order(len(vk))))
+    rank = [0] * n
+    for r, v in enumerate(order):
+        rank[v] = r
+    masks = reach_masks(n, [(rank[v], rank[c]) for v in range(n) for c in kids[v]], g)
+    return tuple(order), tuple(masks[rank[v]] for v in range(n))
+
+
+# As derives' memo: the reach tables of the last REACH_MEMO_SIZE (tree
+# shape, grammar) pairs whose tree has at most REACH_MEMO_NODES nodes;
+# a larger tree's table is computed and not stored.  An n-node entry
+# holds three n-tuples (the key's child counts, order and rows) and n
+# row ints of n bits: with the cache's own links, about 2.3 KB at 32
+# nodes, so under 10 MB in all.
+REACH_MEMO_SIZE = 4096
+REACH_MEMO_NODES = 32
+_reach_memo = lru_cache(maxsize=REACH_MEMO_SIZE)(_reach_rows)
+
+
+def _reach_table(positions: list, g: Grammar) -> tuple:
+    """_reach_rows' table of the bracket tree of positions, _positions'
+    list, through the memo when the tree is small enough."""
+    counts = tuple([len(node.children) for _, node in positions])
+    if len(counts) <= REACH_MEMO_NODES:
+        return _reach_memo(counts, g)
+    return _reach_rows(counts, g)
+
+
+def _targets(table: tuple, i: int) -> list:
+    """The preorder indices of the nodes that node i reaches, in id
+    order, read off a reach table."""
+    order, rows = table
+    row = rows[i]
+    out = []
+    while row:
+        low = row & -row
+        out.append(order[low.bit_length() - 1])
+        row ^= low
+    return out
 
 
 def _witness(sat: _Saturator, src: tuple, dst: tuple) -> list:
@@ -655,12 +715,14 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
     close by that test or not at all, so they are decided, in order,
     before any is built, and built only when all of them close; the
     rest are built one at a time as the search reaches them.  The
-    graph depends on the bracket tree alone, so its reachable pairs are
-    computed once per tree shape, by the bitmask closure reach_masks,
-    and kept for this call only.  Params, with ``r.0.1`` ids and the
+    graph depends on the bracket tree alone, so its reachable pairs
+    come from one reach table per tree shape and grammar, made by the
+    bitmask closure reach_masks and kept across calls in a bounded
+    memo (_reach_table); a node's targets are read off the table only
+    where pdia or pbox is tried.  Params, with ``r.0.1`` ids and the
     witness walk, are built only for the nodes of proofs found; the
-    walks unfold from one worklist saturation per tree shape, also kept
-    for this call only, and are reach_all's walks.  The proof about to
+    walks unfold from one worklist saturation per tree shape, kept for
+    this call only, and are reach_all's walks.  The proof about to
     be returned is run through check_nested, and a failure raises
     RuntimeError, so results always check.
     Raises ValueError for a goal that is not full, or a depth that is
@@ -674,17 +736,8 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
         raise ValueError(f"depth must be at least 0, got {depth}")
     g = grammar_from_axioms(ax)
     fail: dict = {}
-    # tree shape (its node paths) -> position index -> [target index]
-    reach_by_shape: dict = {}
     # tree shape -> the saturation its witness walks unfold from
     sat_by_shape: dict = {}
-
-    def reach_from(positions):
-        shape = tuple(path for path, _ in positions)
-        table = reach_by_shape.get(shape)
-        if table is None:
-            table = reach_by_shape[shape] = _reach_targets(shape, g)
-        return table
 
     def witness(seq, src, dst):
         shape = tuple(all_paths(seq))
@@ -760,8 +813,8 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
                         return got
             if isinstance(f, Dia):
                 if reach is None:
-                    reach = reach_from(positions)
-                for j in reach[i]:
+                    reach = _reach_table(positions, g)
+                for j in _targets(reach, i):
                     got = attempt(seq, "pdia", path, None, f, positions[j][0],
                                   budget, seen)
                     if got is not None:
@@ -773,8 +826,8 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
                         return got
                 if isinstance(f, Box):
                     if reach is None:
-                        reach = reach_from(positions)
-                    for j in reach[i]:
+                        reach = _reach_table(positions, g)
+                    for j in _targets(reach, i):
                         target, tnode = positions[j]
                         if f.body in tnode.inputs:
                             continue
@@ -797,7 +850,6 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
         proof = search(goal, depth, frozenset())
     # search and attempt form a reference cycle that holds these tables
     # until a full garbage collection; free them now.
-    reach_by_shape.clear()
     sat_by_shape.clear()
     fail.clear()
     if proof is not None:

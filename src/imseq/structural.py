@@ -19,6 +19,8 @@ shapes a rule instance computes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .formula import And, Dia, Imp, Or, render_formula
 from .nested import (_INPUT_RULES, NestedProof, NestedSequent, _applied, _edit,
                      _premise_edits, _premises, map_node, match_children,
@@ -70,6 +72,28 @@ def _first_index(node: NestedSequent, f) -> int:
     raise RuntimeError(f"lost the tracked input {render_formula(f)}")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _address(at) -> tuple:
+    """at as a tuple of child indices, or ValueError unless it is a
+    sequence of ints."""
+    if (not isinstance(at, Sequence) or isinstance(at, (str, bytes))
+            or not all(map(_is_int, at))):
+        raise ValueError(f"bad node address {at!r}")
+    return tuple(at)
+
+
+def _index_pair(i, j, what: str):
+    """ValueError unless i and j are ints with 0 <= i < j."""
+    for x in (i, j):
+        if not _is_int(x):
+            raise ValueError(f"{what} index must be an int, got {x!r}")
+    if not 0 <= i < j:
+        raise ValueError(f"need {what} indices i < j")
+
+
 def _unchanged(q: NestedProof) -> list:
     return [(s, None) for s in q.premises]
 
@@ -85,6 +109,7 @@ def nest_proof(p: NestedProof) -> NestedProof:
 
 def weaken_proof(p: NestedProof, at: tuple, delta: NestedSequent) -> NestedProof:
     """Add an output-free context at one node, through the whole proof."""
+    at = _address(at)
     if output_count(delta) != 0:
         raise ValueError("weakening context must have no output formula")
     node_at(p.conclusion, at)
@@ -106,8 +131,8 @@ def merge_proof(p: NestedProof, at: tuple, i: int, j: int) -> NestedProof:
     The state of a node is its (i, j), found for each premise by aligning
     the premise's children with the rule's computed premise shape.
     """
-    if not 0 <= i < j:
-        raise ValueError("need child indices i < j")
+    at = _address(at)
+    _index_pair(i, j, "child")
     node = node_at(p.conclusion, at)
     if j >= len(node.children):
         raise ValueError(f"no child {j} under {path_id(at)}")
@@ -181,24 +206,26 @@ def _invert(p: NestedProof, at: tuple, f, keep: int = 0) -> NestedProof:
     return rebuild(p, visit)
 
 
-def _inverted_input(p: NestedProof, at: tuple, idx, cls, kind: str):
-    """Input idx of node at of p's conclusion, or ValueError unless idx
-    is an int naming one of its inputs and that input is a cls."""
+def _inverted_input(p: NestedProof, at, idx, cls, kind: str) -> tuple:
+    """(at as _address reads it, input idx of that node of p's
+    conclusion), or ValueError unless idx is an int naming one of its
+    inputs and that input is a cls."""
+    at = _address(at)
     inputs = node_at(p.conclusion, at).inputs
-    if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < len(inputs):
+    if not _is_int(idx) or not 0 <= idx < len(inputs):
         raise ValueError(f"no input {idx!r} at {path_id(at)}")
     if not isinstance(inputs[idx], cls):
         raise ValueError(f"position does not hold {kind}")
-    return inputs[idx]
+    return at, inputs[idx]
 
 
 def invert_and_input(p: NestedProof, at: tuple, idx: int) -> NestedProof:
     """Split a conjunctive input in place; height never grows."""
-    return _invert(p, at, _inverted_input(p, at, idx, And, "a conjunction"))
+    return _invert(p, *_inverted_input(p, at, idx, And, "a conjunction"))
 
 
 def invert_or_input(p: NestedProof, at: tuple, idx: int, side: str) -> NestedProof:
-    f = _inverted_input(p, at, idx, Or, "a disjunction")
+    at, f = _inverted_input(p, at, idx, Or, "a disjunction")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return _invert(p, at, f, int(side == "right"))
@@ -206,12 +233,12 @@ def invert_or_input(p: NestedProof, at: tuple, idx: int, side: str) -> NestedPro
 
 def invert_imp_input(p: NestedProof, at: tuple, idx: int) -> NestedProof:
     """Replace an implicative input by its consequent; height never grows."""
-    return _invert(p, at, _inverted_input(p, at, idx, Imp, "an implication"), 1)
+    return _invert(p, *_inverted_input(p, at, idx, Imp, "an implication"), 1)
 
 
 def invert_dia_input(p: NestedProof, at: tuple, idx: int) -> NestedProof:
     """Push a diamond input into a fresh bracket; height never grows."""
-    return _invert(p, at, _inverted_input(p, at, idx, Dia, "a diamond"))
+    return _invert(p, *_inverted_input(p, at, idx, Dia, "a diamond"))
 
 
 def _absorbed(sub: NestedProof, at: tuple, f, m: int, edit: tuple) -> NestedProof:
@@ -274,8 +301,8 @@ def contract_proof(p: NestedProof, at: tuple, i: int, j: int) -> NestedProof:
     absorb rule applications that consumed one copy.  The result is one
     copy lighter than the source and never taller.
     """
-    if not 0 <= i < j:
-        raise ValueError("need input indices i < j")
+    at = _address(at)
+    _index_pair(i, j, "input")
     node = node_at(p.conclusion, at)
     if j >= len(node.inputs):
         raise ValueError(f"no input {j} at {path_id(at)}")

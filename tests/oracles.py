@@ -21,7 +21,7 @@ from imseq.grammar import (Grammar, PropGraph, PropPath, Sym, _Saturator,
 from imseq.labelled import (check_labelled, premises_of_labelled,
                             render_labelled_sequent)
 from imseq.nested import (EMPTY, NestedProof, NestedSequent, _params, _positions,
-                          _premises, _reach_targets, _witness, all_paths,
+                          _premises, _witness, all_paths,
                           check_nested, is_full, match_children, node_at,
                           parse_path_id, path_id, prop_graph_nested, read_nested)
 from imseq.proof import RuleError, rebuild
@@ -310,33 +310,45 @@ def _ref_try_leaf(seq, positions):
     return None
 
 
+def ref_reach_targets(sat: _Saturator, shape: list) -> list:
+    """For each node of a bracket tree given by its node paths in
+    preorder (shape), the indices into shape of the nodes it reaches, in
+    id order: the forward facts of sat, a saturation of the tree's
+    graph, grouped by source in sorted order, as reach_all's pairs are."""
+    index = {path_id(path): i for i, path in enumerate(shape)}
+    grouped = [[] for _ in shape]
+    for src, dst in sorted((sat.names[f[1]], sat.names[f[2]]) for f in sat.forward()):
+        grouped[index[src]].append(index[dst])
+    return grouped
+
+
 def ref_prove_bounded(goal, ax, depth, cache=True):
     """prove_bounded's search as it stood before premises were decided at
     the nodes their rule touched: every call walks the whole sequent and
     scans it for a leaf, and every premise searched is built, also at
-    budget 0.  cache=False never consults the failure cache."""
+    budget 0.  Its targets come from the worklist saturation that also
+    gives its witness walks, kept for this call only, not from the
+    prover's reach tables.  cache=False never consults the failure
+    cache."""
     if not is_full(goal):
         raise ValueError("goal must have exactly one output formula")
     if depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
     g = grammar_from_axioms(ax)
     fail: dict = {}
-    reach_by_shape: dict = {}
+    # tree shape -> (its saturation, position index -> [target index])
     sat_by_shape: dict = {}
 
-    def reach_from(positions):
-        shape = tuple(path for path, _ in positions)
-        table = reach_by_shape.get(shape)
-        if table is None:
-            table = reach_by_shape[shape] = _reach_targets(shape, g)
-        return table
+    def saturated(seq):
+        shape = tuple(all_paths(seq))
+        got = sat_by_shape.get(shape)
+        if got is None:
+            sat = _Saturator(prop_graph_nested(seq), g)
+            got = sat_by_shape[shape] = sat, ref_reach_targets(sat, shape)
+        return got
 
     def witness(seq, src, dst):
-        shape = tuple(all_paths(seq))
-        sat = sat_by_shape.get(shape)
-        if sat is None:
-            sat = sat_by_shape[shape] = _Saturator(prop_graph_nested(seq), g)
-        return _witness(sat, src, dst)
+        return _witness(saturated(seq)[0], src, dst)
 
     def attempt(seq, rule, at, index, f, target, budget, seen):
         subs = []
@@ -397,7 +409,7 @@ def ref_prove_bounded(goal, ax, depth, cache=True):
                         return got
             if isinstance(f, Dia):
                 if reach is None:
-                    reach = reach_from(positions)
+                    reach = saturated(seq)[1]
                 for j in reach[i]:
                     got = attempt(seq, "pdia", path, None, f, positions[j][0],
                                   budget, seen)
@@ -410,7 +422,7 @@ def ref_prove_bounded(goal, ax, depth, cache=True):
                         return got
                 if isinstance(f, Box):
                     if reach is None:
-                        reach = reach_from(positions)
+                        reach = saturated(seq)[1]
                     for j in reach[i]:
                         target, tnode = positions[j]
                         if f.body in tnode.inputs:
@@ -430,7 +442,6 @@ def ref_prove_bounded(goal, ax, depth, cache=True):
         return None
 
     proof = search(goal, depth, frozenset())
-    reach_by_shape.clear()
     sat_by_shape.clear()
     fail.clear()
     if proof is not None:

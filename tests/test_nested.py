@@ -17,9 +17,11 @@ from imseq.formula import (MAX_NESTING, And, Atom, BENCHMARKS, Bot, Box, Dia,
                            Imp, Or, ParseError, axiom_set, hsl_formula,
                            parse_formula)
 from imseq.grammar import Sym, _Saturator, grammar_from_axioms, reach_all
-from imseq.nested import (EMPTY, NESTED_RULES, NestedProof, _applied,
+from imseq.nested import (EMPTY, NESTED_RULES, REACH_MEMO_NODES,
+                          REACH_MEMO_SIZE, NestedProof, _applied,
                           _local_leaf, _positions, _premise_edits,
-                          _reach_targets, _touched, _try_leaf, _witness,
+                          _reach_memo, _reach_table, _targets, _touched,
+                          _try_leaf, _witness,
                           all_paths, check_nested, is_full, map_node,
                           match_children, node_at,
                           nseq, output_count, output_position,
@@ -28,7 +30,7 @@ from imseq.nested import (EMPTY, NESTED_RULES, NestedProof, _applied,
                           prove_formula, render_nested, RuleError)
 from imseq.proofio import dump_proof
 
-from oracles import ref_prove_bounded
+from oracles import ref_prove_bounded, ref_reach_targets
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 NOAX = axiom_set()
@@ -596,8 +598,10 @@ def random_tree(rng, n):
 
 def test_prover_reach_table_matches_reach_all(monkeypatch):
     """The prover's per-shape targets are reach_all's pairs grouped by
-    source in sorted order, found with no worklist saturation, and each
-    rendered witness is reach_all's."""
+    source in sorted order, found with no worklist saturation, from a
+    memo miss and from the hit after it (a tree past REACH_MEMO_NODES
+    is never stored), and each rendered witness is reach_all's; the
+    reference search's targets are the same pairs."""
     built = []
     init = _Saturator.__init__
 
@@ -608,17 +612,25 @@ def test_prover_reach_table_matches_reach_all(monkeypatch):
 
     def agrees(seq, pairs, walks):
         g = grammar_from_axioms(axiom_set(pairs))
-        shape = tuple(all_paths(seq))
+        positions = _positions(seq)
+        shape = tuple(path for path, _ in positions)
         reach = reach_all(prop_graph_nested(seq), g)
         index = {path_id(path): i for i, path in enumerate(shape)}
         grouped = [[] for _ in shape]
         for src, dst in sorted(reach):
             grouped[index[src]].append(index[dst])
         built.clear()
-        assert _reach_targets(shape, g) == grouped
+        _reach_memo.cache_clear()
+        for _ in range(2):  # a miss, then a hit
+            table = _reach_table(positions, g)
+            assert [_targets(table, i) for i in range(len(shape))] == grouped
+        info = _reach_memo.cache_info()
+        stored = len(shape) <= REACH_MEMO_NODES
+        assert (info.hits, info.misses, info.currsize) == ((1, 1, 1) if stored else (0, 0, 0))
         assert built == []
         if walks:
             sat = _Saturator(prop_graph_nested(seq), g)
+            assert ref_reach_targets(sat, shape) == grouped
             for (src, dst), walk in reach.items():
                 assert _witness(sat, parse_path_id(src),
                                 parse_path_id(dst)) == walk.to_list()
@@ -643,6 +655,71 @@ def test_prover_reach_table_matches_reach_all(monkeypatch):
     for seq in (chain, random_tree(rng, 60)):
         for pairs in ([(1, 1)], [(2, 0)], [(0, 2)], [(1, 2)]):
             agrees(seq, pairs, False)
+    _reach_memo.cache_clear()
+
+
+def test_reach_memo_changes_no_proof():
+    """dump_proof bytes are the same with the reach memo cleared before
+    every search and with it warm from every search before, on the
+    frozen corpus at depth 5 and on random goals under every axiom mix."""
+    spec = json.loads(PROVE_CORPUS.read_text())
+    corpus = [(parse_nested(g["goal"]),
+               axiom_set([tuple(p) for p in g["axioms"]["hsl"]], d=g["axioms"]["d"]),
+               spec["depth"]) for g in spec["goals"]]
+    rng = random.Random(13019)
+    for k in range(200):
+        goal = gen.random_full_nested(rng, rng.randrange(3), 2, 2, ("p", "q"))
+        corpus += [(goal, AXIOM_MIXES[k % len(AXIOM_MIXES)], depth) for depth in (2, 4)]
+    cold = []
+    for goal, ax, depth in corpus:
+        _reach_memo.cache_clear()
+        cold.append(_dumped(prove_bounded(goal, ax, depth)))
+    misses = _reach_memo.cache_info().misses
+    warm = [_dumped(prove_bounded(goal, ax, depth)) for goal, ax, depth in corpus]
+    info = _reach_memo.cache_info()
+    assert warm == cold
+    assert info.misses > misses and info.hits > 0
+    assert len(corpus) == 700 and 100 < sum(p is not None for p in cold) < 600
+    _reach_memo.cache_clear()
+
+
+def test_reach_memo_stays_bounded():
+    """The memo holds at most REACH_MEMO_SIZE tables, the most recent,
+    and never stores the table of a tree past REACH_MEMO_NODES nodes,
+    whose targets are still right."""
+    def forests(n):
+        # every ordered forest of n nodes, as tuples of trees
+        if n == 0:
+            return [()]
+        return [(nseq(children=kids),) + rest for m in range(1, n + 1)
+                for kids in forests(m - 1) for rest in forests(n - m)]
+
+    trees = [nseq(children=kids) for kids in forests(9)]  # of 10 nodes
+    assert len(trees) == 4862 > REACH_MEMO_SIZE and 10 <= REACH_MEMO_NODES
+    g = grammar_from_axioms(axiom_set([(1, 1)]))
+    _reach_memo.cache_clear()
+    for s in trees:
+        _reach_table(_positions(s), g)
+        assert _reach_memo.cache_info().currsize <= REACH_MEMO_SIZE
+    info = _reach_memo.cache_info()
+    assert (info.misses, info.currsize) == (len(trees), REACH_MEMO_SIZE)
+    # the last table made is still stored; the first has been dropped
+    _reach_table(_positions(trees[-1]), g)
+    _reach_table(_positions(trees[0]), g)
+    info = _reach_memo.cache_info()
+    assert (info.hits, info.misses) == (1, len(trees) + 1)
+
+    chain = EMPTY
+    for _ in range(REACH_MEMO_NODES):
+        chain = nseq(children=(chain,))
+    positions = _positions(chain)
+    assert len(positions) == REACH_MEMO_NODES + 1
+    table = _reach_table(positions, g)
+    assert _reach_memo.cache_info() == info
+    sat = _Saturator(prop_graph_nested(chain), g)
+    assert ([_targets(table, i) for i in range(len(positions))]
+            == ref_reach_targets(sat, [path for path, _ in positions]))
+    _reach_memo.cache_clear()
 
 
 def _fresh(s, rng=None):

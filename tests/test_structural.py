@@ -140,6 +140,59 @@ def test_inversions_refuse_bad_positions_and_sides():
             invert(p, (), 0)
 
 
+def test_every_entry_point_takes_list_addresses():
+    """An address given as a list acts as the tuple of its items; one
+    that is no sequence of ints is a ValueError."""
+    p = prove_bounded(parse_nested("p & q^i, p^o"), NOAX, 6)
+    assert (checked(invert_and_input(p, [], 0)).conclusion
+            == invert_and_input(p, (), 0).conclusion
+            == parse_nested("p^i, q^i, p^o"))
+    p = prove_bounded(parse_nested("[ p | q^i, q -> p^i, <>p^i ], [ ], <>p^o"),
+                      NOAX, 10)
+    assert p is not None
+    for invert, idx, extra in ((invert_or_input, 0, ("right",)),
+                               (invert_imp_input, 1, ()),
+                               (invert_dia_input, 2, ())):
+        got = checked(invert(p, [0], idx, *extra))
+        assert dump_proof(got) == dump_proof(invert(p, (0,), idx, *extra))
+    p = prove_bounded(parse_nested("[ p & q^i, p & q^i, [ ], [ ] ], <>p^o"),
+                      axiom_set([(1, 1)]), 10)
+    assert p is not None
+    assert (dump_proof(checked(contract_proof(p, [0], 0, 1)))
+            == dump_proof(contract_proof(p, (0,), 0, 1)))
+    assert (dump_proof(checked(merge_proof(p, [0], 0, 1)))
+            == dump_proof(merge_proof(p, (0,), 0, 1)))
+    assert (dump_proof(checked(weaken_proof(p, [0, 1], parse_nested("q^i"))))
+            == dump_proof(weaken_proof(p, (0, 1), parse_nested("q^i"))))
+
+    calls = [lambda at: invert_and_input(p, at, 0),
+             lambda at: invert_or_input(p, at, 0, "left"),
+             lambda at: invert_imp_input(p, at, 0),
+             lambda at: invert_dia_input(p, at, 0),
+             lambda at: contract_proof(p, at, 0, 1),
+             lambda at: merge_proof(p, at, 0, 1),
+             lambda at: weaken_proof(p, at, parse_nested("q^i"))]
+    for call in calls:
+        for at in ("0", b"\x00", 0, None, [0.0], (True,), ["0"], {0}, iter([0])):
+            with pytest.raises(ValueError, match="bad node address"):
+                call(at)
+
+
+def test_contract_and_merge_refuse_indices_that_are_not_ints():
+    """An index that is not an int, a bool among them, is a ValueError,
+    not a TypeError."""
+    p = prove_bounded(parse_nested("[ p & q^i, p & q^i, [ ], [ ] ], <>p^o"),
+                      axiom_set([(1, 1)]), 10)
+    for step in (contract_proof, merge_proof):
+        for i, j in ((0, 1.0), (0.0, 1), (False, 1), (0, True), ("0", 1), (0, None)):
+            with pytest.raises(ValueError, match="must be an int"):
+                step(p, (0,), i, j)
+        with pytest.raises(ValueError, match="i < j"):
+            step(p, (0,), 1, 0)
+    assert contract_proof(p, (0,), 0, 1).conclusion == parse_nested(
+        "[ p & q^i, [ ], [ ] ], <>p^o")
+
+
 def test_invert_an_output_free_proof():
     """A proof whose conclusion has no output still inverts: its rule
     instances have none to prune."""
