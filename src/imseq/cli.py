@@ -59,6 +59,9 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise _Fail(2, str(e))
+    except UnicodeDecodeError as e:
+        raise _Fail(2, f"{path}: not UTF-8 (byte {e.object[e.start]:#04x} "
+                       f"at position {e.start})")
 
 
 def _load_proof(path: str, loader):

@@ -16,7 +16,8 @@ graph of the target string, where it does one step per new fact and a
 closure by rounds would need a round per letter.  ``reach_masks`` keeps
 no witness: a boolean closure over one bitmask row per letter and node,
 a word of targets at a time, it gives the prover the reachable pairs of
-its bracket-tree graphs.
+its bracket-tree graphs, and ``reachable`` its answer before any
+saturation.
 """
 
 from __future__ import annotations
@@ -317,11 +318,23 @@ _derives_memo = lru_cache(maxsize=DERIVES_MEMO_SIZE)(_derives)
 
 
 def reachable(pg: PropGraph, g: Grammar, start: str, end: str) -> Optional[PropPath]:
-    """A witness walk start→end spelling a forward-derivable string, or None."""
+    """A witness walk start→end spelling a forward-derivable string, or None.
+
+    reach_masks decides the pair first, on pg's converse closure: that
+    graph has every walk pg has, so a pair it does not reach has no walk.
+    Only a pair it reaches is saturated, for the saturator's first
+    derivation as the witness; the closure costs a small part of a
+    saturation, which is cubic in the graph's size.
+    """
     if start not in pg.nodes:
         raise ValueError(f"unknown node {start!r}")
     if end not in pg.nodes:
         raise ValueError(f"unknown node {end!r}")
+    num = {v: i for i, v in enumerate(pg.nodes)}
+    rel = [(num[x], num[y]) if _CODE[s] else (num[y], num[x])
+           for x, s, y in pg.edges]
+    if not reach_masks(len(num), rel, g)[num[start]] >> num[end] & 1:
+        return None
     sat = _Saturator(pg, g)
     fact = sat.full(Sym.FWD, start, end)
     return None if fact is None else sat.path_of(fact)

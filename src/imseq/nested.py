@@ -708,7 +708,12 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
     The search addresses nodes by child-index paths and computes
     premises from _premise_edits, without re-checking side conditions:
     a pdia/pbox target is one the sequent's own propagation graph
-    reaches, and d is tried only under seriality.  Only the goal is
+    reaches, and d is tried only under seriality, and only at a node
+    none of whose children is output-free.  At a node with an
+    output-free child c, merging d's new empty bracket into c, which is
+    height-preserving (structural.merge_proof), turns any proof of d's
+    premise into one of its conclusion at the same height, so a proof
+    of least height never needs that d step.  Only the goal is
     scanned whole for a leaf.  A premise's conclusion is no leaf, so a
     premise can close only at the node its rule touched (_touched), and
     its leaf test runs there alone.  Premises searched at budget 0
@@ -836,7 +841,10 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
                             return got
         if ax.has_d:
             for path, node in positions:
-                if EMPTY in node.children:
+                # seq is full, so a node with two children, or with one
+                # that holds no output, has an output-free child
+                kids = node.children
+                if len(kids) > 1 or kids and output_count(kids[0]) == 0:
                     continue
                 got = attempt(seq, "d", path, None, None, None, budget, seen)
                 if got is not None:

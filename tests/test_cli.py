@@ -61,6 +61,16 @@ def test_reach_prints_witness(capsys):
     assert code == 1 and out.strip() == "unreachable"
 
 
+def test_reach_answers_no_walk_on_a_long_chain(capsys):
+    """w0 to w400 along a 400-edge chain spells d^400, which hsl(1,1)
+    cannot derive: the bitmask closure says so without saturating."""
+    rel = ", ".join(f"w{i} R w{i + 1}" for i in range(400))
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "reach", rel, "w0", "w400", "--hsl", "1,1")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out.strip()) == (1, "unreachable")
+
+
 def test_prove_axiom_five_conjunct(capsys):
     code, out, _ = run(capsys, "prove", "--hsl", "1,1", "--depth", "12",
                        "<>[]p -> []p")
@@ -73,6 +83,13 @@ def test_prove_unprovable(capsys):
     code, _, err = run(capsys, "prove", "--depth", "6", "p | ~p")
     assert code == 1
     assert "no proof" in err
+
+
+def test_prove_under_seriality_answers_at_depth_50(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "prove", "--d", "--depth", "50", "p")
+    assert time.perf_counter() - t0 < 5.0
+    assert (code, out) == (1, "") and "no proof within depth 50" in err
 
 
 def test_prove_rejects_negative_depth(capsys):
@@ -108,6 +125,21 @@ def test_check_rejects_malformed_file(tmp_path, capsys):
     assert code == 2 and err
     code, _, err = run(capsys, "check", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("check",), ("check", "--calculus", "nested"), ("refine",),
+    ("translate", "--to", "nested"), ("translate", "--to", "labelled"),
+    ("model-eval", "--formula", "p"),
+], ids=["check", "check-nested", "refine", "translate-nested",
+        "translate-labelled", "model-eval"])
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, args):
+    f = tmp_path / "utf16.json"
+    f.write_bytes("{}".encode("utf-16"))  # starts with the mark ff fe
+    code, out, err = run(capsys, args[0], str(f), *args[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{f}: not UTF-8 (byte 0xff at position 0)")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("calculus, conclusion, path", [

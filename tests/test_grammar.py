@@ -7,7 +7,7 @@ import pytest
 import imseq.grammar
 from imseq.formula import axiom_set
 from imseq.grammar import (Grammar, Production, PropGraph, PropPath, Sym,
-                           converse_string, derives, grammar_from_axioms,
+                           _Saturator, converse_string, derives, grammar_from_axioms,
                            graph_from_pairs, path_in_graph, reach_all,
                            reachable, syms)
 from imseq.nested import nseq, prop_graph_nested
@@ -247,6 +247,35 @@ def test_reachable_against_oracle_small():
             assert got is not None, (rel, pairs, x, y)
         if got is not None:
             assert path_in_graph(pg, got) and derives(g, D, got.steps)
+
+
+def test_reachable_answers_as_the_saturator():
+    """reachable decides each pair by the bitmask closure before it
+    saturates; its answers and witnesses are still the saturator's, also
+    on graphs whose edges come without their converse."""
+    rng = random.Random(16021)
+    grammars = [Grammar(frozenset())] + [g_of(*pairs) for pairs in REACH_GRAMMARS]
+    walks = 0
+    for k in range(120):
+        nodes = [f"n{i}" for i in range(rng.randint(1, 7))]
+        if k % 2:
+            edges = {(rng.choice(nodes), rng.choice((D, B)), rng.choice(nodes))
+                     for _ in range(rng.randint(0, 9))}
+            pg = PropGraph(frozenset(nodes), frozenset(edges))
+        else:
+            rel = {(rng.choice(nodes), rng.choice(nodes))
+                   for _ in range(rng.randint(0, 7))}
+            pg = graph_from_pairs(rel, extra_nodes=nodes)
+        g = grammars[k % len(grammars)]
+        sat = _Saturator(pg, g)
+        for x in nodes:
+            for y in nodes:
+                fact = sat.full(D, x, y)
+                want = None if fact is None else sat.path_of(fact).to_list()
+                got = reachable(pg, g, x, y)
+                assert (None if got is None else got.to_list()) == want, (k, x, y)
+                walks += want is not None
+    assert 400 < walks < 600
 
 
 REACH_GRAMMARS = ({(1, 1)}, {(2, 0)}, {(0, 2)}, {(1, 1), (2, 1)}, {(0, 0)})

@@ -6,6 +6,7 @@ import pickle
 import random
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -437,6 +438,15 @@ def test_prover_output_matches_frozen_corpus_at_depth_7():
     assert corpus_digest(7) == (PROVE_CORPUS_DEPTH7, 80)
 
 
+# As PROVE_CORPUS_DEPTH7, at depth 8; frozen before d was pruned at
+# nodes with an output-free child.
+PROVE_CORPUS_DEPTH8 = "609e4c42e35574c3ec01bc0443e7aee6b46199ac1b9ae9a0cd7d2fad2729233b"
+
+
+def test_prover_output_matches_frozen_corpus_at_depth_8():
+    assert corpus_digest(8) == (PROVE_CORPUS_DEPTH8, 80)
+
+
 # no axiom, the erasing (0, 0), single pairs, two pairs together, and
 # seriality alone and with pairs
 AXIOM_MIXES = [axiom_set(), axiom_set([(0, 0)]), axiom_set([(1, 1)]),
@@ -484,6 +494,51 @@ def test_prover_output_matches_the_reference_search():
         assert proof is not None
         (leaf,) = proof.premises
         assert leaf.premises == () and leaf.params["at"] == at
+
+
+SERIAL_MIXES = [axiom_set(d=True), axiom_set([(1, 1)], d=True),
+                axiom_set([(0, 1)], d=True), axiom_set([(0, 0), (0, 2)], d=True),
+                axiom_set([(1, 2), (2, 1)], d=True)]
+
+
+def test_d_prune_loses_no_proof():
+    """The search tries d only at nodes with no output-free child, the
+    reference search at every node without an empty one.  Under
+    seriality, each proves the same goals, the pruned search's proof
+    checks and is no taller, and the goals whose proofs differ in bytes
+    are these."""
+    rng = random.Random(16020)
+    runs = proved = 0
+    differ = []
+    for k in range(500):
+        goal = gen.random_full_nested(rng, rng.randrange(3), 2, 2, ("p", "q"))
+        ax = SERIAL_MIXES[k % len(SERIAL_MIXES)]
+        for depth in (3, 4, 5, 6):
+            got = prove_bounded(goal, ax, depth)
+            want = ref_prove_bounded(goal, ax, depth)
+            assert (got is None) == (want is None), (k, depth)
+            runs += 1
+            if got is None:
+                continue
+            proved += 1
+            assert check_nested(got, ax)
+            assert got.height() <= want.height(), (k, depth)
+            if dump_proof(got) != dump_proof(want):
+                differ.append((k, depth, want.height(), got.height()))
+    assert runs == 2000 and proved == 583
+    # one goal, [ p | q | q^i, <>(q -> q)^o ], [ p^i ] under {d}: at
+    # depth 5 a proof as tall with one d step fewer (3 against 4), at
+    # depth 6 one a level shorter with three fewer (3 against 6)
+    assert differ == [(430, 5, 6, 6), (430, 6, 7, 6)]
+
+
+def test_serial_search_answers_at_depth_50():
+    """Under seriality alone p has no proof.  Tried at every node with no
+    empty child, d would build every bracket tree within the budget,
+    about 3.2 times more per level; pruned, it extends one chain."""
+    t0 = time.perf_counter()
+    assert prove_formula(P, axiom_set(d=True), 50) is None
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_failure_cache_changes_no_verdict():
