@@ -8,16 +8,15 @@ elimination, translations between the two calculi, and a bounded prover.
 
 from .formula import (AxiomSet, BENCHMARKS, BOT, Atom, Bot, Box, Dia, And, Or,
                       Imp, Formula, ParseError, axiom_set, hsl_formula,
-                      modal_count, neg, parse_formula, render_formula)
+                      modal_count, parse_formula, render_formula)
 from .grammar import (Grammar, Production, PropGraph, PropPath, Sym,
                       converse_string, derives, grammar_from_axioms,
-                      graph_from_pairs, path_in_graph, reach_all, reachable,
-                      syms)
+                      graph_from_pairs, reach_all, reachable, syms)
 from .models import (Model, Violation, check_frame_conditions, check_model,
                      eval_formula, globally_true, model_of, random_model,
                      sat_sequent)
 from .proof import CheckResult, Proof, RuleError
-from .labelled import (LabelledProof, LabelledSequent, check_labelled, lseq,
+from .labelled import (LabelledProof, LabelledSequent, check_labelled,
                        parse_labelled_sequent, premises_of_labelled,
                        render_labelled_sequent)
 from .nested import (NestedProof, NestedSequent, check_nested, is_full, nseq,
@@ -25,8 +24,8 @@ from .nested import (NestedProof, NestedSequent, check_nested, is_full, nseq,
                      prove_formula, render_nested)
 from .structural import contract_proof, merge_proof, nest_proof, weaken_proof
 from .refine import eliminate_structural
-from .translate import (TreeCert, canonical_relabel, is_labelled_tree,
-                        to_labelled, to_nested, translate_proof)
+from .translate import (TreeCert, is_labelled_tree, to_labelled, to_nested,
+                        translate_proof)
 from .proofio import (dump_proof, load_labelled_proof, load_nested_proof,
                       proof_to_dict)
 from .gen import (random_formula, random_full_nested, random_labelled_proof,
@@ -35,21 +34,21 @@ from .gen import (random_formula, random_full_nested, random_labelled_proof,
 __all__ = [
     "AxiomSet", "BENCHMARKS", "BOT", "Atom", "Bot", "Box", "Dia", "And", "Or",
     "Imp", "Formula", "ParseError", "axiom_set", "hsl_formula", "modal_count",
-    "neg", "parse_formula", "render_formula",
+    "parse_formula", "render_formula",
     "Grammar", "Production", "PropGraph", "PropPath", "Sym", "converse_string",
-    "derives", "grammar_from_axioms", "graph_from_pairs", "path_in_graph",
+    "derives", "grammar_from_axioms", "graph_from_pairs",
     "reach_all", "reachable", "syms",
     "Model", "Violation", "check_frame_conditions", "check_model",
     "eval_formula", "globally_true", "model_of", "random_model", "sat_sequent",
     "CheckResult", "Proof", "RuleError",
-    "LabelledProof", "LabelledSequent", "check_labelled", "lseq", "parse_labelled_sequent", "premises_of_labelled",
+    "LabelledProof", "LabelledSequent", "check_labelled", "parse_labelled_sequent", "premises_of_labelled",
     "render_labelled_sequent",
     "NestedProof", "NestedSequent", "check_nested", "is_full",
     "nseq", "parse_nested", "premises_of_nested", "prove_bounded",
     "prove_formula", "render_nested",
     "contract_proof", "merge_proof", "nest_proof", "weaken_proof",
     "eliminate_structural",
-    "TreeCert", "canonical_relabel", "is_labelled_tree",
+    "TreeCert", "is_labelled_tree",
     "to_labelled", "to_nested", "translate_proof",
     "dump_proof", "load_labelled_proof", "load_nested_proof", "proof_to_dict",
     "random_formula", "random_full_nested", "random_labelled_proof",

@@ -90,7 +90,10 @@ def cmd_parse(ns) -> int:
 
 def cmd_reach(ns) -> int:
     pg = graph_from_pairs(parse_rel_atoms(ns.rel), extra_nodes=(ns.start, ns.end))
-    path = reachable(pg, grammar_from_axioms(_axioms(ns)), ns.start, ns.end)
+    try:
+        path = reachable(pg, grammar_from_axioms(_axioms(ns)), ns.start, ns.end)
+    except ValueError as e:
+        raise _Fail(2, str(e))
     if path is None:
         print("unreachable")
         return 1

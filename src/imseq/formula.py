@@ -9,8 +9,9 @@ Formulas are interned: the constructors return the one live object per
 distinct formula, kept in a weak table, so ``==`` is ``is`` and ``hash``
 is O(1) however much the formula shares.  Nodes are immutable, and
 ``pickle`` and ``copy`` hand back the interned object.  A node stores
-its rendering once it is first printed, and ``parse_formula`` answers
-repeated texts from a bounded memo.
+its rendering once it is first printed, and its polarity signature once
+the prover first asks for it; ``parse_formula`` answers repeated texts
+from a bounded memo.
 """
 
 from __future__ import annotations
@@ -39,14 +40,18 @@ def _intern(key: tuple) -> Formula:
                 for name, value in zip(cls.__match_args__, key[1:]):
                     object.__setattr__(f, name, value)
                 object.__setattr__(f, "_text", None)
+                object.__setattr__(f, "_pol", None)
                 _INTERNED[key] = f
     return f
 
 
 class Formula:
-    """Base class for formula nodes.  All nodes are interned and immutable."""
+    """Base class for formula nodes.  All nodes are interned and immutable.
 
-    __slots__ = ("_text", "__weakref__")
+    ``_text`` and ``_pol`` hold the node's rendering and its polarity
+    signature (``nested._signature``) once first asked for, else None."""
+
+    __slots__ = ("_text", "_pol", "__weakref__")
     __match_args__: tuple = ()
 
     def __setattr__(self, name, value):
@@ -125,10 +130,6 @@ class Box(Formula):
 
 
 BOT = Bot()
-
-
-def neg(a: Formula) -> Formula:
-    return Imp(a, BOT)
 
 
 class ParseError(ValueError):

@@ -22,6 +22,7 @@ saturation.
 
 from __future__ import annotations
 
+import sys
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
@@ -173,15 +174,6 @@ def graph_from_pairs(rel: Iterable[tuple[str, str]], extra_nodes: Iterable[str] 
     return PropGraph(frozenset(nodes), frozenset(edges))
 
 
-def path_in_graph(pg: PropGraph, path: PropPath) -> bool:
-    if any(v not in pg.nodes for v in path.nodes):
-        return False
-    return all(
-        (path.nodes[i], path.steps[i], path.nodes[i + 1]) in pg.edges
-        for i in range(len(path.steps))
-    )
-
-
 # The saturator codes the letters as 0 (b) and 1 (d), in their sort order.
 _LETTERS = (Sym.BWD, Sym.FWD)
 _CODE = {Sym.BWD: 0, Sym.FWD: 1}
@@ -200,7 +192,7 @@ class _Saturator:
     recorded, so reconstruction is well founded.
     """
 
-    def __init__(self, pg: PropGraph, g: Grammar):
+    def __init__(self, pg: PropGraph, g: Grammar, limit: int = sys.maxsize):
         self.names = sorted(pg.nodes)
         self.num = {v: i for i, v in enumerate(self.names)}
         num = self.num
@@ -218,14 +210,14 @@ class _Saturator:
             for pi in range(len(prods)):
                 self._add((pi, 0, x, x), ())
         self._run([_CODE[p.lhs] for p in prods],
-                  [tuple(_CODE[c] for c in p.rhs) for p in prods])
+                  [tuple(_CODE[c] for c in p.rhs) for p in prods], limit)
 
     def _add(self, fact: tuple, why):
         if fact not in self.why:
             self.why[fact] = why
             self.queue.append(fact)
 
-    def _run(self, lhs: list, rhs: list):
+    def _run(self, lhs: list, rhs: list, limit: int):
         why, queue = self.why, self.queue
         n = len(self.names)
         # by s * n + x: the y of every Full (s, x, y), sorted, and the
@@ -233,6 +225,9 @@ class _Saturator:
         fulls_from: list = [[] for _ in range(2 * n)]
         parts_waiting: list = [[] for _ in range(2 * n)]
         while queue:
+            if len(why) > limit:
+                raise ValueError(f"graph of {n} nodes too large for a witness: "
+                                 f"its saturation passed {limit} facts")
             fact = queue.popleft()
             if len(fact) == 3:
                 s, x, y = fact
@@ -317,6 +312,16 @@ DERIVES_MEMO_TEXT = 64
 _derives_memo = lru_cache(maxsize=DERIVES_MEMO_SIZE)(_derives)
 
 
+# Most facts the witness saturation of reachable and reach_all may
+# record.  The saturation's time is about cubic in a chain's length, and
+# grows with its facts: under hsl(1,1) the yes-case of a 128-edge chain
+# records 98,566 facts and answers in about 1 s (reach_all there, which
+# also unfolds all 16,000 walks, about 3.5 s); a 129-edge chain records
+# 100,110 and is refused.  Facts, not nodes, are counted, since a line
+# graph of 500 nodes saturates in 5,505 facts.
+MAX_SATURATION_FACTS = 100_000
+
+
 def reachable(pg: PropGraph, g: Grammar, start: str, end: str) -> Optional[PropPath]:
     """A witness walk start→end spelling a forward-derivable string, or None.
 
@@ -324,7 +329,8 @@ def reachable(pg: PropGraph, g: Grammar, start: str, end: str) -> Optional[PropP
     graph has every walk pg has, so a pair it does not reach has no walk.
     Only a pair it reaches is saturated, for the saturator's first
     derivation as the witness; the closure costs a small part of a
-    saturation, which is cubic in the graph's size.
+    saturation, which is cubic in the graph's size.  ValueError if that
+    saturation passes MAX_SATURATION_FACTS.
     """
     if start not in pg.nodes:
         raise ValueError(f"unknown node {start!r}")
@@ -335,14 +341,15 @@ def reachable(pg: PropGraph, g: Grammar, start: str, end: str) -> Optional[PropP
            for x, s, y in pg.edges]
     if not reach_masks(len(num), rel, g)[num[start]] >> num[end] & 1:
         return None
-    sat = _Saturator(pg, g)
+    sat = _Saturator(pg, g, MAX_SATURATION_FACTS)
     fact = sat.full(Sym.FWD, start, end)
     return None if fact is None else sat.path_of(fact)
 
 
 def reach_all(pg: PropGraph, g: Grammar) -> dict:
-    """Witness walks for every forward-reachable ordered pair."""
-    sat = _Saturator(pg, g)
+    """Witness walks for every forward-reachable ordered pair; ValueError
+    if the saturation passes MAX_SATURATION_FACTS."""
+    sat = _Saturator(pg, g, MAX_SATURATION_FACTS)
     return {(sat.names[f[1]], sat.names[f[2]]): sat.path_of(f) for f in sat.forward()}
 
 

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Optional
 
 from .formula import (Atom, AxiomSet, Bot, Box, Dia, Formula, Imp, And, Or,
                       ParseError, parse_formula, render_formula)
@@ -98,14 +98,6 @@ def _premise(rel: tuple, ante: tuple, succ: tuple, labels) -> LabelledSequent:
     if labels is not None:
         s.__dict__["_labels"] = labels
     return s
-
-
-def lseq(rel: Iterable = (), ante: Iterable = (), succ: tuple = None) -> LabelledSequent:
-    if succ is None:
-        raise ValueError("a labelled sequent needs a succedent")
-    return LabelledSequent(tuple(tuple(r) for r in rel),
-                           tuple(tuple(a) for a in ante),
-                           tuple(succ))
 
 
 def render_labelled_sequent(seq: LabelledSequent) -> str:

@@ -143,23 +143,6 @@ def _place(t: tuple, addr: tuple) -> tuple:
     return tuple(out)
 
 
-def canonical_relabel(seq: LabelledSequent) -> LabelledSequent:
-    """Rename labels to w0, w1, ... breadth-first from the root, with
-    siblings in the canonical child order.
-
-    Two tree sequents that differ only by a label bijection relabel to
-    equal sequents, so this is the normal form for comparisons.
-    """
-    t, m = _label_tree(seq)
-    at = {lab: _place(t, addr) for lab, addr in m.items()}
-    order = sorted(at, key=lambda lab: (len(at[lab]), at[lab]))
-    ren = {lab: f"w{i}" for i, lab in enumerate(order)}
-    return LabelledSequent(
-        tuple((ren[w], ren[u]) for w, u in seq.rel),
-        tuple((ren[w], f) for w, f in seq.ante),
-        (ren[seq.succ[0]], seq.succ[1]))
-
-
 def _grown(t: tuple, m: dict, L: LabelledSequent, touched: set,
            P: LabelledSequent) -> tuple:
     """(label tree, label-to-address map) of P, a premise of a rule

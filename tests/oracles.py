@@ -14,19 +14,49 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from imseq.formula import (MAX_NESTING, And, Atom, Bot, Box, Dia, Imp, Or,
-                           parse_formula, render_formula)
+from imseq.formula import (BOT, MAX_NESTING, And, Atom, Bot, Box, Dia, Formula,
+                           Imp, Or, parse_formula, render_formula)
 from imseq.grammar import (Grammar, PropGraph, PropPath, Sym, _Saturator,
                            grammar_from_axioms, syms)
-from imseq.labelled import (check_labelled, premises_of_labelled,
+from imseq.labelled import (LabelledSequent, check_labelled, premises_of_labelled,
                             render_labelled_sequent)
 from imseq.nested import (EMPTY, NestedProof, NestedSequent, _params, _positions,
                           _premises, _witness, all_paths,
                           check_nested, is_full, match_children, node_at,
                           parse_path_id, path_id, prop_graph_nested, read_nested)
 from imseq.proof import RuleError, rebuild
-from imseq.translate import (_TO_LABELLED_RULE, _TO_NESTED_RULE,
-                             is_labelled_tree, to_labelled_with_map)
+from imseq.translate import (_TO_LABELLED_RULE, _TO_NESTED_RULE, _label_tree,
+                             _place, is_labelled_tree, to_labelled_with_map)
+
+
+def neg(a: Formula) -> Formula:
+    return Imp(a, BOT)
+
+
+def path_in_graph(pg: PropGraph, path: PropPath) -> bool:
+    if any(v not in pg.nodes for v in path.nodes):
+        return False
+    return all(
+        (path.nodes[i], path.steps[i], path.nodes[i + 1]) in pg.edges
+        for i in range(len(path.steps))
+    )
+
+
+def canonical_relabel(seq: LabelledSequent) -> LabelledSequent:
+    """Rename labels to w0, w1, ... breadth-first from the root, with
+    siblings in the canonical child order.
+
+    Two tree sequents that differ only by a label bijection relabel to
+    equal sequents, so this is the normal form for comparisons.
+    """
+    t, m = _label_tree(seq)
+    at = {lab: _place(t, addr) for lab, addr in m.items()}
+    order = sorted(at, key=lambda lab: (len(at[lab]), at[lab]))
+    ren = {lab: f"w{i}" for i, lab in enumerate(order)}
+    return LabelledSequent(
+        tuple((ren[w], ren[u]) for w, u in seq.rel),
+        tuple((ren[w], f) for w, f in seq.ante),
+        (ren[seq.succ[0]], seq.succ[1]))
 
 
 def one_step(g: Grammar, s) -> set:
@@ -308,6 +338,40 @@ def _ref_try_leaf(seq, positions):
                 return NestedProof(seq, "id",
                                    {"at": path_id(path), "index": idx}, ())
     return None
+
+
+def ref_polarities(seq: NestedSequent) -> tuple:
+    """(the atoms, and BOT, at input polarity, those at output polarity,
+    whether a [] stands at input or a <> at output polarity) of a
+    sequent, by a recursive walk of every formula occurrence: an
+    implication's left side flips the polarity, nothing else does."""
+    ins, outs = set(), set()
+    moves = False
+
+    def walk(f, inp):
+        nonlocal moves
+        if isinstance(f, (Atom, Bot)):
+            (ins if inp else outs).add(f)
+        elif isinstance(f, Imp):
+            walk(f.left, not inp)
+            walk(f.right, inp)
+        elif isinstance(f, (And, Or)):
+            walk(f.left, inp)
+            walk(f.right, inp)
+        else:
+            moves = moves or isinstance(f, Box) == inp
+            walk(f.body, inp)
+
+    def visit(node):
+        for f in node.inputs:
+            walk(f, True)
+        if node.output is not None:
+            walk(node.output, False)
+        for c in node.children:
+            visit(c)
+
+    visit(seq)
+    return ins, outs, moves
 
 
 def ref_reach_targets(sat: _Saturator, shape: list) -> list:

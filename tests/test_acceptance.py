@@ -20,7 +20,7 @@ from imseq.formula import (BENCHMARKS, axiom_set, parse_formula,
 from imseq.gen import (random_formula, random_full_nested,
                        random_labelled_proof, random_tree_labelled)
 from imseq.grammar import (Production, Sym, derives, grammar_from_axioms,
-                           graph_from_pairs, path_in_graph, reachable, syms)
+                           graph_from_pairs, reachable, syms)
 from imseq.labelled import (LabelledProof, check_labelled,
                             parse_labelled_sequent, premises_of_labelled,
                             render_labelled_sequent)
@@ -32,8 +32,8 @@ from imseq.nested import (all_paths, check_nested, node_at, nseq,
 from imseq.refine import eliminate_structural
 from imseq.structural import (contract_proof, merge_proof, nest_proof,
                               weaken_proof)
-from imseq.translate import canonical_relabel, to_labelled, to_nested
-from oracles import oracle_reachable
+from imseq.translate import to_labelled, to_nested
+from oracles import canonical_relabel, oracle_reachable, path_in_graph
 
 D, B = Sym.FWD, Sym.BWD
 

@@ -9,6 +9,7 @@ import pytest
 from imseq.cli import main
 from imseq.formula import MAX_NESTING, MAX_TREE_SIZE, axiom_set, parse_formula
 from imseq.gen import random_labelled_proof
+from imseq.grammar import MAX_SATURATION_FACTS
 from imseq.proofio import dump_proof, load_nested_proof
 
 
@@ -71,6 +72,16 @@ def test_reach_answers_no_walk_on_a_long_chain(capsys):
     assert (code, out.strip()) == (1, "unreachable")
 
 
+def test_reach_refuses_a_chain_past_the_saturation_limit(capsys):
+    """w1 to w129 along a 129-edge chain has a walk under hsl(1,1), and
+    its witness saturation records 100,110 facts, past
+    MAX_SATURATION_FACTS (a 128-edge chain records 98,566)."""
+    rel = ", ".join(f"w{i} R w{i + 1}" for i in range(129))
+    code, out, err = run(capsys, "reach", rel, "w1", "w129", "--hsl", "1,1")
+    assert (code, out) == (2, "")
+    assert f"passed {MAX_SATURATION_FACTS} facts" in err and "Traceback" not in err
+
+
 def test_prove_axiom_five_conjunct(capsys):
     code, out, _ = run(capsys, "prove", "--hsl", "1,1", "--depth", "12",
                        "<>[]p -> []p")
@@ -90,6 +101,13 @@ def test_prove_under_seriality_answers_at_depth_50(capsys):
     code, out, err = run(capsys, "prove", "--d", "--depth", "50", "p")
     assert time.perf_counter() - t0 < 5.0
     assert (code, out) == (1, "") and "no proof within depth 50" in err
+
+
+def test_prove_under_seriality_answers_at_depth_300(capsys):
+    """No leaf can close p, so the search refutes it before any d."""
+    code, out, err = run(capsys, "prove", "--d", "--depth", "300", "p")
+    assert (code, out) == (1, "") and "no proof within depth 300" in err
+    assert "Traceback" not in err
 
 
 def test_prove_rejects_negative_depth(capsys):

@@ -8,10 +8,10 @@ import imseq.grammar
 from imseq.formula import axiom_set
 from imseq.grammar import (Grammar, Production, PropGraph, PropPath, Sym,
                            _Saturator, converse_string, derives, grammar_from_axioms,
-                           graph_from_pairs, path_in_graph, reach_all,
-                           reachable, syms)
+                           graph_from_pairs, reach_all, reachable, syms)
 from imseq.nested import nseq, prop_graph_nested
-from oracles import closure_strings, one_step, oracle_derives, oracle_reachable
+from oracles import (closure_strings, one_step, oracle_derives, oracle_reachable,
+                     path_in_graph)
 
 D, B = Sym.FWD, Sym.BWD
 
@@ -198,6 +198,28 @@ def test_reachable_none_and_errors():
         reachable(pg, g, "z", "u")
     with pytest.raises(ValueError):
         reachable(pg, g, "v", "z")
+
+
+def test_witness_saturation_stops_past_its_fact_limit(monkeypatch):
+    """reachable's witness step and reach_all refuse a graph whose
+    saturation records more than MAX_SATURATION_FACTS facts, with
+    ValueError; reachable's bitmask decision is not limited, so a pair
+    with no walk still answers None; derives is not limited."""
+    G = imseq.grammar
+    g = g_of((1, 1))
+    chain = graph_from_pairs([(f"w{i}", f"w{i + 1}") for i in range(12)])
+    facts = len(G._Saturator(chain, g).why)
+    walk, walks = reachable(chain, g, "w1", "w12"), reach_all(chain, g)
+    monkeypatch.setattr(G, "MAX_SATURATION_FACTS", facts)
+    assert reachable(chain, g, "w1", "w12") == walk is not None
+    assert reach_all(chain, g) == walks
+    monkeypatch.setattr(G, "MAX_SATURATION_FACTS", facts - 1)
+    with pytest.raises(ValueError, match=f"saturation passed {facts - 1} facts"):
+        reachable(chain, g, "w1", "w12")
+    with pytest.raises(ValueError, match="graph of 13 nodes too large"):
+        reach_all(chain, g)
+    assert reachable(chain, g, "w0", "w12") is None
+    assert G._derives(g, D, syms("b" + "d" * 40))
 
 
 def test_reachable_empty_path():

@@ -6,11 +6,13 @@ import pytest
 
 from imseq.formula import axiom_set, parse_formula
 from imseq.gen import random_formula, random_labelled_proof, random_tree_labelled
-from imseq.grammar import PropPath, Sym, path_in_graph
+from imseq.grammar import PropPath, Sym
 from imseq.labelled import (CheckResult, LabelledProof, LabelledSequent,
-                            RuleError, check_labelled, lseq,
+                            RuleError, check_labelled,
                             parse_labelled_sequent, premises_of_labelled,
                             prop_graph_of, render_labelled_sequent)
+
+from oracles import path_in_graph
 
 AX11 = axiom_set([(1, 1)])
 AX21 = axiom_set([(2, 1)])

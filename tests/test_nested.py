@@ -10,17 +10,19 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import imseq.grammar
 import imseq.nested
 from imseq import gen
-from imseq.formula import (MAX_NESTING, And, Atom, BENCHMARKS, Bot, Box, Dia,
+from imseq.formula import (BOT, MAX_NESTING, And, Atom, BENCHMARKS, Bot, Box, Dia,
                            Imp, Or, ParseError, axiom_set, hsl_formula,
                            parse_formula)
 from imseq.grammar import Sym, _Saturator, grammar_from_axioms, reach_all
-from imseq.nested import (EMPTY, NESTED_RULES, REACH_MEMO_NODES,
+from imseq.nested import (_MOVES_IN, EMPTY, NESTED_RULES, REACH_MEMO_NODES,
                           REACH_MEMO_SIZE, NestedProof, _applied,
-                          _local_leaf, _positions, _premise_edits,
+                          _local_leaf, _polarities, _positions, _premise_edits,
                           _reach_memo, _reach_table, _targets, _touched,
                           _try_leaf, _witness,
                           all_paths, check_nested, is_full, map_node,
@@ -31,7 +33,7 @@ from imseq.nested import (EMPTY, NESTED_RULES, REACH_MEMO_NODES,
                           prove_formula, render_nested, RuleError)
 from imseq.proofio import dump_proof
 
-from oracles import ref_prove_bounded, ref_reach_targets
+from oracles import ref_polarities, ref_prove_bounded, ref_reach_targets
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 NOAX = axiom_set()
@@ -539,6 +541,213 @@ def test_serial_search_answers_at_depth_50():
     t0 = time.perf_counter()
     assert prove_formula(P, axiom_set(d=True), 50) is None
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_serial_search_answers_an_unrefuted_goal_at_depth_20():
+    """[](p -> p) -> q holds p at both polarities and a [] at input, so
+    neither polarity prune applies and d is tried."""
+    goal = nseq(output=parse_formula("[](p -> p) -> q"))
+    ins, outs, moves = _polarities(_positions(goal))
+    assert not ins.isdisjoint(outs) and moves
+    t0 = time.perf_counter()
+    assert prove_bounded(goal, axiom_set(d=True), 20) is None
+    assert time.perf_counter() - t0 < 5.0
+
+
+def _refuted(seq):
+    ins, outs, _ = _polarities(_positions(seq))
+    return BOT not in ins and ins.isdisjoint(outs)
+
+
+def _unpruned(positions):
+    """_polarities' answer for a sequent with false at input polarity
+    and a formula that can propagate: under it, prove_bounded refutes no
+    sequent and tries d wherever the output-free-child prune allows, as
+    it did before the polarity prunes."""
+    return {BOT}, set(), _MOVES_IN
+
+
+def _ungated(positions):
+    """_polarities' answer with every sequent able to propagate: under
+    it, prove_bounded refutes as it does, but tries d without the gate."""
+    return _polarities(positions)[:2] + (_MOVES_IN,)
+
+
+def _prove_as(polarities, goal, ax, depth):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(imseq.nested, "_polarities", polarities)
+        return prove_bounded(goal, ax, depth)
+
+
+def test_premise_polarities_are_subsets_of_their_conclusions():
+    """Each premise of every rule instance holds subformulas of its
+    conclusion's formulas at their polarities, so its atoms at input and
+    at output polarity are subsets of its conclusion's, and it can
+    propagate only if its conclusion can.  The refutation and the d gate
+    rest on this.  The signatures agree with a walk of every formula
+    occurrence."""
+    rng = random.Random(17001)
+    rules = set()
+    premises = 0
+    while premises < 6000:
+        seq = gen.random_full_nested(rng, rng.randrange(3), 2, 2, ("p", "q", "r"))
+        ins, outs, moves = _polarities(_positions(seq))
+        assert (ins, outs, bool(moves)) == ref_polarities(seq), str(seq)
+        for inst in _instances(seq):
+            rules.add(inst[0])
+            for edits in _premise_edits(seq, *inst):
+                prem = _applied(seq, edits)
+                pins, pouts, pmoves = _polarities(_positions(prem))
+                assert (pins, pouts, bool(pmoves)) == ref_polarities(prem)
+                assert pins <= ins and pouts <= outs, (str(seq), inst)
+                assert moves or not pmoves, (str(seq), inst)
+                premises += 1
+    assert rules == NESTED_RULES
+
+
+_goal_formulas = st.recursive(
+    st.sampled_from([P, Q, R, Bot()]),
+    lambda sub: st.one_of(st.builds(And, sub, sub), st.builds(Or, sub, sub),
+                          st.builds(Imp, sub, sub), st.builds(Dia, sub),
+                          st.builds(Box, sub)),
+    max_leaves=4)
+_goal_trees = st.recursive(
+    st.builds(nseq, st.lists(_goal_formulas, max_size=2)),
+    lambda sub: st.builds(nseq, st.lists(_goal_formulas, max_size=2), st.none(),
+                          st.lists(sub, max_size=2)),
+    max_leaves=4)
+
+
+@st.composite
+def _goals(draw):
+    base = draw(_goal_trees)
+    at = draw(st.sampled_from(all_paths(base)))
+    out = draw(_goal_formulas)
+    return map_node(base, at, lambda nd: nseq(nd.inputs, out, nd.children))
+
+
+def _polarized(f, inp):
+    """f standing at input polarity if inp, else at output, with each
+    atom at output polarity renamed (p to po) and false at input
+    polarity turned into p."""
+    if isinstance(f, Bot):
+        return P if inp else f
+    if isinstance(f, Atom):
+        return f if inp else Atom(f.name + "o")
+    if isinstance(f, Imp):
+        return Imp(_polarized(f.left, not inp), _polarized(f.right, inp))
+    if isinstance(f, (And, Or)):
+        return type(f)(_polarized(f.left, inp), _polarized(f.right, inp))
+    return type(f)(_polarized(f.body, inp))
+
+
+def _polarized_goal(seq):
+    """seq with its formulas polarized: a goal that is refuted."""
+    return nseq([_polarized(f, True) for f in seq.inputs],
+                None if seq.output is None else _polarized(seq.output, False),
+                [_polarized_goal(c) for c in seq.children])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_goals(), st.sampled_from(AXIOM_MIXES), st.integers(0, 6))
+def test_refuted_goals_have_no_proof(goal, ax, depth):
+    """A goal with no false at input polarity and no atom at both
+    polarities has no proof from the search without the prunes: the
+    goal drawn, if it is refuted, and the goal polarized, which is."""
+    polarized = _polarized_goal(goal)
+    assert _refuted(polarized)
+    assert ref_prove_bounded(polarized, ax, depth) is None
+    if _refuted(goal):
+        assert ref_prove_bounded(goal, ax, depth) is None
+
+
+def test_refutation_changes_no_proof():
+    """Refuting a sequent that no leaf above can close changes no proof:
+    with d ungated, byte-identical proofs with and without the
+    refutation, on random goals under every axiom mix."""
+    rng = random.Random(17003)
+    runs = proved = refuted = 0
+    for k in range(1000):
+        goal = gen.random_full_nested(rng, rng.randrange(3), 2, 2, ("p", "q", "r"))
+        ax = AXIOM_MIXES[k % len(AXIOM_MIXES)]
+        refuted += _refuted(goal)
+        for depth in (2, 4, 5, 6):
+            got = _dumped(_prove_as(_ungated, goal, ax, depth))
+            assert got == _dumped(_prove_as(_unpruned, goal, ax, depth)), (k, depth)
+            runs += 1
+            proved += got is not None
+    assert (runs, proved, refuted) == (4000, 902, 289)
+
+
+def test_d_gate_loses_no_proof():
+    """d is tried only where some formula can propagate, else its new
+    bracket would stay empty in any proof above it.  Against the search
+    without the gate, under seriality, each proves the same goals, the
+    gated proof checks and is no taller, and the goals whose proofs
+    differ in bytes are these."""
+    rng = random.Random(17005)
+    mixes = SERIAL_MIXES + [axiom_set([(2, 1)], d=True)]
+    cases = []
+    for k in range(600):
+        goal = gen.random_full_nested(rng, rng.randrange(3), 2, 2, ("p", "q", "r"))
+        cases.append((goal, mixes[k % len(mixes)]))
+    # a proof of height 7 with one useless d at depth 6, of 4 when gated
+    cases.append((parse_nested("[ q | r -> <>false^i, r^i, [](false | p)^o ]"),
+                  axiom_set([(2, 1)], d=True)))
+    runs = proved = 0
+    differ = []
+    for k, (goal, ax) in enumerate(cases):
+        for depth in (3, 4, 5, 6):
+            got = prove_bounded(goal, ax, depth)
+            want = _prove_as(_ungated, goal, ax, depth)
+            assert (got is None) == (want is None), (k, depth)
+            runs += 1
+            if got is None:
+                continue
+            proved += 1
+            assert check_nested(got, ax)
+            assert got.height() <= want.height(), (k, depth)
+            if dump_proof(got) != dump_proof(want):
+                differ.append((k, depth, want.height(), got.height()))
+    assert (runs, proved) == (2404, 576)
+    assert differ == [(600, 6, 7, 4)]
+
+
+def test_polarity_prunes_cut_the_corpus_search():
+    """Search calls and d attempts in one pass over the prove corpus at
+    depth 5: with both polarity prunes, with the refutation alone, and
+    with neither.  The outcomes are the frozen ones in all three."""
+    spec = json.loads(PROVE_CORPUS.read_text())
+    goals = [(parse_nested(g["goal"]),
+              axiom_set([tuple(p) for p in g["axioms"]["hsl"]], d=g["axioms"]["d"]),
+              g["digest"]) for g in spec["goals"]]
+    calls = {"search": 0, "d": 0}
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == imseq.nested.__file__:
+            name = frame.f_code.co_name
+            if name == "search":
+                calls["search"] += 1
+            elif name == "attempt" and frame.f_locals["rule"] == "d":
+                calls["d"] += 1
+
+    counts = []
+    for polarities in (_polarities, _ungated, _unpruned):
+        calls.update(search=0, d=0)
+        outcomes = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(imseq.nested, "_polarities", polarities)
+            for goal, ax, _ in goals:
+                sys.setprofile(count)
+                try:
+                    proof = prove_bounded(goal, ax, spec["depth"])
+                finally:
+                    sys.setprofile(None)
+                outcomes.append(None if proof is None else
+                                hashlib.sha256(dump_proof(proof).encode()).hexdigest())
+        assert outcomes == [digest for _, _, digest in goals]
+        counts.append((calls["search"], calls["d"]))
+    assert counts == [(1830, 532), (2060, 927), (2914, 1933)]
 
 
 def test_failure_cache_changes_no_verdict():

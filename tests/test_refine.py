@@ -6,7 +6,7 @@ import pytest
 
 from imseq.formula import axiom_set
 from imseq.grammar import PropPath
-from imseq.labelled import (LabelledProof, check_labelled, lseq,
+from imseq.labelled import (LabelledProof, check_labelled,
                             parse_labelled_sequent, premises_of_labelled)
 from imseq.proofio import dump_proof
 from imseq.refine import _detour_path, eliminate_structural

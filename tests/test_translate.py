@@ -20,9 +20,8 @@ from imseq.nested import (EMPTY, NESTED_RULES, NestedProof, NestedSequent,
 from imseq.proof import Proof, rebuild
 from imseq.proofio import dump_proof, load_labelled_proof, load_nested_proof
 from imseq.refine import eliminate_structural
-from imseq.translate import (canonical_relabel, is_labelled_tree, to_labelled,
-                             to_nested, translate_proof)
-from oracles import ref_proof_to_labelled, ref_proof_to_nested
+from imseq.translate import is_labelled_tree, to_labelled, to_nested, translate_proof
+from oracles import canonical_relabel, ref_proof_to_labelled, ref_proof_to_nested
 
 
 def L(text):
