@@ -321,6 +321,20 @@ _derives_memo = lru_cache(maxsize=DERIVES_MEMO_SIZE)(_derives)
 # graph of 500 nodes saturates in 5,505 facts.
 MAX_SATURATION_FACTS = 100_000
 
+# Most nodes a graph given to reachable or reach_all may have.  The
+# bitmask closure that decides reachable's pair takes about cubic time
+# in a chain's length: on a 512-node chain it took 0.6 s under hsl(1,1),
+# 1.1 s under hsl(2,2) and 2.2 s under (0,2), (1,0), (1,1), (2,1) and
+# (2,2) together, and on a 1,000-node chain 4.3 s under hsl(1,1).  The
+# prover's reach tables call reach_masks directly and are not limited.
+MAX_REACH_NODES = 512
+
+
+def _check_size(pg: PropGraph):
+    if len(pg.nodes) > MAX_REACH_NODES:
+        raise ValueError(f"graph of {len(pg.nodes)} nodes too large: "
+                         f"reachability is limited to {MAX_REACH_NODES} nodes")
+
 
 def reachable(pg: PropGraph, g: Grammar, start: str, end: str) -> Optional[PropPath]:
     """A witness walk start→end spelling a forward-derivable string, or None.
@@ -329,13 +343,15 @@ def reachable(pg: PropGraph, g: Grammar, start: str, end: str) -> Optional[PropP
     graph has every walk pg has, so a pair it does not reach has no walk.
     Only a pair it reaches is saturated, for the saturator's first
     derivation as the witness; the closure costs a small part of a
-    saturation, which is cubic in the graph's size.  ValueError if that
-    saturation passes MAX_SATURATION_FACTS.
+    saturation, which is cubic in the graph's size.  ValueError if pg
+    has more than MAX_REACH_NODES nodes, or if that saturation passes
+    MAX_SATURATION_FACTS.
     """
     if start not in pg.nodes:
         raise ValueError(f"unknown node {start!r}")
     if end not in pg.nodes:
         raise ValueError(f"unknown node {end!r}")
+    _check_size(pg)
     num = {v: i for i, v in enumerate(pg.nodes)}
     rel = [(num[x], num[y]) if _CODE[s] else (num[y], num[x])
            for x, s, y in pg.edges]
@@ -348,7 +364,9 @@ def reachable(pg: PropGraph, g: Grammar, start: str, end: str) -> Optional[PropP
 
 def reach_all(pg: PropGraph, g: Grammar) -> dict:
     """Witness walks for every forward-reachable ordered pair; ValueError
-    if the saturation passes MAX_SATURATION_FACTS."""
+    if pg has more than MAX_REACH_NODES nodes, or if the saturation
+    passes MAX_SATURATION_FACTS."""
+    _check_size(pg)
     sat = _Saturator(pg, g, MAX_SATURATION_FACTS)
     return {(sat.names[f[1]], sat.names[f[2]]): sat.path_of(f) for f in sat.forward()}
 

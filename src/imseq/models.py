@@ -44,11 +44,31 @@ def model_of(worlds: Iterable[str], leq: Iterable = (), acc: Iterable = (),
                  frozenset(tuple(p) for p in val))
 
 
+def _successors(pairs: Iterable) -> dict:
+    """Each pair's first element to the set of its second elements."""
+    succ: dict = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    return succ
+
+
+def _powers(succ: dict, worlds: Iterable, n: int) -> dict:
+    """Each world to the set it reaches in n steps along succ; zero steps
+    is the world itself."""
+    out = {w: {w} for w in worlds}
+    for _ in range(n):
+        out = {w: set().union(*(succ.get(x, ()) for x in xs))
+               for w, xs in out.items()}
+    return out
+
+
 def check_model(m: Model) -> list:
     """Violations of the five structural conditions, empty iff well formed.
 
     Conditions: leq reflexive, leq transitive, F1, F2, monotone
     valuation.  Out-of-domain pairs are reported as domain violations.
+    Each relation's successor sets are built once and walked in sorted
+    order, so violations come in the order of the sorted pairs.
     """
     out = []
     for a, b in sorted(m.leq):
@@ -65,56 +85,50 @@ def check_model(m: Model) -> list:
     for w in sorted(m.worlds):
         if (w, w) not in m.leq:
             out.append(Violation("leq-reflexive", (w,)))
-    for a, b in sorted(m.leq):
-        for b2, c in sorted(m.leq):
-            if b == b2 and (a, c) not in m.leq:
-                out.append(Violation("leq-transitive", (a, b, c)))
+    up, nxt = _successors(m.leq), _successors(m.acc)
+    up_sorted = {w: sorted(us) for w, us in up.items()}
+    nxt_sorted = {w: sorted(vs) for w, vs in nxt.items()}
+    for a in sorted(up):
+        for b in up_sorted[a]:
+            for c in up_sorted.get(b, ()):
+                if c not in up[a]:
+                    out.append(Violation("leq-transitive", (a, b, c)))
     # F1: wRv and v <= v' need some w' with w <= w' and w'Rv'
-    for w, v in sorted(m.acc):
-        for v2, v_up in sorted(m.leq):
-            if v2 != v:
-                continue
-            if not any((w, w_up) in m.leq and (w_up, v_up) in m.acc
-                       for w_up in m.worlds):
-                out.append(Violation("F1", (w, v, v_up)))
+    for w in sorted(nxt):
+        above = set().union(*(nxt.get(w_up, ()) for w_up in up.get(w, ())))
+        for v in nxt_sorted[w]:
+            for v_up in up_sorted.get(v, ()):
+                if v_up not in above:
+                    out.append(Violation("F1", (w, v, v_up)))
     # F2: w <= w' and wRv need some v' with w'Rv' and v <= v'
-    for w, w_up in sorted(m.leq):
-        for w2, v in sorted(m.acc):
-            if w2 != w:
-                continue
-            if not any((w_up, v_up) in m.acc and (v, v_up) in m.leq
-                       for v_up in m.worlds):
-                out.append(Violation("F2", (w, w_up, v)))
+    for w in sorted(up):
+        for w_up in up_sorted[w]:
+            for v in nxt_sorted.get(w, ()):
+                if nxt.get(w_up, set()).isdisjoint(up.get(v, ())):
+                    out.append(Violation("F2", (w, w_up, v)))
     for w, p in sorted(m.val):
-        for w2, w_up in sorted(m.leq):
-            if w2 == w and (w_up, p) not in m.val:
+        for w_up in up_sorted.get(w, ()):
+            if (w_up, p) not in m.val:
                 out.append(Violation("monotonicity", (w, w_up, p)))
     return out
 
 
-def _power_pairs(m: Model, n: int) -> set:
-    """Pairs related by n accessibility steps; zero steps is identity."""
-    pairs = {(w, w) for w in m.worlds}
-    for _ in range(n):
-        pairs = {(a, c) for a, b in pairs for b2, c in m.acc if b == b2}
-    return pairs
-
-
 def check_frame_conditions(m: Model, ax: AxiomSet) -> list:
     out = []
+    nxt = _successors(m.acc)
     if ax.has_d:
         for w in sorted(m.worlds):
-            if not any(a == w for a, _ in m.acc):
+            if w not in nxt:
                 out.append(Violation("seriality", (w,)))
     for n, k in sorted(ax.hsl):
-        rn = _power_pairs(m, n)
-        rk = _power_pairs(m, k)
+        rn = _powers(nxt, m.worlds, n)
+        rk = _powers(nxt, m.worlds, k)
         for w in sorted(m.worlds):
-            for w2, u in sorted(rn):
-                if w2 != w:
-                    continue
-                for w3, v in sorted(rk):
-                    if w3 == w and (u, v) not in m.acc:
+            vs = sorted(rk[w])
+            for u in sorted(rn[w]):
+                u_next = nxt.get(u, ())
+                for v in vs:
+                    if v not in u_next:
                         out.append(Violation(f"hsl({n},{k})", (w, u, v)))
     return out
 
@@ -180,57 +194,57 @@ def sat_sequent(m: Model, interp: Mapping, seq: LabelledSequent) -> bool:
 def random_model(ax: AxiomSet, max_worlds: int, seed: int) -> Model:
     """A pseudorandom model passing both checkers for the axiom set.
 
-    Random preorder and accessibility relations are closed jointly to a
-    fixpoint: upward closure of acc along leq on both sides (gives F1
-    and F2), the (n, k) closures, and a self-loop at any dead end when
-    seriality is required.  The valuation is then closed upward.
+    Both relations are kept as each world's successor set.  A random
+    preorder is closed by Warshall's algorithm; a random accessibility
+    relation is then closed to a fixpoint: upward closure of acc along
+    leq on both sides (gives F1 and F2), the (n, k) closures, and a
+    self-loop at any dead end when seriality is required.  The valuation
+    is then closed upward.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     rng = random.Random(seed)
     n = rng.randint(1, max_worlds)
     worlds = [f"m{i}" for i in range(n)]
-    leq = {(w, w) for w in worlds}
+    leq = {w: {w} for w in worlds}
     for w in worlds:
         for u in worlds:
             if w != u and rng.random() < 0.25:
-                leq.add((w, u))
-    changed = True
-    while changed:  # transitive closure
-        changed = False
-        for a, b in list(leq):
-            for b2, c in list(leq):
-                if b == b2 and (a, c) not in leq:
-                    leq.add((a, c))
-                    changed = True
-    acc = set()
+                leq[w].add(u)
+    for u in worlds:  # Warshall's transitive closure
+        for w in worlds:
+            if u in leq[w]:
+                leq[w] |= leq[u]
+    acc = {w: set() for w in worlds}
     for w in worlds:
         for u in worlds:
             if rng.random() < 0.3:
-                acc.add((w, u))
+                acc[w].add(u)
     changed = True
     while changed:
-        changed = False
-        before = len(acc)
-        acc |= {(w2, v2) for w, v in list(acc)
-                for w1, w2 in leq if w1 == w
-                for v1, v2 in leq if v1 == v}
+        before = sum(map(len, acc.values()))
+        ups = {w: set().union(*(leq[v] for v in acc[w])) for w in worlds}
+        for w in worlds:
+            for w2 in leq[w]:
+                acc[w2] |= ups[w]
         for pn, pk in sorted(ax.hsl):
-            m0 = Model(frozenset(worlds), frozenset(leq), frozenset(acc), frozenset())
-            rn = _power_pairs(m0, pn)
-            rk = _power_pairs(m0, pk)
-            acc |= {(u, v) for w in worlds
-                    for w2, u in rn if w2 == w
-                    for w3, v in rk if w3 == w}
+            rn = _powers(acc, worlds, pn)
+            rk = _powers(acc, worlds, pk)
+            for w in worlds:
+                for u in rn[w]:
+                    acc[u] |= rk[w]
         if ax.has_d:
             for w in worlds:
-                if not any(a == w for a, _ in acc):
-                    acc.add((w, w))
-        changed = len(acc) != before
+                if not acc[w]:
+                    acc[w].add(w)
+        changed = sum(map(len, acc.values())) != before
     val = set()
     for w in worlds:
         for p in ("p", "q", "r"):
             if rng.random() < 0.4:
                 val.add((w, p))
-    val |= {(u, p) for w, p in list(val) for w2, u in leq if w2 == w}
-    return Model(frozenset(worlds), frozenset(leq), frozenset(acc), frozenset(val))
+    val |= {(u, p) for w, p in list(val) for u in leq[w]}
+    return Model(frozenset(worlds),
+                 frozenset((w, u) for w in worlds for u in leq[w]),
+                 frozenset((w, v) for w in worlds for v in acc[w]),
+                 frozenset(val))

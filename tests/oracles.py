@@ -3,10 +3,11 @@
 These deliberately avoid the library's algorithms: string derivability
 is a breadth-first closure over one-step rewrites, path search is a naive
 length-bounded enumeration, model evaluation expands quantifiers
-without memoization, and proof translation re-translates every node's
-whole sequent after a separate checker walk.  The reference prover
-builds every premise it searches and scans every node of it for a leaf,
-and its failure cache can be switched off.
+without memoization, model generation and the structure checks scan a
+whole relation for each world's successors, and proof translation
+re-translates every node's whole sequent after a separate checker walk.
+The reference prover builds every premise it searches and scans every
+node of it for a leaf, and its failure cache can be switched off.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from imseq.formula import (BOT, MAX_NESTING, And, Atom, Bot, Box, Dia, Formula,
-                           Imp, Or, parse_formula, render_formula)
+from imseq.formula import (BOT, MAX_NESTING, And, Atom, AxiomSet, Bot, Box, Dia,
+                           Formula, Imp, Or, parse_formula, render_formula)
 from imseq.grammar import (Grammar, PropGraph, PropPath, Sym, _Saturator,
                            grammar_from_axioms, syms)
 from imseq.labelled import (LabelledSequent, check_labelled, premises_of_labelled,
                             render_labelled_sequent)
+from imseq.models import Model, Violation
 from imseq.nested import (EMPTY, NestedProof, NestedSequent, _params, _positions,
                           _premises, _witness, all_paths,
                           check_nested, is_full, match_children, node_at,
@@ -514,3 +516,131 @@ def ref_prove_bounded(goal, ax, depth, cache=True):
             raise RuntimeError("prover built a proof that fails to check: "
                                f"{res.message} at {res.at}")
     return proof
+
+
+# --- reference model generation and structure checks --------------------
+#
+# random_model, check_model and check_frame_conditions as they stood
+# before the successor-set rewrite: every world's successors are found by
+# scanning, and re-sorting, a whole relation inside the loops.  Kept as
+# the differential reference for imseq.models, which must give the same
+# model for every (ax, max_worlds, seed) and the same violations, in the
+# same order, for every model.
+
+def ref_check_model(m: Model) -> list:
+    out = []
+    for a, b in sorted(m.leq):
+        if a not in m.worlds or b not in m.worlds:
+            out.append(Violation("domain-leq", (a, b)))
+    for a, b in sorted(m.acc):
+        if a not in m.worlds or b not in m.worlds:
+            out.append(Violation("domain-acc", (a, b)))
+    for w, p in sorted(m.val):
+        if w not in m.worlds:
+            out.append(Violation("domain-val", (w, p)))
+    if out:
+        return out
+    for w in sorted(m.worlds):
+        if (w, w) not in m.leq:
+            out.append(Violation("leq-reflexive", (w,)))
+    for a, b in sorted(m.leq):
+        for b2, c in sorted(m.leq):
+            if b == b2 and (a, c) not in m.leq:
+                out.append(Violation("leq-transitive", (a, b, c)))
+    for w, v in sorted(m.acc):
+        for v2, v_up in sorted(m.leq):
+            if v2 != v:
+                continue
+            if not any((w, w_up) in m.leq and (w_up, v_up) in m.acc
+                       for w_up in m.worlds):
+                out.append(Violation("F1", (w, v, v_up)))
+    for w, w_up in sorted(m.leq):
+        for w2, v in sorted(m.acc):
+            if w2 != w:
+                continue
+            if not any((w_up, v_up) in m.acc and (v, v_up) in m.leq
+                       for v_up in m.worlds):
+                out.append(Violation("F2", (w, w_up, v)))
+    for w, p in sorted(m.val):
+        for w2, w_up in sorted(m.leq):
+            if w2 == w and (w_up, p) not in m.val:
+                out.append(Violation("monotonicity", (w, w_up, p)))
+    return out
+
+
+def ref_power_pairs(m: Model, n: int) -> set:
+    pairs = {(w, w) for w in m.worlds}
+    for _ in range(n):
+        pairs = {(a, c) for a, b in pairs for b2, c in m.acc if b == b2}
+    return pairs
+
+
+def ref_check_frame_conditions(m: Model, ax: AxiomSet) -> list:
+    out = []
+    if ax.has_d:
+        for w in sorted(m.worlds):
+            if not any(a == w for a, _ in m.acc):
+                out.append(Violation("seriality", (w,)))
+    for n, k in sorted(ax.hsl):
+        rn = ref_power_pairs(m, n)
+        rk = ref_power_pairs(m, k)
+        for w in sorted(m.worlds):
+            for w2, u in sorted(rn):
+                if w2 != w:
+                    continue
+                for w3, v in sorted(rk):
+                    if w3 == w and (u, v) not in m.acc:
+                        out.append(Violation(f"hsl({n},{k})", (w, u, v)))
+    return out
+
+
+def ref_random_model(ax: AxiomSet, max_worlds: int, seed: int) -> Model:
+    if max_worlds < 1:
+        raise ValueError("max_worlds must be at least 1")
+    rng = random.Random(seed)
+    n = rng.randint(1, max_worlds)
+    worlds = [f"m{i}" for i in range(n)]
+    leq = {(w, w) for w in worlds}
+    for w in worlds:
+        for u in worlds:
+            if w != u and rng.random() < 0.25:
+                leq.add((w, u))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(leq):
+            for b2, c in list(leq):
+                if b == b2 and (a, c) not in leq:
+                    leq.add((a, c))
+                    changed = True
+    acc = set()
+    for w in worlds:
+        for u in worlds:
+            if rng.random() < 0.3:
+                acc.add((w, u))
+    changed = True
+    while changed:
+        changed = False
+        before = len(acc)
+        acc |= {(w2, v2) for w, v in list(acc)
+                for w1, w2 in leq if w1 == w
+                for v1, v2 in leq if v1 == v}
+        for pn, pk in sorted(ax.hsl):
+            m0 = Model(frozenset(worlds), frozenset(leq), frozenset(acc), frozenset())
+            rn = ref_power_pairs(m0, pn)
+            rk = ref_power_pairs(m0, pk)
+            acc |= {(u, v) for w in worlds
+                    for w2, u in rn if w2 == w
+                    for w3, v in rk if w3 == w}
+        if ax.has_d:
+            for w in worlds:
+                if not any(a == w for a, _ in acc):
+                    acc.add((w, w))
+        changed = len(acc) != before
+    val = set()
+    for w in worlds:
+        for p in ("p", "q", "r"):
+            if rng.random() < 0.4:
+                val.add((w, p))
+    val |= {(u, p) for w, p in list(val) for w2, u in leq if w2 == w}
+    return Model(frozenset(worlds), frozenset(leq), frozenset(acc), frozenset(val))

@@ -9,7 +9,7 @@ import pytest
 from imseq.cli import main
 from imseq.formula import MAX_NESTING, MAX_TREE_SIZE, axiom_set, parse_formula
 from imseq.gen import random_labelled_proof
-from imseq.grammar import MAX_SATURATION_FACTS
+from imseq.grammar import MAX_REACH_NODES, MAX_SATURATION_FACTS
 from imseq.proofio import dump_proof, load_nested_proof
 
 
@@ -80,6 +80,19 @@ def test_reach_refuses_a_chain_past_the_saturation_limit(capsys):
     code, out, err = run(capsys, "reach", rel, "w1", "w129", "--hsl", "1,1")
     assert (code, out) == (2, "")
     assert f"passed {MAX_SATURATION_FACTS} facts" in err and "Traceback" not in err
+
+
+def test_reach_refuses_a_chain_past_the_node_limit(capsys):
+    """A chain of MAX_REACH_NODES edges has one node more than the limit:
+    refused before the bitmask closure, which there would take about a
+    second."""
+    n = MAX_REACH_NODES
+    rel = ", ".join(f"w{i} R w{i + 1}" for i in range(n))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "reach", rel, "w1", f"w{n}", "--hsl", "1,1")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert f"graph of {n + 1} nodes too large" in err and "Traceback" not in err
 
 
 def test_prove_axiom_five_conjunct(capsys):

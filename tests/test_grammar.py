@@ -8,7 +8,8 @@ import imseq.grammar
 from imseq.formula import axiom_set
 from imseq.grammar import (Grammar, Production, PropGraph, PropPath, Sym,
                            _Saturator, converse_string, derives, grammar_from_axioms,
-                           graph_from_pairs, reach_all, reachable, syms)
+                           MAX_REACH_NODES, graph_from_pairs, reach_all, reachable,
+                           syms)
 from imseq.nested import nseq, prop_graph_nested
 from oracles import (closure_strings, one_step, oracle_derives, oracle_reachable,
                      path_in_graph)
@@ -203,8 +204,9 @@ def test_reachable_none_and_errors():
 def test_witness_saturation_stops_past_its_fact_limit(monkeypatch):
     """reachable's witness step and reach_all refuse a graph whose
     saturation records more than MAX_SATURATION_FACTS facts, with
-    ValueError; reachable's bitmask decision is not limited, so a pair
-    with no walk still answers None; derives is not limited."""
+    ValueError; the fact limit does not bound reachable's bitmask
+    decision, so a pair with no walk still answers None; derives is not
+    limited."""
     G = imseq.grammar
     g = g_of((1, 1))
     chain = graph_from_pairs([(f"w{i}", f"w{i + 1}") for i in range(12)])
@@ -220,6 +222,23 @@ def test_witness_saturation_stops_past_its_fact_limit(monkeypatch):
         reach_all(chain, g)
     assert reachable(chain, g, "w0", "w12") is None
     assert G._derives(g, D, syms("b" + "d" * 40))
+
+
+def test_reachability_refuses_graphs_past_the_node_limit():
+    """reachable and reach_all refuse a graph of more than MAX_REACH_NODES
+    nodes before any work, and answer one of exactly that many."""
+    g = g_of((1, 1))
+    at_limit = graph_from_pairs([("w0", "w1")], extra_nodes=[
+        f"w{i}" for i in range(MAX_REACH_NODES)])
+    assert reachable(at_limit, g, "w0", "w1").string == "d"
+    assert reach_all(at_limit, g) == reach_all(graph_from_pairs([("w0", "w1")]), g)
+    past = graph_from_pairs([("w0", "w1")], extra_nodes=[
+        f"w{i}" for i in range(MAX_REACH_NODES + 1)])
+    too_large = f"graph of {MAX_REACH_NODES + 1} nodes too large"
+    with pytest.raises(ValueError, match=too_large):
+        reachable(past, g, "w0", "w1")
+    with pytest.raises(ValueError, match=too_large):
+        reach_all(past, g)
 
 
 def test_reachable_empty_path():

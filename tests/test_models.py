@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,7 +8,8 @@ from imseq.labelled import parse_labelled_sequent
 from imseq.models import (Model, check_frame_conditions, check_model,
                           eval_formula, globally_true, model_of, random_model,
                           sat_sequent)
-from oracles import eval_naive, rand_formula
+from oracles import (eval_naive, rand_formula, ref_check_frame_conditions,
+                     ref_check_model, ref_random_model)
 
 
 def test_check_model_trivial():
@@ -152,3 +154,72 @@ def test_sat_sequent_relational():
     assert sat_sequent(m, {"w": "w", "u": "w"}, seq)
     # u at the successor: <>p must hold at w, but p is false everywhere
     assert not sat_sequent(m, {"w": "w", "u": "v"}, seq)
+
+
+# The differential of random_model and the structure checks against the
+# whole-relation scans they replaced, in tests/oracles.py.
+DIFF_AXIOM_SETS = (axiom_set(), axiom_set(d=True), axiom_set([(0, 0)]),
+                   axiom_set([(0, 2)]), axiom_set([(1, 0)]), axiom_set([(2, 2)]),
+                   axiom_set([(1, 1)], d=True), axiom_set([(1, 1), (2, 1)]),
+                   axiom_set([(0, 2), (1, 0)], d=True))
+DIFF_SEEDS = 300
+
+
+def _mutated(m: Model, rng: random.Random) -> Model:
+    """m with one to three leq, acc or val pairs toggled; now and then a
+    pair names the world zz, which is outside the model."""
+    worlds = sorted(m.worlds)
+    leq, acc, val = set(m.leq), set(m.acc), set(m.val)
+
+    def world():
+        return "zz" if rng.random() < 0.05 else rng.choice(worlds)
+
+    for _ in range(rng.randint(1, 3)):
+        rel = rng.choice((leq, acc, val))
+        rel ^= {(world(), rng.choice("pqr") if rel is val else world())}
+    return Model(m.worlds, frozenset(leq), frozenset(acc), frozenset(val))
+
+
+def test_random_model_matches_the_reference():
+    for ax in DIFF_AXIOM_SETS:
+        for seed in range(DIFF_SEEDS):
+            assert random_model(ax, 5, seed) == ref_random_model(ax, 5, seed), (ax, seed)
+
+
+def test_structure_checks_match_the_reference():
+    # each model and a mutant of it, under the model's own axiom set and
+    # the next one, so every axiom set checks models made for another
+    rng = random.Random(18)
+    kinds = set()
+    for i, ax in enumerate(DIFF_AXIOM_SETS):
+        other = DIFF_AXIOM_SETS[(i + 1) % len(DIFF_AXIOM_SETS)]
+        for seed in range(DIFF_SEEDS):
+            m = random_model(ax, 5, seed)
+            for x in (m, _mutated(m, rng)):
+                got = check_model(x)
+                assert got == ref_check_model(x), (ax, seed, x)
+                for a in (ax, other):
+                    frame = check_frame_conditions(x, a)
+                    assert frame == ref_check_frame_conditions(x, a), (a, seed, x)
+                    got += frame
+                kinds |= {v.condition.split("(")[0] for v in got}
+    assert kinds == {"domain-leq", "domain-acc", "domain-val", "leq-reflexive",
+                     "leq-transitive", "F1", "F2", "monotonicity", "seriality",
+                     "hsl"}
+
+
+def test_structure_checks_on_a_large_model_are_fast():
+    # an 80-world total preorder, two worlds to a rank, with acc = leq:
+    # well formed, reflexive and transitive, but not euclidean
+    worlds = [f"w{i:02d}" for i in range(80)]
+    rank = {w: i // 2 for i, w in enumerate(worlds)}
+    leq = [(a, b) for a in worlds for b in worlds if rank[a] <= rank[b]]
+    m = model_of(worlds, leq=leq, acc=leq, val=[(w, "p") for w in worlds[40:]])
+    t0 = time.perf_counter()
+    assert check_model(m) == []
+    viols = check_frame_conditions(m, axiom_set([(0, 0), (0, 2), (1, 1)], d=True))
+    assert time.perf_counter() - t0 < 5
+    # hsl(1,1): wRu and wRv need uRv, which fails exactly when v ranks below u
+    assert len(viols) == sum(rank[w] <= rank[v] < rank[u]
+                             for w in worlds for u in worlds for v in worlds)
+    assert {v.condition for v in viols} == {"hsl(1,1)"}
