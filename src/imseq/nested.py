@@ -591,13 +591,95 @@ def _local_leaf(seq: NestedSequent, edits: tuple) -> Optional[tuple]:
 
     seq must be no leaf: then no untouched node of the premise is one,
     and the touched node's first closing input is the one _try_leaf
-    finds in the built premise.
+    finds in the built premise.  The touched node closes only by what
+    its edit adds: false as an input, the node's output as an input,
+    or as the output an atom among its inputs.  So a premise whose
+    edits add none of these is answered from them, with no node built.
     """
+    for path, _, fs, out, kid in edits:
+        if kid is not None:
+            fs = kid.inputs
+        if BOT in fs:
+            break
+        if out is _KEEP:
+            if fs and node_at(seq, path).output in fs:
+                break
+        elif isinstance(out, Atom) and (out in fs or out in node_at(seq, path).inputs):
+            break
+    else:
+        return None
     touched = _touched(seq, edits)
     if touched is None:
         return None
     leaf = _node_leaf(touched[1])
     return None if leaf is None else (touched[0],) + leaf
+
+
+def _closable(seq: NestedSequent) -> bool:
+    """Whether some rule application to seq, which is full and no leaf,
+    may close each of its premises in one step; False only if none does.
+
+    A premise closes only at the node its rule touched (_touched), by
+    what the rule adds there: false, or the atom that is the node's
+    output, as an input (andI, orI, impI's second premise, diaI's new
+    bracket, pbox's target), or as the output an atom among the node's
+    inputs (impO, andO, orO, impI's first premise, pdia's target; impO
+    adds an input too).  boxO and d never close in one step.  Every
+    node is taken as a pdia or pbox target, reachable or not.  The
+    answer depends on seq's class alone.  Formula classes have no
+    subclasses, so the tests read type(f).
+    """
+    nodes = [seq]
+    output = None
+    boxes = []  # the bodies of [] inputs, which pbox adds at a target
+    for node in nodes:
+        nodes.extend(node.children)
+        ins = node.inputs
+        o = node.output
+        if o is not None:
+            output = o
+            t = type(o)
+            if t is Imp:
+                a, b = o.left, o.right
+                if a is BOT or type(b) is Atom and (b is a or b in ins):
+                    return True
+            elif t is And:
+                a, b = o.left, o.right
+                if type(a) is Atom and a in ins and type(b) is Atom and b in ins:
+                    return True
+            elif t is Or:
+                a, b = o.left, o.right
+                if type(a) is Atom and a in ins or type(b) is Atom and b in ins:
+                    return True
+        # an input added here closes on false or on this atom
+        if type(o) is not Atom:
+            o = BOT
+        for f in ins:
+            t = type(f)
+            if t is And:
+                a, b = f.left, f.right
+                if a is BOT or a is o or b is BOT or b is o:
+                    return True
+            elif t is Or:
+                a, b = f.left, f.right
+                if (a is BOT or a is o) and (b is BOT or b is o):
+                    return True
+            elif t is Imp:
+                a, b = f.left, f.right
+                if (b is BOT or b is o) and type(a) is Atom and a in ins:
+                    return True
+            elif t is Dia:
+                if f.body is BOT:
+                    return True
+            elif t is Box:
+                if f.body is BOT:
+                    return True
+                boxes.append(f.body)
+    t = type(output)
+    if t is Dia:
+        body = output.body
+        return type(body) is Atom and any(body in nd.inputs for nd in nodes)
+    return t is Atom and output in boxes
 
 
 # A formula's polarity signature, kept on it as Formula._pol: (own,
@@ -805,10 +887,28 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
 
     Only the goal is scanned whole for a leaf.  A premise's conclusion
     is no leaf, so a premise can close only at the node its rule touched
-    (_touched), and its leaf test runs there alone.  Premises searched at budget 0
-    close by that test or not at all, so they are decided, in order,
-    before any is built, and built only when all of them close; the
-    rest are built one at a time as the search reaches them.  The
+    (_touched), by what its edits add there, and its leaf test runs
+    there alone, building that node only if the edits add false, the
+    node's output as an input, or an atom output (_local_leaf).
+    Premises searched at budget 0 close by that test or not at all, so
+    they are decided, in order, before any is built, and built only
+    when all of them close; the rest are built one at a time as the
+    search reaches them.
+
+    A search call at budget 1, the last level, proves its sequent only
+    by an application whose premises all close in one step.  So it
+    first asks _closable, one pass over the nodes, whether any
+    application may; if none may, it returns None before the sequent
+    is keyed, walked, loop-checked, looked up in the failure cache or
+    recorded there.  This is exact: the call would have returned None
+    whatever the branch history and the cache held, and closability
+    depends on the sequent's class alone, so the record it skips would
+    be read only by later budget-1 calls of that class, which _closable
+    answers alike.  When it may close, the call tries only the orO,
+    pdia, impI and pbox applications whose touched node then closes,
+    never d, and skips the polarity refutation (a closing application
+    puts false at input polarity or an atom at both) and the branch
+    history, since no premise is searched.  The
     graph depends on the bracket tree alone, so its reachable pairs
     come from one reach table per tree shape and grammar, made by the
     bitmask closure reach_masks and kept across calls in a bounded
@@ -864,16 +964,20 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
 
     def search(seq, budget, seen):
         # seq is no leaf, and budget is at least 1
+        last = budget == 1
+        if last and not _closable(seq):
+            return None
         key = seq._cls
         if key in seen or fail.get(key, -1) >= budget:
             return None
         positions = _positions(seq)
-        ins, outs, moves = _polarities(positions)
-        if BOT not in ins and ins.isdisjoint(outs):
-            # no leaf above: every premise's polarities are subsets
-            fail[key] = budget
-            return None
-        seen = seen | {key}
+        if not last:
+            ins, outs, moves = _polarities(positions)
+            if BOT not in ins and ins.isdisjoint(outs):
+                # no leaf above: every premise's polarities are subsets
+                fail[key] = budget
+                return None
+            seen = seen | {key}
 
         def commit(rule, at, index, f):
             got = attempt(seq, rule, at, index, f, None, budget, seen)
@@ -901,12 +1005,15 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
                 if isinstance(f, Or):
                     return commit("orI", path, idx, f)
 
-        # choice points, backtracking
+        # choice points, backtracking; at the last level only an
+        # application whose touched node closes can succeed, and d never
         reach = None
         for i, (path, node) in enumerate(positions):
             f = node.output
             if isinstance(f, Or):
                 for side in (0, 1):
+                    if last and (f.right if side else f.left) not in node.inputs:
+                        continue
                     got = attempt(seq, "orO", path, side, f, None, budget, seen)
                     if got is not None:
                         return got
@@ -914,12 +1021,16 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
                 if reach is None:
                     reach = _reach_table(positions, g)
                 for j in _targets(reach, i):
-                    got = attempt(seq, "pdia", path, None, f, positions[j][0],
-                                  budget, seen)
+                    target, tnode = positions[j]
+                    if last and f.body not in tnode.inputs:
+                        continue
+                    got = attempt(seq, "pdia", path, None, f, target, budget, seen)
                     if got is not None:
                         return got
             for idx, f in enumerate(node.inputs):
                 if isinstance(f, Imp):
+                    if last and f.left not in node.inputs:
+                        continue
                     got = attempt(seq, "impI", path, idx, f, None, budget, seen)
                     if got is not None:
                         return got
@@ -928,12 +1039,13 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
                         reach = _reach_table(positions, g)
                     for j in _targets(reach, i):
                         target, tnode = positions[j]
-                        if f.body in tnode.inputs:
+                        if f.body in tnode.inputs or last and not (
+                                f.body is BOT or f.body is tnode.output):
                             continue
                         got = attempt(seq, "pbox", path, idx, f, target, budget, seen)
                         if got is not None:
                             return got
-        if ax.has_d and moves:
+        if not last and ax.has_d and moves:
             for path, node in positions:
                 # seq is full, so a node with two children, or with one
                 # that holds no output, has an output-free child
@@ -948,12 +1060,17 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
         return None
 
     proof = _try_leaf(goal, _positions(goal))
-    if proof is None and depth > 0:
-        proof = search(goal, depth, frozenset())
-    # search and attempt form a reference cycle that holds these tables
-    # until a full garbage collection; free them now.
-    sat_by_shape.clear()
-    fail.clear()
+    try:
+        if proof is None and depth > 0:
+            proof = search(goal, depth, frozenset())
+    except RecursionError:
+        raise ValueError(f"depth {depth} is too deep to search: "
+                         "the search recursed past Python's limit") from None
+    finally:
+        # search and attempt form a reference cycle that holds these
+        # tables until a full garbage collection; free them now.
+        sat_by_shape.clear()
+        fail.clear()
     if proof is not None:
         res = check_nested(proof, ax)
         if not res:

@@ -7,7 +7,8 @@ without memoization, model generation and the structure checks scan a
 whole relation for each world's successors, and proof translation
 re-translates every node's whole sequent after a separate checker walk.
 The reference prover builds every premise it searches and scans every
-node of it for a leaf, and its failure cache can be switched off.
+node of it for a leaf, and its failure cache can be switched off; the
+one-step closers try every rule instance through premises_of_nested.
 """
 
 from __future__ import annotations
@@ -18,14 +19,15 @@ from collections import deque
 from imseq.formula import (BOT, MAX_NESTING, And, Atom, AxiomSet, Bot, Box, Dia,
                            Formula, Imp, Or, parse_formula, render_formula)
 from imseq.grammar import (Grammar, PropGraph, PropPath, Sym, _Saturator,
-                           grammar_from_axioms, syms)
+                           grammar_from_axioms, reach_all, syms)
 from imseq.labelled import (LabelledSequent, check_labelled, premises_of_labelled,
                             render_labelled_sequent)
 from imseq.models import Model, Violation
 from imseq.nested import (EMPTY, NestedProof, NestedSequent, _params, _positions,
                           _premises, _witness, all_paths,
                           check_nested, is_full, match_children, node_at,
-                          parse_path_id, path_id, prop_graph_nested, read_nested)
+                          parse_path_id, path_id, premises_of_nested,
+                          prop_graph_nested, read_nested)
 from imseq.proof import RuleError, rebuild
 from imseq.translate import (_TO_LABELLED_RULE, _TO_NESTED_RULE, _label_tree,
                              _place, is_labelled_tree, to_labelled_with_map)
@@ -340,6 +342,39 @@ def _ref_try_leaf(seq, positions):
                 return NestedProof(seq, "id",
                                    {"at": path_id(path), "index": idx}, ())
     return None
+
+
+def ref_one_step_closers(seq: NestedSequent, ax: AxiomSet) -> set:
+    """The rules with an instance on seq, a full sequent, whose premises
+    are all leaves: empty if none closes seq in one step.  Every rule is
+    tried through premises_of_nested at every node, with every input
+    index, both orO sides, and every pdia/pbox walk that reach_all finds
+    from the node; an instance whose params the rule refuses is skipped,
+    and each premise is scanned whole for a leaf."""
+    walks = reach_all(prop_graph_nested(seq), grammar_from_axioms(ax))
+    closers = set()
+    for path in all_paths(seq):
+        at = path_id(path)
+        node = node_at(seq, path)
+        tries = [(rule, {"at": at}) for rule in ("andO", "impO", "boxO", "d")]
+        tries += [("orO", {"at": at, "side": side}) for side in ("left", "right")]
+        for idx in range(len(node.inputs)):
+            tries += [(rule, {"at": at, "index": idx})
+                      for rule in ("botI", "id", "andI", "orI", "impI", "diaI")]
+        for (src, _), walk in walks.items():
+            if src == at:
+                tries.append(("pdia", {"path": walk.to_list()}))
+                tries += [("pbox", {"path": walk.to_list(), "index": idx})
+                          for idx in range(len(node.inputs))]
+        for rule, params in tries:
+            try:
+                prems = premises_of_nested(seq, rule, params, ax)
+            except RuleError:
+                continue
+            if all(_ref_try_leaf(prem, _positions(prem)) is not None
+                   for prem in prems):
+                closers.add(rule)
+    return closers
 
 
 def ref_polarities(seq: NestedSequent) -> tuple:

@@ -123,6 +123,17 @@ def test_prove_under_seriality_answers_at_depth_300(capsys):
     assert "Traceback" not in err
 
 
+def test_prove_too_deep_to_search_exits_2(capsys):
+    """[](p -> p) -> q escapes both polarity prunes, so under seriality
+    the search recurses once per level; past Python's recursion limit it
+    fails as a bad depth does, naming the depth, with no traceback."""
+    code, out, err = run(capsys, "prove", "--d", "--depth", "300",
+                         "[](p -> p) -> q")
+    assert (code, out) == (2, "")
+    assert "depth 300 is too deep to search" in err
+    assert "Traceback" not in err and "no proof" not in err
+
+
 def test_prove_rejects_negative_depth(capsys):
     code, out, err = run(capsys, "prove", "--depth", "-3", "p -> p")
     assert code == 2

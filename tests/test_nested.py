@@ -21,7 +21,7 @@ from imseq.formula import (BOT, MAX_NESTING, And, Atom, BENCHMARKS, Bot, Box, Di
                            parse_formula)
 from imseq.grammar import Sym, _Saturator, grammar_from_axioms, reach_all
 from imseq.nested import (_MOVES_IN, EMPTY, NESTED_RULES, REACH_MEMO_NODES,
-                          REACH_MEMO_SIZE, NestedProof, _applied,
+                          REACH_MEMO_SIZE, NestedProof, _applied, _closable,
                           _local_leaf, _polarities, _positions, _premise_edits,
                           _reach_memo, _reach_table, _targets, _touched,
                           _try_leaf, _witness,
@@ -33,7 +33,8 @@ from imseq.nested import (_MOVES_IN, EMPTY, NESTED_RULES, REACH_MEMO_NODES,
                           prove_formula, render_nested, RuleError)
 from imseq.proofio import dump_proof
 
-from oracles import ref_polarities, ref_prove_bounded, ref_reach_targets
+from oracles import (ref_one_step_closers, ref_polarities, ref_prove_bounded,
+                     ref_reach_targets)
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 NOAX = axiom_set()
@@ -449,6 +450,15 @@ def test_prover_output_matches_frozen_corpus_at_depth_8():
     assert corpus_digest(8) == (PROVE_CORPUS_DEPTH8, 80)
 
 
+# As PROVE_CORPUS_DEPTH7, at depth 9; frozen before the last level was
+# decided without keying its sequents.
+PROVE_CORPUS_DEPTH9 = "3630ef00aeb33c2b408041a5c4813a1e3aa59e0d1c00ebfc7b11d7ec2c6996a5"
+
+
+def test_prover_output_matches_frozen_corpus_at_depth_9():
+    assert corpus_digest(9) == (PROVE_CORPUS_DEPTH9, 82)
+
+
 # no axiom, the erasing (0, 0), single pairs, two pairs together, and
 # seriality alone and with pairs
 AXIOM_MIXES = [axiom_set(), axiom_set([(0, 0)]), axiom_set([(1, 1)]),
@@ -496,6 +506,36 @@ def test_prover_output_matches_the_reference_search():
         assert proof is not None
         (leaf,) = proof.premises
         assert leaf.premises == () and leaf.params["at"] == at
+
+
+def test_last_level_matches_the_reference_search():
+    """Byte-identical proofs against the search that keys, walks and
+    scans every sequent, at every depth from 1 to 5, where each proof's
+    last level is decided by _closable and closing-only attempts: random
+    goals over three atoms under every axiom mix, with and without d,
+    and goals that close at the last level by orO's right side, impI, a
+    pdia target that is not the first, and pbox's false."""
+    rng = random.Random(20003)
+    runs = proved = 0
+    for k in range(600):
+        goal = gen.random_full_nested(rng, rng.randrange(3), 2, 2, ("p", "q", "r"))
+        ax = AXIOM_MIXES[k % len(AXIOM_MIXES)]
+        for depth in range(1, 6):
+            got = _dumped(prove_bounded(goal, ax, depth))
+            assert got == _dumped(ref_prove_bounded(goal, ax, depth)), (k, depth)
+            runs += 1
+            proved += got is not None
+    assert (runs, proved) == (3000, 568)
+
+    hand = [("p^i, q | p^o", axiom_set()),
+            ("p^i, p -> q^i, q^o", axiom_set()),
+            ("[ q^i ], [ p^i ], <>p^o", axiom_set()),
+            ("[]false^i, [ p^o ]", axiom_set([(1, 1)], d=True))]
+    for text, ax in hand:
+        goal = parse_nested(text)
+        proof = prove_bounded(goal, ax, 1)
+        assert proof is not None and proof.height() == 2, text
+        assert _dumped(proof) == _dumped(ref_prove_bounded(goal, ax, 1))
 
 
 SERIAL_MIXES = [axiom_set(d=True), axiom_set([(1, 1)], d=True),
@@ -552,6 +592,17 @@ def test_serial_search_answers_an_unrefuted_goal_at_depth_20():
     t0 = time.perf_counter()
     assert prove_bounded(goal, axiom_set(d=True), 20) is None
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_a_depth_too_deep_to_search_raises_value_error():
+    """The search recurses once per level, so on a goal that no prune
+    cuts, a depth past Python's recursion limit fails with ValueError
+    naming it, and the next search runs as before."""
+    goal = nseq(output=parse_formula("[](p -> p) -> q"))
+    with pytest.raises(ValueError, match="depth 300 is too deep to search"):
+        prove_bounded(goal, axiom_set(d=True), 300)
+    assert prove_bounded(goal, axiom_set(d=True), 5) is None
+    assert prove_formula(parse_formula("p -> p"), NOAX, 2) is not None
 
 
 def _refuted(seq):
@@ -714,26 +765,31 @@ def test_d_gate_loses_no_proof():
 
 
 def test_polarity_prunes_cut_the_corpus_search():
-    """Search calls and d attempts in one pass over the prove corpus at
-    depth 5: with both polarity prunes, with the refutation alone, and
-    with neither.  The outcomes are the frozen ones in all three."""
+    """Search calls, d attempts and the budget-1 calls that _closable
+    decides, before any key, in one pass over the prove corpus at depth
+    5: with both polarity prunes, with the refutation alone, and with
+    neither.  The outcomes are the frozen ones in all three."""
     spec = json.loads(PROVE_CORPUS.read_text())
     goals = [(parse_nested(g["goal"]),
               axiom_set([tuple(p) for p in g["axioms"]["hsl"]], d=g["axioms"]["d"]),
               g["digest"]) for g in spec["goals"]]
-    calls = {"search": 0, "d": 0}
+    calls = {"search": 0, "d": 0, "unkeyed": 0}
 
     def count(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == imseq.nested.__file__:
-            name = frame.f_code.co_name
+        if frame.f_code.co_filename != imseq.nested.__file__:
+            return
+        name = frame.f_code.co_name
+        if event == "call":
             if name == "search":
                 calls["search"] += 1
             elif name == "attempt" and frame.f_locals["rule"] == "d":
                 calls["d"] += 1
+        elif event == "return" and name == "_closable" and arg is False:
+            calls["unkeyed"] += 1
 
     counts = []
     for polarities in (_polarities, _ungated, _unpruned):
-        calls.update(search=0, d=0)
+        calls.update(search=0, d=0, unkeyed=0)
         outcomes = []
         with pytest.MonkeyPatch.context() as m:
             m.setattr(imseq.nested, "_polarities", polarities)
@@ -746,8 +802,51 @@ def test_polarity_prunes_cut_the_corpus_search():
                 outcomes.append(None if proof is None else
                                 hashlib.sha256(dump_proof(proof).encode()).hexdigest())
         assert outcomes == [digest for _, _, digest in goals]
-        counts.append((calls["search"], calls["d"]))
-    assert counts == [(1830, 532), (2060, 927), (2914, 1933)]
+        counts.append((calls["search"], calls["d"], calls["unkeyed"]))
+    assert counts == [(1830, 177, 599), (2060, 344, 748), (2914, 788, 1206)]
+
+
+def test_closable_holds_wherever_one_step_closes():
+    """_closable answers False only where no rule instance closes every
+    premise in one step, against ref_one_step_closers: on random full
+    sequents that are no leaf, under every axiom mix, and on the
+    sequents the prove corpus searches at budget 1 at depth 5."""
+    rng = random.Random(20005)
+    cases = []
+    while len(cases) < 3000:
+        # two atoms and shallow formulas, so that many close in one step
+        seq = gen.random_full_nested(rng, rng.randrange(3), 2, rng.randrange(1, 3),
+                                     ("p", "q"))
+        if _try_leaf(seq, _positions(seq)) is None:
+            cases.append((seq, AXIOM_MIXES[len(cases) % len(AXIOM_MIXES)]))
+    spec = json.loads(PROVE_CORPUS.read_text())
+    met = []
+
+    def recorded(seq):
+        met.append((seq, ax))  # ax: the axioms of the goal being proved
+        return _closable(seq)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(imseq.nested, "_closable", recorded)
+        for g in spec["goals"]:
+            ax = axiom_set([tuple(p) for p in g["axioms"]["hsl"]], d=g["axioms"]["d"])
+            prove_bounded(parse_nested(g["goal"]), ax, spec["depth"])
+    shares = []
+    rules = set()
+    for group in (cases, met):
+        closing = rejected = 0
+        for seq, ax in group:
+            closers = ref_one_step_closers(seq, ax)
+            kept = _closable(seq)
+            assert kept or not closers, (str(seq), ax)
+            rules |= closers
+            closing += bool(closers)
+            rejected += not kept
+        print(f"_closable rejects {rejected} of {len(group)} "
+              f"({rejected / len(group):.0%}); {closing} close in one step")
+        shares.append((len(group), closing, rejected))
+    assert rules == NESTED_RULES - {"botI", "id", "boxO", "d"}
+    assert shares == [(3000, 426, 2502), (701, 55, 599)]
 
 
 def test_failure_cache_changes_no_verdict():
