@@ -20,8 +20,8 @@ from .labelled import (LabelledProof, LabelledSequent, check_labelled,
                        parse_labelled_sequent, premises_of_labelled,
                        render_labelled_sequent)
 from .nested import (NestedProof, NestedSequent, check_nested, is_full, nseq,
-                     parse_nested, premises_of_nested, prove_bounded,
-                     prove_formula, render_nested)
+                     one_world_countermodel, parse_nested, premises_of_nested,
+                     prove_bounded, prove_formula, render_nested)
 from .structural import contract_proof, merge_proof, nest_proof, weaken_proof
 from .refine import eliminate_structural
 from .translate import (TreeCert, is_labelled_tree, to_labelled, to_nested,
@@ -44,7 +44,8 @@ __all__ = [
     "LabelledProof", "LabelledSequent", "check_labelled", "parse_labelled_sequent", "premises_of_labelled",
     "render_labelled_sequent",
     "NestedProof", "NestedSequent", "check_nested", "is_full",
-    "nseq", "parse_nested", "premises_of_nested", "prove_bounded",
+    "nseq", "one_world_countermodel", "parse_nested", "premises_of_nested",
+    "prove_bounded",
     "prove_formula", "render_nested",
     "contract_proof", "merge_proof", "nest_proof", "weaken_proof",
     "eliminate_structural",

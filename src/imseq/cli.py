@@ -19,7 +19,7 @@ from .grammar import grammar_from_axioms, graph_from_pairs, reachable
 from .labelled import check_labelled, parse_labelled_sequent, parse_rel_atoms
 from .models import (check_frame_conditions, check_model, eval_formula,
                      globally_true, model_of, sat_sequent)
-from .nested import check_nested, nseq, prove_bounded
+from .nested import check_nested, nseq, one_world_countermodel, prove_bounded
 from .proofio import dump_proof, load_labelled_proof, load_nested_proof
 from .refine import eliminate_structural
 from .translate import translate_proof
@@ -138,7 +138,14 @@ def cmd_prove(ns) -> int:
     except ValueError as e:
         raise _Fail(2, str(e))
     if proof is None:
-        print(f"no proof within depth {ns.depth}", file=sys.stderr)
+        atoms = one_world_countermodel(goal)
+        if atoms is None:
+            print(f"no proof within depth {ns.depth}", file=sys.stderr)
+        else:
+            held = (f"{', '.join(atoms)} hold" if len(atoms) > 1 else
+                    f"{atoms[0]} holds" if atoms else "no atom holds")
+            print(f"no proof at any depth: false in the one-world model where {held}",
+                  file=sys.stderr)
         return 1
     _emit(ns, dump_proof(proof))
     return 0

@@ -757,6 +757,81 @@ def _polarities(positions: list) -> tuple:
     return ins, outs, moves
 
 
+# Most bits one_world_countermodel's truth tables may hold in all: one
+# table of 2^k bits per distinct subformula of a sequent with k atoms.
+# At the bound the tables take 128 KB; past it the test is skipped.
+ONE_WORLD_BITS = 1 << 20
+
+
+def one_world_countermodel(seq: NestedSequent) -> Optional[tuple]:
+    """The names, in name order, of the atoms true in a valuation that
+    falsifies the full sequent seq in the one-world model whose world
+    sees itself, or None if no valuation does, or if the truth tables
+    would hold more than ONE_WORLD_BITS bits.  ValueError if seq is not
+    full.
+
+    That world meets the frame condition of every hsl(n, k) axiom and of
+    seriality, and every bracket maps to its self-loop, so there [] and
+    <> read as their bodies and every formula is classical: seq is false
+    under a valuation iff all its inputs, at every node, hold and its
+    output fails.  Each distinct subformula gets its truth table over
+    all 2^k valuations as one int, bit v for the valuation that makes
+    atom i true iff bit i of v is set; the tables are built children
+    first, without recursion.  Of the falsifying valuations, the lowest
+    such v is reported.
+    """
+    positions = _positions(seq)
+    roots = [f for _, node in positions for f in node.inputs]
+    outputs = [node.output for _, node in positions if node.output is not None]
+    if len(outputs) != 1:
+        raise ValueError("sequent must have exactly one output formula")
+    output = outputs[0]
+    order: list = []  # distinct subformulas, each after its own
+    seen: set = set()
+    todo = [(f, False) for f in roots + [output]]
+    while todo:
+        f, ready = todo.pop()
+        if ready:
+            order.append(f)
+        elif f not in seen:
+            seen.add(f)
+            todo.append((f, True))
+            if isinstance(f, (Dia, Box)):
+                todo.append((f.body, False))
+            elif not isinstance(f, (Atom, Bot)):
+                todo += ((f.left, False), (f.right, False))
+    atoms = sorted((f for f in order if isinstance(f, Atom)), key=attrgetter("name"))
+    if len(order) << len(atoms) > ONE_WORLD_BITS:
+        return None
+    n = 1 << len(atoms)
+    full = (1 << n) - 1
+    table: dict = {BOT: 0}
+    for i, a in enumerate(atoms):
+        # runs of 2^i valuations without atom i, then 2^i with it
+        width = 2 << i
+        t = ((1 << (1 << i)) - 1) << (1 << i)
+        while width < n:
+            t |= t << width
+            width <<= 1
+        table[a] = t
+    for f in order:
+        if isinstance(f, (Dia, Box)):
+            table[f] = table[f.body]
+        elif isinstance(f, And):
+            table[f] = table[f.left] & table[f.right]
+        elif isinstance(f, Or):
+            table[f] = table[f.left] | table[f.right]
+        elif isinstance(f, Imp):
+            table[f] = full ^ table[f.left] | table[f.right]
+    falsified = full ^ table[output]
+    for f in roots:
+        falsified &= table[f]
+    if not falsified:
+        return None
+    v = (falsified & -falsified).bit_length() - 1
+    return tuple(a.name for i, a in enumerate(atoms) if v >> i & 1)
+
+
 def _id_order(k: int):
     """Child indices 0..k-1 in the sort order of their decimal digits,
     so that 10 comes before 2: the order of the ids ``r.10``, ``r.2``."""
@@ -861,6 +936,18 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
     points (output disjunction side, impI, propagation targets, d).
     A branch gives up on a repeated sequent; failures are cached per
     budget.  Incomplete in general.
+
+    Before it searches, a goal that is no leaf is tested in the
+    one-world model whose world sees itself (one_world_countermodel).
+    That model meets the frame condition of every hsl(n, k) axiom and
+    of seriality, and the calculus is sound for every such model, so a
+    goal false there under some valuation has no proof at any depth,
+    and None is returned at once; every proof and every other None is
+    the one the search gives.  The test runs at the root only: skipping
+    an inner sequent would also skip the failure-cache records its
+    subtree leaves, which depend on the branch and which later branches
+    read.  Past ONE_WORLD_BITS bits of truth tables it is skipped and
+    the goal searched.
 
     The search addresses nodes by child-index paths and computes
     premises from _premise_edits, without re-checking side conditions:
@@ -1061,7 +1148,7 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
 
     proof = _try_leaf(goal, _positions(goal))
     try:
-        if proof is None and depth > 0:
+        if proof is None and depth > 0 and one_world_countermodel(goal) is None:
             proof = search(goal, depth, frozenset())
     except RecursionError:
         raise ValueError(f"depth {depth} is too deep to search: "

@@ -9,12 +9,15 @@ re-translates every node's whole sequent after a separate checker walk.
 The reference prover builds every premise it searches and scans every
 node of it for a leaf, and its failure cache can be switched off; the
 one-step closers try every rule instance through premises_of_nested.
+The one-world refutation evaluates the goal's labelled translation with
+sat_sequent, one model per valuation.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import product
 
 from imseq.formula import (BOT, MAX_NESTING, And, Atom, AxiomSet, Bot, Box, Dia,
                            Formula, Imp, Or, parse_formula, render_formula)
@@ -22,7 +25,7 @@ from imseq.grammar import (Grammar, PropGraph, PropPath, Sym, _Saturator,
                            grammar_from_axioms, reach_all, syms)
 from imseq.labelled import (LabelledSequent, check_labelled, premises_of_labelled,
                             render_labelled_sequent)
-from imseq.models import Model, Violation
+from imseq.models import Model, Violation, model_of, sat_sequent
 from imseq.nested import (EMPTY, NestedProof, NestedSequent, _params, _positions,
                           _premises, _witness, all_paths,
                           check_nested, is_full, match_children, node_at,
@@ -30,7 +33,8 @@ from imseq.nested import (EMPTY, NestedProof, NestedSequent, _params, _positions
                           prop_graph_nested, read_nested)
 from imseq.proof import RuleError, rebuild
 from imseq.translate import (_TO_LABELLED_RULE, _TO_NESTED_RULE, _label_tree,
-                             _place, is_labelled_tree, to_labelled_with_map)
+                             _place, is_labelled_tree, to_labelled,
+                             to_labelled_with_map)
 
 
 def neg(a: Formula) -> Formula:
@@ -375,6 +379,37 @@ def ref_one_step_closers(seq: NestedSequent, ax: AxiomSet) -> set:
                    for prem in prems):
                 closers.add(rule)
     return closers
+
+
+def ref_one_world_refutes(goal: NestedSequent) -> list:
+    """The valuations that falsify goal, a full sequent, in the one-world
+    model whose world sees itself, each as the sorted tuple of the atoms
+    it makes true, in the order product() lists them: one model_of per
+    valuation, with goal's labelled translation asked of sat_sequent
+    with every label at the world.  Empty if no valuation falsifies it."""
+    seq = to_labelled(goal)
+    atoms = set()
+
+    def walk(f):
+        if isinstance(f, Atom):
+            atoms.add(f.name)
+        elif isinstance(f, (And, Or, Imp)):
+            walk(f.left)
+            walk(f.right)
+        elif isinstance(f, (Dia, Box)):
+            walk(f.body)
+
+    for _, f in seq.ante + (seq.succ,):
+        walk(f)
+    names = sorted(atoms)
+    interp = {lab: "w" for lab in seq.labels()}
+    out = []
+    for bits in product((False, True), repeat=len(names)):
+        true = tuple(a for a, b in zip(names, bits) if b)
+        m = model_of(["w"], acc=[("w", "w")], val=[("w", a) for a in true])
+        if not sat_sequent(m, interp, seq):
+            out.append(true)
+    return out
 
 
 def ref_polarities(seq: NestedSequent) -> tuple:

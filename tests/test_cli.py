@@ -10,7 +10,10 @@ from imseq.cli import main
 from imseq.formula import MAX_NESTING, MAX_TREE_SIZE, axiom_set, parse_formula
 from imseq.gen import random_labelled_proof
 from imseq.grammar import MAX_REACH_NODES, MAX_SATURATION_FACTS
+from imseq.models import model_of, sat_sequent
+from imseq.nested import nseq
 from imseq.proofio import dump_proof, load_nested_proof
+from imseq.translate import to_labelled
 
 
 def run(capsys, *argv):
@@ -109,26 +112,46 @@ def test_prove_unprovable(capsys):
     assert "no proof" in err
 
 
+REFUTED_P = "no proof at any depth: false in the one-world model where no atom holds"
+
+
 def test_prove_under_seriality_answers_at_depth_50(capsys):
     t0 = time.perf_counter()
     code, out, err = run(capsys, "prove", "--d", "--depth", "50", "p")
     assert time.perf_counter() - t0 < 5.0
-    assert (code, out) == (1, "") and "no proof within depth 50" in err
+    assert (code, out, err.strip()) == (1, "", REFUTED_P)
 
 
 def test_prove_under_seriality_answers_at_depth_300(capsys):
-    """No leaf can close p, so the search refutes it before any d."""
+    """p fails in the one-world model, so it is refuted before any
+    search."""
     code, out, err = run(capsys, "prove", "--d", "--depth", "300", "p")
-    assert (code, out) == (1, "") and "no proof within depth 300" in err
+    assert (code, out, err.strip()) == (1, "", REFUTED_P)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["q -> p", "p & q -> r", "[](p -> q) -> <>(r | q)"])
+def test_prove_names_a_falsifying_valuation(capsys, text):
+    """A goal false in the one-world model gets no proof at any depth,
+    and the atoms printed true, with every other atom false, falsify it
+    there under models.sat_sequent."""
+    code, out, err = run(capsys, "prove", "--hsl", "1,1", "--d", "--depth", "4", text)
+    prefix = "no proof at any depth: false in the one-world model where "
+    assert (code, out) == (1, "") and err.startswith(prefix)
+    held = err.strip()[len(prefix):]
+    atoms = [] if held == "no atom holds" else held.rsplit(" ", 1)[0].split(", ")
+    seq = to_labelled(nseq(output=parse_formula(text)))
+    m = model_of(["w"], acc=[("w", "w")], val=[("w", a) for a in atoms])
+    assert not sat_sequent(m, {lab: "w" for lab in seq.labels()}, seq)
+
+
 def test_prove_too_deep_to_search_exits_2(capsys):
-    """[](p -> p) -> q escapes both polarity prunes, so under seriality
-    the search recurses once per level; past Python's recursion limit it
-    fails as a bad depth does, naming the depth, with no traceback."""
+    """[](p -> p) -> (q | (q -> false)) holds in the one-world model and
+    escapes both polarity prunes, so under seriality the search recurses
+    once per level; past Python's recursion limit it fails as a bad
+    depth does, naming the depth, with no traceback."""
     code, out, err = run(capsys, "prove", "--d", "--depth", "300",
-                         "[](p -> p) -> q")
+                         "[](p -> p) -> (q | (q -> false))")
     assert (code, out) == (2, "")
     assert "depth 300 is too deep to search" in err
     assert "Traceback" not in err and "no proof" not in err

@@ -27,14 +27,16 @@ from imseq.nested import (_MOVES_IN, EMPTY, NESTED_RULES, REACH_MEMO_NODES,
                           _try_leaf, _witness,
                           all_paths, check_nested, is_full, map_node,
                           match_children, node_at,
-                          nseq, output_count, output_position,
+                          ONE_WORLD_BITS, nseq, one_world_countermodel, output_count,
+                          output_position,
                           parse_nested, parse_path_id, path_id,
                           premises_of_nested, prop_graph_nested, prove_bounded,
                           prove_formula, render_nested, RuleError)
+from imseq.models import check_frame_conditions, check_model, model_of
 from imseq.proofio import dump_proof
 
-from oracles import (ref_one_step_closers, ref_polarities, ref_prove_bounded,
-                     ref_reach_targets)
+from oracles import (ref_one_step_closers, ref_one_world_refutes, ref_polarities,
+                     ref_prove_bounded, ref_reach_targets)
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 NOAX = axiom_set()
@@ -583,10 +585,16 @@ def test_serial_search_answers_at_depth_50():
     assert time.perf_counter() - t0 < 5.0
 
 
+# true in the one-world model, and escapes both polarity prunes
+UNREFUTED = "[](p -> p) -> (q | (q -> false))"
+
+
 def test_serial_search_answers_an_unrefuted_goal_at_depth_20():
-    """[](p -> p) -> q holds p at both polarities and a [] at input, so
-    neither polarity prune applies and d is tried."""
-    goal = nseq(output=parse_formula("[](p -> p) -> q"))
+    """UNREFUTED holds in the one-world model, and it holds p and q at
+    both polarities and a [] at input, so neither polarity prune applies
+    and d is tried."""
+    goal = nseq(output=parse_formula(UNREFUTED))
+    assert one_world_countermodel(goal) is None
     ins, outs, moves = _polarities(_positions(goal))
     assert not ins.isdisjoint(outs) and moves
     t0 = time.perf_counter()
@@ -598,7 +606,7 @@ def test_a_depth_too_deep_to_search_raises_value_error():
     """The search recurses once per level, so on a goal that no prune
     cuts, a depth past Python's recursion limit fails with ValueError
     naming it, and the next search runs as before."""
-    goal = nseq(output=parse_formula("[](p -> p) -> q"))
+    goal = nseq(output=parse_formula(UNREFUTED))
     with pytest.raises(ValueError, match="depth 300 is too deep to search"):
         prove_bounded(goal, axiom_set(d=True), 300)
     assert prove_bounded(goal, axiom_set(d=True), 5) is None
@@ -764,16 +772,24 @@ def test_d_gate_loses_no_proof():
     assert differ == [(600, 6, 7, 4)]
 
 
+def _no_countermodel(seq):
+    """one_world_countermodel switched off: prove_bounded searches every
+    goal that is no leaf, as it did before the one-world test."""
+    return None
+
+
 def test_polarity_prunes_cut_the_corpus_search():
     """Search calls, d attempts and the budget-1 calls that _closable
     decides, before any key, in one pass over the prove corpus at depth
-    5: with both polarity prunes, with the refutation alone, and with
-    neither.  The outcomes are the frozen ones in all three."""
+    5, and the goals the one-world test refutes at the root: with that
+    test and both polarity prunes, then without that test, with both
+    prunes, with the refutation alone, and with neither.  The outcomes
+    are the frozen ones in all four."""
     spec = json.loads(PROVE_CORPUS.read_text())
     goals = [(parse_nested(g["goal"]),
               axiom_set([tuple(p) for p in g["axioms"]["hsl"]], d=g["axioms"]["d"]),
               g["digest"]) for g in spec["goals"]]
-    calls = {"search": 0, "d": 0, "unkeyed": 0}
+    calls = {"search": 0, "d": 0, "unkeyed": 0, "roots": 0}
 
     def count(frame, event, arg):
         if frame.f_code.co_filename != imseq.nested.__file__:
@@ -786,12 +802,18 @@ def test_polarity_prunes_cut_the_corpus_search():
                 calls["d"] += 1
         elif event == "return" and name == "_closable" and arg is False:
             calls["unkeyed"] += 1
+        elif event == "return" and name == "one_world_countermodel" and arg is not None:
+            calls["roots"] += 1
 
     counts = []
-    for polarities in (_polarities, _ungated, _unpruned):
-        calls.update(search=0, d=0, unkeyed=0)
+    for root_test, polarities in ((one_world_countermodel, _polarities),
+                                  (_no_countermodel, _polarities),
+                                  (_no_countermodel, _ungated),
+                                  (_no_countermodel, _unpruned)):
+        calls.update(search=0, d=0, unkeyed=0, roots=0)
         outcomes = []
         with pytest.MonkeyPatch.context() as m:
+            m.setattr(imseq.nested, "one_world_countermodel", root_test)
             m.setattr(imseq.nested, "_polarities", polarities)
             for goal, ax, _ in goals:
                 sys.setprofile(count)
@@ -802,15 +824,17 @@ def test_polarity_prunes_cut_the_corpus_search():
                 outcomes.append(None if proof is None else
                                 hashlib.sha256(dump_proof(proof).encode()).hexdigest())
         assert outcomes == [digest for _, _, digest in goals]
-        counts.append((calls["search"], calls["d"], calls["unkeyed"]))
-    assert counts == [(1830, 177, 599), (2060, 344, 748), (2914, 788, 1206)]
+        counts.append((calls["roots"], calls["search"], calls["d"], calls["unkeyed"]))
+    assert counts == [(141, 1047, 99, 335), (0, 1830, 177, 599), (0, 2060, 344, 748),
+                      (0, 2914, 788, 1206)]
 
 
 def test_closable_holds_wherever_one_step_closes():
     """_closable answers False only where no rule instance closes every
     premise in one step, against ref_one_step_closers: on random full
     sequents that are no leaf, under every axiom mix, and on the
-    sequents the prove corpus searches at budget 1 at depth 5."""
+    sequents the prove corpus searches at budget 1 at depth 5 with the
+    one-world test off."""
     rng = random.Random(20005)
     cases = []
     while len(cases) < 3000:
@@ -827,6 +851,7 @@ def test_closable_holds_wherever_one_step_closes():
         return _closable(seq)
 
     with pytest.MonkeyPatch.context() as m:
+        m.setattr(imseq.nested, "one_world_countermodel", _no_countermodel)
         m.setattr(imseq.nested, "_closable", recorded)
         for g in spec["goals"]:
             ax = axiom_set([tuple(p) for p in g["axioms"]["hsl"]], d=g["axioms"]["d"])
@@ -847,6 +872,113 @@ def test_closable_holds_wherever_one_step_closes():
         shares.append((len(group), closing, rejected))
     assert rules == NESTED_RULES - {"botI", "id", "boxO", "d"}
     assert shares == [(3000, 426, 2502), (701, 55, 599)]
+
+
+def _one_world_goals():
+    """3,000 seeded random goals over p, q and r, each with an axiom mix."""
+    rng = random.Random(22001)
+    return [(gen.random_full_nested(rng, rng.randrange(3), 2, 2, ("p", "q", "r")),
+             AXIOM_MIXES[k % len(AXIOM_MIXES)]) for k in range(3000)]
+
+
+def test_one_world_model_meets_every_frame_condition():
+    """The one world that sees itself is a model of every axiom set of one
+    or two hsl(n, k) pairs with n, k <= 3, with and without seriality,
+    and of every mix: the premise of one_world_countermodel's soundness."""
+    m = model_of(["w"], acc=[("w", "w")])
+    assert check_model(m) == []
+    pairs = [(n, k) for n in range(4) for k in range(4)]
+    sets = [[a] for a in pairs] + [[a, b] for i, a in enumerate(pairs) for b in pairs[i + 1:]]
+    axes = [axiom_set(ps, d=d) for ps in sets for d in (False, True)] + AXIOM_MIXES
+    assert len(axes) == 272 + 11
+    for ax in axes:
+        assert check_frame_conditions(m, ax) == [], ax
+
+
+def test_one_world_test_matches_the_models_layer():
+    """one_world_countermodel refutes a goal iff some valuation falsifies
+    its labelled translation in the one-world model under sat_sequent,
+    and the valuation it names is one of those."""
+    refuted = 0
+    for goal, _ in _one_world_goals():
+        got = one_world_countermodel(goal)
+        want = ref_one_world_refutes(goal)
+        assert (got is None) == (not want), str(goal)
+        assert got is None or got in want, str(goal)
+        refuted += got is not None
+    print(f"one-world test refutes {refuted} of 3000 goals")
+    assert refuted == 1579
+    for text in ("p^i", "p^o, [ q^o ]"):
+        with pytest.raises(ValueError, match="exactly one output"):
+            one_world_countermodel(parse_nested(text))
+
+
+def test_one_world_refuted_goals_have_no_proof():
+    """Wherever the one-world test refutes a goal, the reference search,
+    which has no such test, finds no proof at depths 0-6."""
+    for k, (goal, ax) in enumerate(_one_world_goals()):
+        if one_world_countermodel(goal) is not None:
+            for depth in range(7):
+                assert ref_prove_bounded(goal, ax, depth) is None, (k, depth)
+
+
+def test_one_world_test_changes_no_proof():
+    """prove_bounded gives byte-identical output with the one-world test
+    switched off."""
+    goals = _one_world_goals()
+    outputs = []
+    for root_test in (one_world_countermodel, _no_countermodel):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(imseq.nested, "one_world_countermodel", root_test)
+            outputs.append([_dumped(prove_bounded(goal, ax, depth))
+                            for goal, ax in goals for depth in (3, 5)])
+    assert outputs[0] == outputs[1]
+    assert sum(out is not None for out in outputs[0]) == 1234
+
+
+def test_one_world_test_runs_without_recursion_on_a_deep_chain():
+    """A 5,000-level implication chain built through the API, too deep
+    for a recursive walk, is tested and answered at depth 2 as with the
+    test off."""
+    refuted, valid = Q, P
+    for _ in range(5000):
+        refuted, valid = Imp(P, refuted), Imp(P, valid)
+    for f, want in ((refuted, ("p",)), (valid, None)):
+        goal = nseq(output=f)
+        assert one_world_countermodel(goal) == want
+        got = prove_bounded(goal, NOAX, 2)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(imseq.nested, "one_world_countermodel", _no_countermodel)
+            assert _dumped(got) == _dumped(prove_bounded(goal, NOAX, 2))
+
+
+def test_one_world_test_skips_tables_past_the_bound():
+    """With 40 distinct atoms the tables would pass ONE_WORLD_BITS, so
+    the test is skipped and the goal is searched as with the test off:
+    the conjunction of p0..p38 implies p0 at depth 40, and not p39."""
+    atoms = [Atom(f"p{i}") for i in range(40)]
+    conj = atoms[0]
+    for a in atoms[1:-1]:
+        conj = And(conj, a)
+    proved = []
+    for f in (Imp(conj, atoms[-1]), Imp(conj, atoms[0])):
+        goal = nseq(output=f)
+        assert one_world_countermodel(goal) is None
+        got = prove_bounded(goal, NOAX, 40)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(imseq.nested, "one_world_countermodel", _no_countermodel)
+            assert _dumped(got) == _dumped(prove_bounded(goal, NOAX, 40))
+        proved.append(got is not None)
+    assert proved == [False, True]
+    # a chain over k atoms has 2k - 1 distinct subformulas: 29 tables of
+    # 2^15 bits fit in ONE_WORLD_BITS, 31 of 2^16 do not
+    for k, tested in ((15, True), (16, False)):
+        chain = atoms[k - 1]
+        for a in reversed(atoms[:k - 1]):
+            chain = Imp(a, chain)
+        assert ((2 * k - 1) << k <= ONE_WORLD_BITS) == tested
+        assert one_world_countermodel(nseq(output=chain)) == (
+            tuple(sorted(a.name for a in atoms[:k - 1])) if tested else None)
 
 
 def test_failure_cache_changes_no_verdict():
