@@ -8,10 +8,10 @@ elimination, translations between the two calculi, and a bounded prover.
 
 from .formula import (AxiomSet, BENCHMARKS, BOT, Atom, Bot, Box, Dia, And, Or,
                       Imp, Formula, ParseError, axiom_set, hsl_formula,
-                      modal_count, parse_formula, render_formula)
-from .grammar import (Grammar, Production, PropGraph, PropPath, Sym,
-                      converse_string, derives, grammar_from_axioms,
-                      graph_from_pairs, reach_all, reachable, syms)
+                      parse_formula, render_formula)
+from .grammar import (Grammar, Production, PropGraph, PropPath, Sym, derives,
+                      grammar_from_axioms, graph_from_pairs, reach_all,
+                      reachable, syms)
 from .models import (Model, Violation, check_frame_conditions, check_model,
                      eval_formula, globally_true, model_of, random_model,
                      sat_sequent)
@@ -33,9 +33,9 @@ from .gen import (random_formula, random_full_nested, random_labelled_proof,
 
 __all__ = [
     "AxiomSet", "BENCHMARKS", "BOT", "Atom", "Bot", "Box", "Dia", "And", "Or",
-    "Imp", "Formula", "ParseError", "axiom_set", "hsl_formula", "modal_count",
+    "Imp", "Formula", "ParseError", "axiom_set", "hsl_formula",
     "parse_formula", "render_formula",
-    "Grammar", "Production", "PropGraph", "PropPath", "Sym", "converse_string",
+    "Grammar", "Production", "PropGraph", "PropPath", "Sym",
     "derives", "grammar_from_axioms", "graph_from_pairs",
     "reach_all", "reachable", "syms",
     "Model", "Violation", "check_frame_conditions", "check_model",

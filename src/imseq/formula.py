@@ -261,6 +261,26 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}", pos)
 
 
+def subformulas(roots: Iterable[Formula]) -> list:
+    """The distinct subformulas of roots, each after its own immediate
+    subformulas, found without recursion."""
+    order: list = []
+    seen: set = set()
+    todo = [(f, False) for f in roots]
+    while todo:
+        f, ready = todo.pop()
+        if ready:
+            order.append(f)
+        elif f not in seen:
+            seen.add(f)
+            todo.append((f, True))
+            if isinstance(f, (Dia, Box)):
+                todo.append((f.body, False))
+            elif not isinstance(f, (Atom, Bot)):
+                todo += ((f.left, False), (f.right, False))
+    return order
+
+
 def _measure(a: Formula) -> tuple[int, int]:
     """Height (connectives on the longest branch) and tree size (nodes,
     shared ones counted once per occurrence) of a, without recursion.
@@ -269,23 +289,15 @@ def _measure(a: Formula) -> tuple[int, int]:
     so a chain of them is a small graph but an exponentially large tree.
     """
     seen: dict[Formula, tuple[int, int]] = {}
-    todo = [a]
-    while todo:
-        f = todo[-1]
+    for f in subformulas((a,)):
         if isinstance(f, (Dia, Box)):
-            kids = (f.body,)
-        elif isinstance(f, (And, Or, Imp)):
-            kids = (f.left, f.right)
+            h, n = seen[f.body]
+            seen[f] = (h + 1, n + 1)
+        elif isinstance(f, (Atom, Bot)):
+            seen[f] = (0, 1)
         else:
-            kids = ()
-        waiting = [k for k in kids if k not in seen]
-        if waiting:
-            todo.extend(waiting)
-        else:
-            todo.pop()
-            sub = [seen[k] for k in kids]
-            seen[f] = (1 + max(h for h, _ in sub) if sub else 0,
-                           1 + sum(n for _, n in sub))
+            (lh, ln), (rh, rn) = seen[f.left], seen[f.right]
+            seen[f] = (1 + max(lh, rh), 1 + ln + rn)
     return seen[a]
 
 
@@ -362,15 +374,6 @@ def render_formula(a: Formula) -> str:
 def _child(b: Formula, floor: int) -> str:
     s = render_formula(b)
     return f"({s})" if _PREC[type(b)] < floor else s
-
-
-def modal_count(a: Formula) -> int:
-    """Number of <> and [] occurrences."""
-    if isinstance(a, (Dia, Box)):
-        return 1 + modal_count(a.body)
-    if isinstance(a, (And, Or, Imp)):
-        return modal_count(a.left) + modal_count(a.right)
-    return 0
 
 
 def _dias(n: int, a: Formula) -> Formula:

@@ -56,10 +56,6 @@ def syms(text: Iterable[str]) -> tuple[Sym, ...]:
         return tuple(Sym(c) for c in text)
 
 
-def converse_string(s: Iterable[Sym]) -> tuple[Sym, ...]:
-    return tuple(c.converse() for c in reversed(tuple(s)))
-
-
 @dataclass(frozen=True)
 class Production:
     lhs: Sym
@@ -134,9 +130,6 @@ class PropPath:
     @property
     def string(self) -> str:
         return "".join(c.value for c in self.steps)
-
-    def converse(self) -> "PropPath":
-        return PropPath._trusted(tuple(reversed(self.nodes)), converse_string(self.steps))
 
     def to_list(self) -> list:
         out: list[str] = [self.nodes[0]]

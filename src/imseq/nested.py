@@ -30,9 +30,10 @@ from operator import attrgetter
 from typing import Iterable, Optional
 
 from .formula import (BOT, MAX_NESTING, Atom, AxiomSet, Bot, Box, Dia, Formula,
-                      Imp, And, Or, ParseError, parse_formula, render_formula)
+                      Imp, And, Or, ParseError, parse_formula, render_formula,
+                      subformulas)
 from .grammar import (Grammar, PropGraph, PropPath, Sym, _Saturator, derives,
-                      grammar_from_axioms, reach_masks)
+                      grammar_from_axioms, graph_from_pairs, reach_masks)
 from .proof import (CheckResult, Proof, RuleError, _p_int, _p_path, _p_str, check,
                     lazy_attribute)
 
@@ -304,19 +305,9 @@ def map_node(s: NestedSequent, path: tuple, fn) -> NestedSequent:
 
 
 def prop_graph_nested(s: NestedSequent) -> PropGraph:
-    nodes = set()
-    edges = set()
-
-    def walk(node: NestedSequent, path: tuple):
-        nodes.add(path_id(path))
-        for i, c in enumerate(node.children):
-            child = path + (i,)
-            edges.add((path_id(path), Sym.FWD, path_id(child)))
-            edges.add((path_id(child), Sym.BWD, path_id(path)))
-            walk(c, child)
-
-    walk(s, ())
-    return PropGraph(frozenset(nodes), frozenset(edges))
+    """A forward edge from each node to each child, and a backward one back."""
+    pairs = [(path_id(p[:-1]), path_id(p)) for p in all_paths(s)[1:]]
+    return graph_from_pairs(pairs, extra_nodes=(path_id(()),))
 
 
 NestedProof = Proof
@@ -435,30 +426,6 @@ def _premises(seq: NestedSequent, rule: str, at: tuple, index: Optional[int],
     are _premise_edits' arguments."""
     return [_applied(seq, edits)
             for edits in _premise_edits(seq, rule, at, index, f, target)]
-
-
-def _touched(seq: NestedSequent, edits: tuple) -> Optional[tuple]:
-    """(path, node) of the node of the premise that edits make from seq
-    that gained an input or an output, or None if none did.  node has
-    the premise's formulas there, but its brackets may be seq's: only
-    the touched node is built, not the premise.
-
-    That is the principal of andI, andO, orI, orO, impO and impI, the
-    walk's target of pdia and pbox, and diaI's new bracket.  boxO's new
-    bracket gains an output but no input, so it is left out; boxO and d
-    touch no node.  A node that lost formulas or gained only a bracket
-    holds no leaf that it did not hold in seq.
-    """
-    for path, idx, fs, out, kid in edits:
-        if kid is not None and kid.inputs:
-            return path + (len(node_at(seq, path).children),), kid
-        if fs or out is not _KEEP and out is not None:
-            node = node_at(seq, path)
-            for e in edits:
-                if e[0] == path:
-                    node = _edited(node, *e[1:])
-            return path, node
-    return None
 
 
 # main connective of the principal input, and of the principal output
@@ -589,12 +556,20 @@ def _local_leaf(seq: NestedSequent, edits: tuple) -> Optional[tuple]:
     """(path, rule, index) of the leaf that closes the premise edits make
     from seq, or None, read off its touched node alone.
 
-    seq must be no leaf: then no untouched node of the premise is one,
-    and the touched node's first closing input is the one _try_leaf
-    finds in the built premise.  The touched node closes only by what
-    its edit adds: false as an input, the node's output as an input,
-    or as the output an atom among its inputs.  So a premise whose
-    edits add none of these is answered from them, with no node built.
+    The touched node is the one that gains an input or an output: the
+    principal of andI, andO, orI, orO, impO and impI, the walk's target
+    of pdia and pbox, and diaI's new bracket.  Each premise has at most
+    one; boxO's new bracket gains an output but no input, and boxO and
+    d touch no node.  seq must be no leaf: then no untouched node of
+    the premise is one, since a node that lost formulas or gained only
+    a bracket holds no leaf it did not hold in seq, and the touched
+    node's first closing input is the one _try_leaf finds in the built
+    premise.  The touched node closes only by what its edit adds: false
+    as an input, the node's output as an input, or as the output an
+    atom among its inputs.  So a premise whose edits add none of these
+    is answered from them, with no node built; otherwise only the
+    touched node is built, with the premise's formulas there and seq's
+    brackets.
     """
     for path, _, fs, out, kid in edits:
         if kid is not None:
@@ -608,18 +583,23 @@ def _local_leaf(seq: NestedSequent, edits: tuple) -> Optional[tuple]:
             break
     else:
         return None
-    touched = _touched(seq, edits)
-    if touched is None:
-        return None
-    leaf = _node_leaf(touched[1])
-    return None if leaf is None else (touched[0],) + leaf
+    if kid is not None:
+        node = kid
+        path += (len(node_at(seq, path).children),)
+    else:
+        node = node_at(seq, path)
+        for e in edits:
+            if e[0] == path:
+                node = _edited(node, *e[1:])
+    leaf = _node_leaf(node)
+    return None if leaf is None else (path,) + leaf
 
 
 def _closable(seq: NestedSequent) -> bool:
     """Whether some rule application to seq, which is full and no leaf,
     may close each of its premises in one step; False only if none does.
 
-    A premise closes only at the node its rule touched (_touched), by
+    A premise closes only at the node its rule touched (_local_leaf), by
     what the rule adds there: false, or the atom that is the node's
     output, as an input (andI, orI, impI's second premise, diaI's new
     bracket, pbox's target), or as the output an atom among the node's
@@ -705,32 +685,22 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
 def _signature(f: Formula) -> tuple:
     """f's polarity signature, computed once per interned subformula,
     without recursion, and stored on it."""
-    todo = [f]
-    while todo:
-        g = todo[-1]
+    for g in subformulas((f,)):
         if g._pol is not None:
-            todo.pop()
             continue
         if isinstance(g, (Atom, Bot)):
             sig = (frozenset((g,)), frozenset(), 0)
+        elif isinstance(g, (Dia, Box)):
+            own, other, moves = g.body._pol
+            moves |= _MOVES_IN if isinstance(g, Box) else _MOVES_OUT
+            sig = (own, other, moves)
         else:
-            kids = (g.body,) if isinstance(g, (Dia, Box)) else (g.left, g.right)
-            waiting = [k for k in kids if k._pol is None]
-            if waiting:
-                todo.extend(waiting)
-                continue
-            if isinstance(g, (Dia, Box)):
-                own, other, moves = g.body._pol
-                moves |= _MOVES_IN if isinstance(g, Box) else _MOVES_OUT
-                sig = (own, other, moves)
-            else:
-                lo, lt, lm = g.left._pol
-                ro, rt, rm = g.right._pol
-                if isinstance(g, Imp):
-                    lo, lt, lm = lt, lo, (lm & _MOVES_IN) << 1 | lm >> 1
-                sig = (_union(lo, ro), _union(lt, rt), lm | rm)
+            lo, lt, lm = g.left._pol
+            ro, rt, rm = g.right._pol
+            if isinstance(g, Imp):
+                lo, lt, lm = lt, lo, (lm & _MOVES_IN) << 1 | lm >> 1
+            sig = (_union(lo, ro), _union(lt, rt), lm | rm)
         object.__setattr__(g, "_pol", sig)
-        todo.pop()
     return f._pol
 
 
@@ -786,20 +756,7 @@ def one_world_countermodel(seq: NestedSequent) -> Optional[tuple]:
     if len(outputs) != 1:
         raise ValueError("sequent must have exactly one output formula")
     output = outputs[0]
-    order: list = []  # distinct subformulas, each after its own
-    seen: set = set()
-    todo = [(f, False) for f in roots + [output]]
-    while todo:
-        f, ready = todo.pop()
-        if ready:
-            order.append(f)
-        elif f not in seen:
-            seen.add(f)
-            todo.append((f, True))
-            if isinstance(f, (Dia, Box)):
-                todo.append((f.body, False))
-            elif not isinstance(f, (Atom, Bot)):
-                todo += ((f.left, False), (f.right, False))
+    order = subformulas(roots + [output])
     atoms = sorted((f for f in order if isinstance(f, Atom)), key=attrgetter("name"))
     if len(order) << len(atoms) > ONE_WORLD_BITS:
         return None
@@ -973,10 +930,10 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
     premise, and deleting it gives a proof of the conclusion no taller.
 
     Only the goal is scanned whole for a leaf.  A premise's conclusion
-    is no leaf, so a premise can close only at the node its rule touched
-    (_touched), by what its edits add there, and its leaf test runs
-    there alone, building that node only if the edits add false, the
-    node's output as an input, or an atom output (_local_leaf).
+    is no leaf, so a premise can close only at the node its rule touched,
+    by what its edits add there, and its leaf test runs there alone,
+    building that node only if the edits add false, the node's output
+    as an input, or an atom output (_local_leaf).
     Premises searched at budget 0 close by that test or not at all, so
     they are decided, in order, before any is built, and built only
     when all of them close; the rest are built one at a time as the
@@ -1003,31 +960,64 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
     where pdia or pbox is tried.  Params, with ``r.0.1`` ids and the
     witness walk, are built only for the nodes of proofs found; the
     walks unfold from one worklist saturation per tree shape, kept for
-    this call only, and are reach_all's walks.  The proof about to
-    be returned is run through check_nested, and a failure raises
-    RuntimeError, so results always check.
-    Raises ValueError for a goal that is not full, or a depth that is
-    not an int (bools included) or is negative.
+    this call only, and are reach_all's walks.  One _Search object holds
+    the call's failure cache and saturations; its methods refer to each
+    other through it, so it forms no reference cycle, and its tables
+    are freed when the call returns.  The proof about to be returned is
+    run through check_nested, and a failure raises RuntimeError, so
+    results always check.
+    Raises ValueError for a goal that is not full or whose brackets nest
+    past Python's recursion limit, for a depth that is not an int (bools
+    included) or is negative, and for a search that recurses past that
+    limit, naming the depth.
     """
-    if not is_full(goal):
+    try:
+        full = is_full(goal)
+    except RecursionError:
+        raise ValueError("goal is nested too deeply to search: its brackets "
+                         "recurse past Python's limit") from None
+    if not full:
         raise ValueError("goal must have exactly one output formula")
     if not isinstance(depth, int) or isinstance(depth, bool):
         raise ValueError(f"depth must be an int, got {depth!r}")
     if depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
-    g = grammar_from_axioms(ax)
-    fail: dict = {}
-    # tree shape -> the saturation its witness walks unfold from
-    sat_by_shape: dict = {}
+    proof = _try_leaf(goal, _positions(goal))
+    try:
+        if proof is None and depth > 0 and one_world_countermodel(goal) is None:
+            proof = _Search(ax).search(goal, depth, frozenset())
+    except RecursionError:
+        raise ValueError(f"depth {depth} is too deep to search: "
+                         "the search recursed past Python's limit") from None
+    if proof is not None:
+        res = check_nested(proof, ax)
+        if not res:
+            raise RuntimeError("prover built a proof that fails to check: "
+                               f"{res.message} at {res.at}")
+    return proof
 
-    def witness(seq, src, dst):
+
+class _Search:
+    """One prove_bounded search: the axioms and their grammar, the
+    failure cache (sequent class -> the largest budget it failed at) and,
+    per tree shape, the saturation that witness walks unfold from."""
+
+    __slots__ = ("ax", "g", "fail", "sat_by_shape")
+
+    def __init__(self, ax: AxiomSet):
+        self.ax = ax
+        self.g = grammar_from_axioms(ax)
+        self.fail: dict = {}
+        self.sat_by_shape: dict = {}
+
+    def witness(self, seq: NestedSequent, src: tuple, dst: tuple) -> list:
         shape = tuple(all_paths(seq))
-        sat = sat_by_shape.get(shape)
+        sat = self.sat_by_shape.get(shape)
         if sat is None:
-            sat = sat_by_shape[shape] = _Saturator(prop_graph_nested(seq), g)
+            sat = self.sat_by_shape[shape] = _Saturator(prop_graph_nested(seq), self.g)
         return _witness(sat, src, dst)
 
-    def attempt(seq, rule, at, index, f, target, budget, seen):
+    def attempt(self, seq, rule, at, index, f, target, budget, seen):
         prems = _premise_edits(seq, rule, at, index, f, target)
         leaves = []
         for edits in prems:
@@ -1042,19 +1032,28 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
             if leaf is not None:
                 subs.append(_leaf_proof(prem, *leaf))
                 continue
-            sub = search(prem, budget - 1, seen)
+            sub = self.search(prem, budget - 1, seen)
             if sub is None:
                 return None
             subs.append(sub)
-        walk = None if target is None else witness(seq, at, target)
+        walk = None if target is None else self.witness(seq, at, target)
         return NestedProof(seq, rule, _params(rule, at, index, walk), tuple(subs))
 
-    def search(seq, budget, seen):
+    def commit(self, seq, rule, at, index, f, budget, seen):
+        """attempt's answer for an invertible rule, whose failure is seq's."""
+        got = self.attempt(seq, rule, at, index, f, None, budget, seen)
+        if got is None:
+            fail, key = self.fail, seq._cls
+            fail[key] = max(fail.get(key, -1), budget)
+        return got
+
+    def search(self, seq, budget, seen):
         # seq is no leaf, and budget is at least 1
         last = budget == 1
         if last and not _closable(seq):
             return None
         key = seq._cls
+        fail = self.fail
         if key in seen or fail.get(key, -1) >= budget:
             return None
         positions = _positions(seq)
@@ -1066,31 +1065,25 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
                 return None
             seen = seen | {key}
 
-        def commit(rule, at, index, f):
-            got = attempt(seq, rule, at, index, f, None, budget, seen)
-            if got is None:
-                fail[key] = max(fail.get(key, -1), budget)
-            return got
-
         # non-branching invertible rules, committed
         for path, node in positions:
             for idx, f in enumerate(node.inputs):
                 if isinstance(f, And):
-                    return commit("andI", path, idx, f)
+                    return self.commit(seq, "andI", path, idx, f, budget, seen)
                 if isinstance(f, Dia):
-                    return commit("diaI", path, idx, f)
+                    return self.commit(seq, "diaI", path, idx, f, budget, seen)
             if isinstance(node.output, Imp):
-                return commit("impO", path, None, node.output)
+                return self.commit(seq, "impO", path, None, node.output, budget, seen)
             if isinstance(node.output, Box):
-                return commit("boxO", path, None, node.output)
+                return self.commit(seq, "boxO", path, None, node.output, budget, seen)
 
         # branching invertible rules, committed
         for path, node in positions:
             if isinstance(node.output, And):
-                return commit("andO", path, None, node.output)
+                return self.commit(seq, "andO", path, None, node.output, budget, seen)
             for idx, f in enumerate(node.inputs):
                 if isinstance(f, Or):
-                    return commit("orI", path, idx, f)
+                    return self.commit(seq, "orI", path, idx, f, budget, seen)
 
         # choice points, backtracking; at the last level only an
         # application whose touched node closes can succeed, and d never
@@ -1101,69 +1094,51 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
                 for side in (0, 1):
                     if last and (f.right if side else f.left) not in node.inputs:
                         continue
-                    got = attempt(seq, "orO", path, side, f, None, budget, seen)
+                    got = self.attempt(seq, "orO", path, side, f, None, budget, seen)
                     if got is not None:
                         return got
             if isinstance(f, Dia):
                 if reach is None:
-                    reach = _reach_table(positions, g)
+                    reach = _reach_table(positions, self.g)
                 for j in _targets(reach, i):
                     target, tnode = positions[j]
                     if last and f.body not in tnode.inputs:
                         continue
-                    got = attempt(seq, "pdia", path, None, f, target, budget, seen)
+                    got = self.attempt(seq, "pdia", path, None, f, target, budget, seen)
                     if got is not None:
                         return got
             for idx, f in enumerate(node.inputs):
                 if isinstance(f, Imp):
                     if last and f.left not in node.inputs:
                         continue
-                    got = attempt(seq, "impI", path, idx, f, None, budget, seen)
+                    got = self.attempt(seq, "impI", path, idx, f, None, budget, seen)
                     if got is not None:
                         return got
                 if isinstance(f, Box):
                     if reach is None:
-                        reach = _reach_table(positions, g)
+                        reach = _reach_table(positions, self.g)
                     for j in _targets(reach, i):
                         target, tnode = positions[j]
                         if f.body in tnode.inputs or last and not (
                                 f.body is BOT or f.body is tnode.output):
                             continue
-                        got = attempt(seq, "pbox", path, idx, f, target, budget, seen)
+                        got = self.attempt(seq, "pbox", path, idx, f, target,
+                                           budget, seen)
                         if got is not None:
                             return got
-        if not last and ax.has_d and moves:
+        if not last and self.ax.has_d and moves:
             for path, node in positions:
                 # seq is full, so a node with two children, or with one
                 # that holds no output, has an output-free child
                 kids = node.children
                 if len(kids) > 1 or kids and output_count(kids[0]) == 0:
                     continue
-                got = attempt(seq, "d", path, None, None, None, budget, seen)
+                got = self.attempt(seq, "d", path, None, None, None, budget, seen)
                 if got is not None:
                     return got
 
         fail[key] = max(fail.get(key, -1), budget)
         return None
-
-    proof = _try_leaf(goal, _positions(goal))
-    try:
-        if proof is None and depth > 0 and one_world_countermodel(goal) is None:
-            proof = search(goal, depth, frozenset())
-    except RecursionError:
-        raise ValueError(f"depth {depth} is too deep to search: "
-                         "the search recursed past Python's limit") from None
-    finally:
-        # search and attempt form a reference cycle that holds these
-        # tables until a full garbage collection; free them now.
-        sat_by_shape.clear()
-        fail.clear()
-    if proof is not None:
-        res = check_nested(proof, ax)
-        if not res:
-            raise RuntimeError("prover built a proof that fails to check: "
-                               f"{res.message} at {res.at}")
-    return proof
 
 
 def prove_formula(a: Formula, ax: AxiomSet, depth: int) -> Optional[NestedProof]:

@@ -41,6 +41,25 @@ def neg(a: Formula) -> Formula:
     return Imp(a, BOT)
 
 
+def modal_count(a: Formula) -> int:
+    """Number of <> and [] occurrences."""
+    if isinstance(a, (Dia, Box)):
+        return 1 + modal_count(a.body)
+    if isinstance(a, (And, Or, Imp)):
+        return modal_count(a.left) + modal_count(a.right)
+    return 0
+
+
+def converse_string(s) -> tuple:
+    """The string of the converse walk: reversed, each letter flipped."""
+    return tuple(c.converse() for c in reversed(tuple(s)))
+
+
+def converse_path(p: PropPath) -> PropPath:
+    """p walked backwards."""
+    return PropPath(tuple(reversed(p.nodes)), converse_string(p.steps))
+
+
 def path_in_graph(pg: PropGraph, path: PropPath) -> bool:
     if any(v not in pg.nodes for v in path.nodes):
         return False

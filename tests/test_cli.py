@@ -369,6 +369,38 @@ def test_model_eval_reports_frame_violation(tmp_path, capsys):
     assert "seriality" in err
 
 
+@pytest.mark.parametrize("model, args, code, message", [
+    ("worlds: a b\nrel: a b\n", ("--formula", "p"), 2,
+     "line 2: expected worlds/leq/acc/val section"),
+    ("worlds: a b\nacc: a\n", ("--formula", "p"), 2,
+     "line 2: expected two names in 'a'"),
+    ("worlds: a\n", (), 2, "give --formula or --sequent"),
+    ("worlds: a\n", ("--sequent", "w: p |- w: p"), 2,
+     "--sequent needs --interp label=world"),
+    ("worlds: a\n", ("--sequent", "w: p |- w: p", "--interp", "w"), 2,
+     "expected label=world in 'w'"),
+    (None, ("reach", "v R u", "v", "u", "--hsl", "x"), 2,
+     "expected N,K with digits: 'x'"),
+    (None, ("axioms", "--d"), 0, "D: []p -> <>p\n"),
+], ids=["unknown-section", "one-name-pair", "no-formula-or-sequent",
+        "sequent-without-interp", "interp-without-world", "reach-bad-hsl",
+        "axioms-d"])
+def test_malformed_input_and_rare_flags(tmp_path, capsys, model, args, code, message):
+    """Malformed model-eval input and a malformed --hsl pair exit 2 with
+    their message on stderr; axioms --d prints the D axiom alone.  No
+    traceback either way."""
+    if model is not None:
+        path = tmp_path / "model.txt"
+        path.write_text(model)
+        args = ("model-eval", str(path)) + args
+    got, out, err = run(capsys, *args)
+    assert got == code and "Traceback" not in out + err
+    if code:
+        assert not out and message in err
+    else:
+        assert (out, err) == (message, "")
+
+
 def test_axioms_output(capsys):
     code, out, _ = run(capsys, "axioms", "--hsl", "2,1")
     assert code == 0

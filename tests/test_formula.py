@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from imseq import formula
 from imseq.formula import (And, Atom, AxiomSet, BENCHMARKS, BOT, Bot, Box,
                            Dia, Imp, Or, ParseError, axiom_set, hsl_formula,
-                           modal_count, parse_formula, render_formula)
+                           parse_formula, render_formula)
 
-from oracles import neg
+from oracles import modal_count, neg
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 

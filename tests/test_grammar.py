@@ -7,12 +7,12 @@ import pytest
 import imseq.grammar
 from imseq.formula import axiom_set
 from imseq.grammar import (Grammar, Production, PropGraph, PropPath, Sym,
-                           _Saturator, converse_string, derives, grammar_from_axioms,
+                           _Saturator, derives, grammar_from_axioms,
                            MAX_REACH_NODES, graph_from_pairs, reach_all, reachable,
                            syms)
 from imseq.nested import nseq, prop_graph_nested
-from oracles import (closure_strings, one_step, oracle_derives, oracle_reachable,
-                     path_in_graph)
+from oracles import (closure_strings, converse_path, converse_string, one_step,
+                     oracle_derives, oracle_reachable, path_in_graph)
 
 D, B = Sym.FWD, Sym.BWD
 
@@ -154,7 +154,7 @@ def test_prop_path():
     assert p.string == "bbd"
     assert p.to_list() == ["w", "b", "u", "b", "v", "d", "u"]
     assert PropPath.from_list(["w", "b", "u", "b", "v", "d", "u"]) == p
-    q = p.converse()
+    q = converse_path(p)
     assert q.nodes == ("u", "v", "u", "w") and q.string == "bdd"
     assert converse_string(syms("bbd")) == syms("bdd")
     single = PropPath(("w",), ())

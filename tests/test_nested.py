@@ -23,7 +23,7 @@ from imseq.grammar import Sym, _Saturator, grammar_from_axioms, reach_all
 from imseq.nested import (_MOVES_IN, EMPTY, NESTED_RULES, REACH_MEMO_NODES,
                           REACH_MEMO_SIZE, NestedProof, _applied, _closable,
                           _local_leaf, _polarities, _positions, _premise_edits,
-                          _reach_memo, _reach_table, _targets, _touched,
+                          _reach_memo, _reach_table, _targets,
                           _try_leaf, _witness,
                           all_paths, check_nested, is_full, map_node,
                           match_children, node_at,
@@ -613,6 +613,46 @@ def test_a_depth_too_deep_to_search_raises_value_error():
     assert prove_formula(parse_formula("p -> p"), NOAX, 2) is not None
 
 
+def _bracket_chain(levels, inner):
+    """inner under levels nested brackets, built through the API."""
+    for _ in range(levels):
+        inner = nseq(children=(inner,))
+    return inner
+
+
+def test_a_goal_nested_too_deeply_raises_value_error():
+    """A goal whose brackets nest past Python's recursion limit fails with
+    ValueError, not RecursionError; 400 levels still answer."""
+    leaf, refuted = nseq((P,), P), nseq((), Q)
+    for inner in (leaf, refuted):
+        with pytest.raises(ValueError, match="goal is nested too deeply to search"):
+            prove_bounded(_bracket_chain(3000, inner), NOAX, 3)
+    assert check_nested(prove_bounded(_bracket_chain(400, leaf), NOAX, 3), NOAX)
+    assert prove_bounded(_bracket_chain(400, refuted), NOAX, 3) is None
+
+
+def test_prover_leaves_no_cyclic_garbage():
+    """With the cycle collector off, no prove_bounded call on the prove
+    corpus at depth 5, nor UNREFUTED under seriality at depth 6, leaves
+    an object that only the collector can free."""
+    spec = json.loads(PROVE_CORPUS.read_text())
+    assert spec["depth"] == 5
+    runs = [(parse_nested(g["goal"]),
+             axiom_set([tuple(p) for p in g["axioms"]["hsl"]], d=g["axioms"]["d"]),
+             spec["depth"]) for g in spec["goals"]]
+    runs.append((nseq(output=parse_formula(UNREFUTED)), axiom_set(d=True), 6))
+    left = []
+    gc.collect()
+    gc.disable()
+    try:
+        for goal, ax, depth in runs:
+            prove_bounded(goal, ax, depth)
+            left.append(gc.collect())
+    finally:
+        gc.enable()
+    assert left == [0] * 301
+
+
 def _refuted(seq):
     ins, outs, _ = _polarities(_positions(seq))
     return BOT not in ins and ins.isdisjoint(outs)
@@ -1050,11 +1090,6 @@ def test_local_leaf_test_agrees_with_the_full_scan():
                 assert (None if full is None else
                         (parse_path_id(full.params["at"]), full.rule,
                          full.params["index"])) == local, (str(seq), inst)
-                touched = _touched(seq, edits)
-                if touched is not None:
-                    path, node = touched
-                    assert node_at(prem, path).inputs == node.inputs
-                    assert node_at(prem, path).output is node.output
                 premises += 1
                 if local is not None:
                     closing.add(inst[0])

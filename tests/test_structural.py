@@ -178,6 +178,23 @@ def test_every_entry_point_takes_list_addresses():
                 call(at)
 
 
+@pytest.mark.parametrize("text", [
+    "[ q^i ], [ p^i ], <>p^o",
+    "[ q^i ], [ r^i, [ p^i ] ], <><>p^o",
+    "[ q^i ], [ r^i ], [ p^i ], <>p^o",
+    "[ q^i ], [ p & r^i ], <>p^o",
+    "[ q^i, [ s^i ] ], [ r^i, [ p^i ] ], <><>p^o",
+])
+def test_merge_remaps_addresses_in_and_past_the_second_bracket(text):
+    """Merging brackets 0 and 1 moves addresses inside bracket 1 into
+    bracket 0, past its own children, and shifts later brackets down
+    one; a principal input of bracket 1 moves past bracket 0's inputs."""
+    p = prove_bounded(parse_nested(text), NOAX, 6)
+    assert p is not None
+    m = checked(merge_proof(p, (), 0, 1))
+    assert m.height() <= p.height()
+
+
 def test_contract_and_merge_refuse_indices_that_are_not_ints():
     """An index that is not an int, a bool among them, is a ValueError,
     not a TypeError."""
