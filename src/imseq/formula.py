@@ -263,21 +263,29 @@ class _Parser:
 
 def subformulas(roots: Iterable[Formula]) -> list:
     """The distinct subformulas of roots, each after its own immediate
-    subformulas, found without recursion."""
+    subformulas, found without recursion.  Beyond that the order is the
+    walk's and callers must not read it.
+
+    A formula with children is pushed as (f, None, children...): its
+    children are popped first, and the None marker then says that the
+    formula under it is done.  Formula classes have no subclasses, so
+    the walk reads type(f)."""
     order: list = []
     seen: set = set()
-    todo = [(f, False) for f in roots]
+    todo = list(roots)
     while todo:
-        f, ready = todo.pop()
-        if ready:
-            order.append(f)
+        f = todo.pop()
+        if f is None:
+            order.append(todo.pop())
         elif f not in seen:
             seen.add(f)
-            todo.append((f, True))
-            if isinstance(f, (Dia, Box)):
-                todo.append((f.body, False))
-            elif not isinstance(f, (Atom, Bot)):
-                todo += ((f.left, False), (f.right, False))
+            t = type(f)
+            if t is Atom or t is Bot:
+                order.append(f)
+            elif t is Dia or t is Box:
+                todo += (f, None, f.body)
+            else:
+                todo += (f, None, f.left, f.right)
     return order
 
 

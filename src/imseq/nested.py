@@ -80,11 +80,19 @@ def _multiset(items) -> tuple:
     return tuple(sorted(items, key=id)) if len(items) > 1 else items
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class NestedSequent:
     inputs: tuple    # of Formula
     output: Optional[Formula]
     children: tuple  # of NestedSequent
+
+    def __init__(self, inputs: tuple, output: Optional[Formula], children: tuple):
+        # the frozen dataclass's own __init__ sets each field through
+        # object.__setattr__, at twice the cost of writing __dict__
+        d = self.__dict__
+        d["inputs"] = inputs
+        d["output"] = output
+        d["children"] = children
 
     @lazy_attribute
     def _cls(self) -> _Class:
@@ -241,11 +249,14 @@ def path_id(path: tuple) -> str:
     return "r" + "".join(f".{i}" for i in path)
 
 
+# exactly the ids path_id writes: ASCII digits, with no leading zero
+_PATH_ID = re.compile(r"r(?:\.(?:0|[1-9][0-9]*))*")
+
+
 def parse_path_id(text: str) -> tuple:
-    parts = text.split(".")
-    if parts[0] != "r" or not all(p.isdigit() for p in parts[1:]):
+    if _PATH_ID.fullmatch(text) is None:
         raise ValueError(f"bad node id {text!r}")
-    return tuple(int(p) for p in parts[1:])
+    return tuple(map(int, text.split(".")[1:]))
 
 
 def node_at(s: NestedSequent, path: tuple) -> NestedSequent:
@@ -529,8 +540,12 @@ def check_nested(p: NestedProof, ax: AxiomSet) -> CheckResult:
 def _node_leaf(node: NestedSequent) -> Optional[tuple]:
     """(rule, index) of node's first input that closes it, botI on false
     and id on the atom that is its output, or None."""
+    ins = node.inputs
     out = node.output
-    for idx, f in enumerate(node.inputs):
+    # most nodes close by neither: the containment tests run at C speed
+    if not (BOT in ins or type(out) is Atom and out in ins):
+        return None
+    for idx, f in enumerate(ins):
         if isinstance(f, Bot):
             return "botI", idx
         if f is out and isinstance(f, Atom):
@@ -748,16 +763,24 @@ def one_world_countermodel(seq: NestedSequent) -> Optional[tuple]:
     all 2^k valuations as one int, bit v for the valuation that makes
     atom i true iff bit i of v is set; the tables are built children
     first, without recursion.  Of the falsifying valuations, the lowest
-    such v is reported.
+    such v is reported.  The sequent's nodes are walked over an explicit
+    list, and formula classes have no subclasses, so the tables are
+    dispatched on type(f).
     """
-    positions = _positions(seq)
-    roots = [f for _, node in positions for f in node.inputs]
-    outputs = [node.output for _, node in positions if node.output is not None]
-    if len(outputs) != 1:
+    roots: list = []
+    output = None
+    outputs = 0
+    nodes = [seq]
+    for node in nodes:
+        nodes.extend(node.children)
+        roots += node.inputs
+        if node.output is not None:
+            output = node.output
+            outputs += 1
+    if outputs != 1:
         raise ValueError("sequent must have exactly one output formula")
-    output = outputs[0]
     order = subformulas(roots + [output])
-    atoms = sorted((f for f in order if isinstance(f, Atom)), key=attrgetter("name"))
+    atoms = sorted([f for f in order if type(f) is Atom], key=attrgetter("name"))
     if len(order) << len(atoms) > ONE_WORLD_BITS:
         return None
     n = 1 << len(atoms)
@@ -772,14 +795,15 @@ def one_world_countermodel(seq: NestedSequent) -> Optional[tuple]:
             width <<= 1
         table[a] = t
     for f in order:
-        if isinstance(f, (Dia, Box)):
-            table[f] = table[f.body]
-        elif isinstance(f, And):
-            table[f] = table[f.left] & table[f.right]
-        elif isinstance(f, Or):
-            table[f] = table[f.left] | table[f.right]
-        elif isinstance(f, Imp):
+        t = type(f)
+        if t is Imp:
             table[f] = full ^ table[f.left] | table[f.right]
+        elif t is And:
+            table[f] = table[f.left] & table[f.right]
+        elif t is Or:
+            table[f] = table[f.left] | table[f.right]
+        elif t is Dia or t is Box:
+            table[f] = table[f.body]
     falsified = full ^ table[output]
     for f in roots:
         falsified &= table[f]
@@ -929,6 +953,12 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
     occurs above, so d's new bracket stays empty in any proof of its
     premise, and deleting it gives a proof of the conclusion no taller.
 
+    The goal is walked once, by _positions: that list counts its outputs
+    and is scanned for a leaf, and a node holding neither false nor its
+    own atomic output is passed over by two containment tests
+    (_node_leaf).  The one-world test collects the goal's formulas in a
+    walk of its own, over an explicit list.
+
     Only the goal is scanned whole for a leaf.  A premise's conclusion
     is no leaf, so a premise can close only at the node its rule touched,
     by what its edits add there, and its leaf test runs there alone,
@@ -969,24 +999,30 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
     Raises ValueError for a goal that is not full or whose brackets nest
     past Python's recursion limit, for a depth that is not an int (bools
     included) or is negative, and for a search that recurses past that
-    limit, naming the depth.
+    limit.  The search's node helpers, class interning among them,
+    recurse once per bracket level on top of its own frame per level of
+    depth, so that error names the goal when its brackets nest at least
+    depth levels deep, and the depth otherwise.
     """
     try:
-        full = is_full(goal)
+        positions = _positions(goal)
     except RecursionError:
         raise ValueError("goal is nested too deeply to search: its brackets "
                          "recurse past Python's limit") from None
-    if not full:
+    if [node.output is not None for _, node in positions].count(True) != 1:
         raise ValueError("goal must have exactly one output formula")
     if not isinstance(depth, int) or isinstance(depth, bool):
         raise ValueError(f"depth must be an int, got {depth!r}")
     if depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
-    proof = _try_leaf(goal, _positions(goal))
+    proof = _try_leaf(goal, positions)
     try:
         if proof is None and depth > 0 and one_world_countermodel(goal) is None:
             proof = _Search(ax).search(goal, depth, frozenset())
     except RecursionError:
+        if max(len(path) for path, _ in positions) >= depth:
+            raise ValueError(f"goal is nested too deeply to search at depth {depth}: "
+                             "its brackets recurse past Python's limit") from None
         raise ValueError(f"depth {depth} is too deep to search: "
                          "the search recursed past Python's limit") from None
     if proof is not None:

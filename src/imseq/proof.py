@@ -43,12 +43,21 @@ class lazy_attribute:
         return value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Proof:
     conclusion: object  # LabelledSequent or NestedSequent
     rule: str
     params: dict
     premises: tuple     # of Proof
+
+    def __init__(self, conclusion, rule: str, params: dict, premises: tuple):
+        # the frozen dataclass's own __init__ sets each field through
+        # object.__setattr__, at twice the cost of writing __dict__
+        d = self.__dict__
+        d["conclusion"] = conclusion
+        d["rule"] = rule
+        d["params"] = params
+        d["premises"] = premises
 
     def height(self) -> int:
         h = 0

@@ -10,7 +10,8 @@ The reference prover builds every premise it searches and scans every
 node of it for a leaf, and its failure cache can be switched off; the
 one-step closers try every rule instance through premises_of_nested.
 The one-world refutation evaluates the goal's labelled translation with
-sat_sequent, one model per valuation.
+sat_sequent, one model per valuation.  Subformulas are collected by
+plain recursion.
 """
 
 from __future__ import annotations
@@ -199,6 +200,26 @@ def rand_formula(rng: random.Random, depth: int):
     if kind == "D":
         return Dia(rand_formula(rng, depth - 1))
     return Box(rand_formula(rng, depth - 1))
+
+
+def ref_subformulas(roots) -> set:
+    """Every subformula of roots, by plain recursion over the tree; a
+    formula met again is not walked again, so shared sides cost once."""
+    out: set = set()
+
+    def walk(f):
+        if f in out:
+            return
+        out.add(f)
+        if isinstance(f, (Dia, Box)):
+            walk(f.body)
+        elif isinstance(f, (And, Or, Imp)):
+            walk(f.left)
+            walk(f.right)
+
+    for f in roots:
+        walk(f)
+    return out
 
 
 # --- reference proof translation ----------------------------------------

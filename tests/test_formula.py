@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import random
 import sys
 import threading
 import time
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 from imseq import formula
 from imseq.formula import (And, Atom, AxiomSet, BENCHMARKS, BOT, Bot, Box,
                            Dia, Imp, Or, ParseError, axiom_set, hsl_formula,
-                           parse_formula, render_formula)
+                           parse_formula, render_formula, subformulas)
 
-from oracles import modal_count, neg
+from oracles import modal_count, neg, rand_formula, ref_subformulas
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -223,3 +224,36 @@ def test_parse_errors_repeat_and_are_not_memoized(text):
         assert (str(again.value), again.value.pos) == (str(e), e.pos)
     else:
         assert parse_formula(text) is first
+
+
+def _iff_chain(atoms):
+    """a0 <-> (a1 <-> (... <-> an)), built through the API: each link
+    holds the rest of the chain twice, so the tree doubles per link."""
+    f = atoms[-1]
+    for a in reversed(atoms[:-1]):
+        f = And(Imp(a, f), Imp(f, a))
+    return f
+
+
+def test_subformulas_matches_a_recursive_oracle():
+    """subformulas lists the oracle's set, each formula once and after
+    its immediate subformulas, on seeded random root lists and on <->
+    chains that share their sides, alone and under shared roots."""
+    rng = random.Random(2511)
+    cases = [[rand_formula(rng, rng.randrange(7)) for _ in range(rng.randrange(1, 5))]
+             for _ in range(400)]
+    for n in (2, 5, 40):
+        chain = _iff_chain([Atom(f"a{i}") for i in range(n)])
+        cases += [[chain], [chain, chain.left, Box(chain), chain], [Dia(P), chain, P]]
+    cases.append([parse_formula("p <-> q <-> r <-> (p & q) <-> ~r")])
+    for roots in cases:
+        order = subformulas(roots)
+        assert len(order) == len(set(order))
+        assert set(order) == ref_subformulas(roots)
+        rank = {f: i for i, f in enumerate(order)}
+        for f in order:
+            if isinstance(f, (Dia, Box)):
+                assert rank[f.body] < rank[f]
+            elif isinstance(f, (And, Or, Imp)):
+                assert rank[f.left] < rank[f] and rank[f.right] < rank[f]
+    assert subformulas([]) == []

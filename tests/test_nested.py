@@ -117,6 +117,26 @@ def test_addresses():
         node_at(s, (5,))
 
 
+def test_node_ids_are_canonical():
+    """parse_path_id reads exactly what path_id writes: ASCII digits with
+    no leading zero.  A leaf proof that names its node by another
+    spelling of 0 fails the check with "bad node id"."""
+    rng = random.Random(2512)
+    for _ in range(500):
+        width = rng.choice((3, 12, 1000))
+        path = tuple(rng.randrange(width) for _ in range(rng.randrange(6)))
+        assert parse_path_id(path_id(path)) == path
+    for bad in ("", "r.", "r..1", "r.1.", "R.1", " r", "r.01", "r.-1", "r.+1",
+                "r. 1", "r.1_0", "r.\u0660", "r.\u00b2", "r.\uff11"):
+        with pytest.raises(ValueError, match="bad node id"):
+            parse_path_id(bad)
+    seq = parse_nested("q^i, [ p^i, p^o ]")
+    assert check_nested(NestedProof(seq, "id", {"at": "r.0", "index": 0}, ()), NOAX)
+    for bad in ("r.\u0660", "r.\u00b2", "r.00"):
+        res = check_nested(NestedProof(seq, "id", {"at": bad, "index": 0}, ()), NOAX)
+        assert not res and res.message == f"id: bad node id {bad!r}"
+
+
 def test_output_position_and_pruning():
     s = parse_nested("p^i, [ q^i ], [ [ r^o ] ]")
     assert output_position(s) == ((1, 0), R)
@@ -629,6 +649,18 @@ def test_a_goal_nested_too_deeply_raises_value_error():
             prove_bounded(_bracket_chain(3000, inner), NOAX, 3)
     assert check_nested(prove_bounded(_bracket_chain(400, leaf), NOAX, 3), NOAX)
     assert prove_bounded(_bracket_chain(400, refuted), NOAX, 3) is None
+
+
+def test_a_goal_deeper_than_its_depth_blames_the_goal():
+    """Class interning recurses once per bracket level inside the search,
+    so on 400 levels around p^i, p | q^o the search runs past Python's
+    limit at depth 3; the error then names the goal, whose bracket height
+    is at least the depth, not the depth.  300 levels still answer."""
+    inner = nseq((P,), Or(P, Q))
+    with pytest.raises(ValueError,
+                       match="goal is nested too deeply to search at depth 3"):
+        prove_bounded(_bracket_chain(400, inner), NOAX, 3)
+    assert check_nested(prove_bounded(_bracket_chain(300, inner), NOAX, 3), NOAX)
 
 
 def test_prover_leaves_no_cyclic_garbage():
@@ -1314,6 +1346,27 @@ def test_sequents_survive_pickle_and_copy():
             assert twin == s and s == twin and hash(twin) == h
             assert render_nested(twin) == render_nested(s)
             assert _fresh(s, rng) == twin
+
+
+def test_sequents_are_immutable_and_copies_share_their_class():
+    """Setting or deleting a field raises AttributeError; a pickle round
+    trip and a deep copy give an equal sequent, a new object that interns
+    the same class token."""
+    text = "p^i, q -> p^o, [ []p^i, [ ] ], [ q^i ]"
+    s = parse_nested(text)
+    for name in ("inputs", "output", "children"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, ())
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    assert render_nested(s) == text
+    for twin in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert twin is not s and twin == s
+        assert (twin.inputs, twin.output) == (s.inputs, s.output)
+        assert twin._cls is s._cls
+        assert [c._cls for c in twin.children] == [c._cls for c in s.children]
 
 
 def test_class_table_shrinks_after_collection():

@@ -1,12 +1,16 @@
 """The proof type and checker walk shared by both calculi."""
 
+import copy
+import pickle
+
 import pytest
 
 import imseq
 from imseq.formula import Atom, axiom_set, parse_formula
 from imseq.labelled import (LabelledProof, LabelledSequent, check_labelled,
                             parse_labelled_sequent)
-from imseq.nested import EMPTY, NestedProof, check_nested, nseq, parse_nested
+from imseq.nested import (EMPTY, NestedProof, check_nested, nseq, parse_nested,
+                          prove_formula)
 from imseq.proof import Proof, rebuild
 from imseq.proofio import dump_proof, proof_to_dict
 from imseq.refine import eliminate_structural
@@ -40,6 +44,28 @@ def test_nodes_preorder_and_height():
     assert [n.rule for n in p.nodes()] == ["a", "b", "c", "d"]
     assert p.height() == 3
     assert leaf("x").height() == 1
+
+
+def test_proofs_are_immutable_and_survive_pickle_and_copy():
+    """Setting or deleting a field of a proof node raises AttributeError;
+    a pickle round trip and a deep copy give a proof with the same
+    conclusions, rules and params, that checks and dumps to the same
+    bytes."""
+    proof = prove_formula(parse_formula("[]p -> <>p"), SERIAL, 8)
+    for name in ("conclusion", "rule", "params", "premises"):
+        with pytest.raises(AttributeError):
+            setattr(proof, name, None)
+        with pytest.raises(AttributeError):
+            delattr(proof, name)
+    assert proof.rule == "impO" and len(proof.premises) == 1
+    for twin in (pickle.loads(pickle.dumps(proof)), copy.deepcopy(proof)):
+        assert twin is not proof
+        pairs = list(zip(twin.nodes(), proof.nodes()))
+        assert len(pairs) == len(list(proof.nodes())) == len(list(twin.nodes()))
+        for a, b in pairs:
+            assert (a.conclusion, a.rule, a.params) == (b.conclusion, b.rule, b.params)
+        assert check_nested(twin, SERIAL)
+        assert dump_proof(twin) == dump_proof(proof)
 
 
 def deep_nested_chain(n):
