@@ -13,15 +13,15 @@ from .grammar import (Grammar, Production, PropGraph, PropPath, Sym, derives,
                       grammar_from_axioms, graph_from_pairs, reach_all,
                       reachable, syms)
 from .models import (Model, Violation, check_frame_conditions, check_model,
-                     eval_formula, globally_true, model_of, random_model,
-                     sat_sequent)
+                     eval_formula, globally_true, model_of, one_world_countermodel,
+                     random_model, sat_sequent, two_world_countermodel)
 from .proof import CheckResult, Proof, RuleError
 from .labelled import (LabelledProof, LabelledSequent, check_labelled,
                        parse_labelled_sequent, premises_of_labelled,
                        render_labelled_sequent)
 from .nested import (NestedProof, NestedSequent, check_nested, is_full, nseq,
-                     one_world_countermodel, parse_nested, premises_of_nested,
-                     prove_bounded, prove_formula, render_nested)
+                     parse_nested, premises_of_nested, prove_bounded,
+                     prove_formula, render_nested)
 from .structural import contract_proof, merge_proof, nest_proof, weaken_proof
 from .refine import eliminate_structural
 from .translate import (TreeCert, is_labelled_tree, to_labelled, to_nested,
@@ -39,12 +39,13 @@ __all__ = [
     "derives", "grammar_from_axioms", "graph_from_pairs",
     "reach_all", "reachable", "syms",
     "Model", "Violation", "check_frame_conditions", "check_model",
-    "eval_formula", "globally_true", "model_of", "random_model", "sat_sequent",
+    "eval_formula", "globally_true", "model_of", "one_world_countermodel",
+    "random_model", "sat_sequent", "two_world_countermodel",
     "CheckResult", "Proof", "RuleError",
     "LabelledProof", "LabelledSequent", "check_labelled", "parse_labelled_sequent", "premises_of_labelled",
     "render_labelled_sequent",
     "NestedProof", "NestedSequent", "check_nested", "is_full",
-    "nseq", "one_world_countermodel", "parse_nested", "premises_of_nested",
+    "nseq", "parse_nested", "premises_of_nested",
     "prove_bounded",
     "prove_formula", "render_nested",
     "contract_proof", "merge_proof", "nest_proof", "weaken_proof",

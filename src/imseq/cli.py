@@ -18,8 +18,9 @@ from .formula import (BENCHMARKS, Atom, ParseError, axiom_set, hsl_formula,
 from .grammar import grammar_from_axioms, graph_from_pairs, reachable
 from .labelled import check_labelled, parse_labelled_sequent, parse_rel_atoms
 from .models import (check_frame_conditions, check_model, eval_formula,
-                     globally_true, model_of, sat_sequent)
-from .nested import check_nested, nseq, one_world_countermodel, prove_bounded
+                     globally_true, model_of, one_world_countermodel, sat_sequent,
+                     two_world_countermodel)
+from .nested import check_nested, nseq, prove_bounded
 from .proofio import dump_proof, load_labelled_proof, load_nested_proof
 from .refine import eliminate_structural
 from .translate import translate_proof
@@ -133,19 +134,25 @@ def cmd_translate(ns) -> int:
 
 def cmd_prove(ns) -> int:
     goal = nseq(output=parse_formula(ns.formula))
+    ax = _axioms(ns)
     try:
-        proof = prove_bounded(goal, _axioms(ns), ns.depth)
+        proof = prove_bounded(goal, ax, ns.depth)
     except ValueError as e:
         raise _Fail(2, str(e))
     if proof is None:
         atoms = one_world_countermodel(goal)
-        if atoms is None:
-            print(f"no proof within depth {ns.depth}", file=sys.stderr)
-        else:
+        if atoms is not None:
             held = (f"{', '.join(atoms)} hold" if len(atoms) > 1 else
                     f"{atoms[0]} holds" if atoms else "no atom holds")
             print(f"no proof at any depth: false in the one-world model where {held}",
                   file=sys.stderr)
+        elif (found := two_world_countermodel(goal, ax)) is not None:
+            model, world = found
+            print(f"no proof at any depth: false at world {world} of this two-world model:",
+                  file=sys.stderr)
+            print(_render_model(model), file=sys.stderr)
+        else:
+            print(f"no proof within depth {ns.depth}", file=sys.stderr)
         return 1
     _emit(ns, dump_proof(proof))
     return 0
@@ -173,6 +180,17 @@ def _load_model(text: str):
             else:
                 raise ParseError(f"line {i}: expected two names in {item!r}")
     return model_of(worlds, leq, acc, val)
+
+
+def _render_model(m) -> str:
+    """m in the text _load_model reads, without the reflexive leq pairs
+    that model_of adds back."""
+    def section(key: str, pairs) -> str:
+        return f"{key}: {', '.join(f'{a} {b}' for a, b in sorted(pairs))}".rstrip()
+
+    return "\n".join([f"worlds: {' '.join(sorted(m.worlds))}",
+                      section("leq", [(a, b) for a, b in m.leq if a != b]),
+                      section("acc", m.acc), section("val", m.val)])
 
 
 def _parse_interp(text: str) -> dict:

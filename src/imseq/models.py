@@ -5,15 +5,22 @@ and a valuation given as a set of (world, atom) pairs.  Truth of an
 atom, implication, and box is quantified over ``leq``-successors, so
 well-formed models must satisfy the two confluence conditions (F1, F2)
 and upward-closed valuations for truth to be monotone.
+
+The prover's root tests live here too: one_world_countermodel and
+two_world_countermodel decide, over truth tables held as ints, whether a
+full nested sequent is false in some model of one or of two worlds.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import lru_cache
+from operator import attrgetter
+from typing import Iterable, Mapping, Optional
 
-from .formula import And, Atom, AxiomSet, Bot, Box, Dia, Formula, Imp, Or
+from .formula import (BOT, And, Atom, AxiomSet, Bot, Box, Dia, Formula, Imp, Or,
+                      subformulas)
 from .labelled import LabelledSequent
 
 
@@ -248,3 +255,236 @@ def random_model(ax: AxiomSet, max_worlds: int, seed: int) -> Model:
                  frozenset((w, u) for w in worlds for u in leq[w]),
                  frozenset((w, v) for w in worlds for v in acc[w]),
                  frozenset(val))
+
+
+# Most bits the truth tables of one_world_countermodel, and of
+# two_world_countermodel, may hold in all: one table of 2^k bits per
+# distinct subformula of a sequent with k atoms, or two of 2^(2k + 5)
+# per distinct subformula and per node.  At the bound the tables take
+# 128 KB; past it the test is skipped.
+ONE_WORLD_BITS = 1 << 20
+
+
+@lru_cache(maxsize=32)
+def _variables(count: int) -> tuple:
+    """The truth tables of count variables over all 2^count assignments,
+    each as one int: bit v of table i is bit i of v.  Under the
+    ONE_WORLD_BITS bound count is at most 16, so the memo holds under
+    300 KB."""
+    n = 1 << count
+    out = []
+    for i in range(count):
+        # runs of 2^i assignments without variable i, then 2^i with it
+        width = 2 << i
+        t = ((1 << (1 << i)) - 1) << (1 << i)
+        while width < n:
+            t |= t << width
+            width <<= 1
+        out.append(t)
+    return tuple(out)
+
+
+def _goal_formulas(seq) -> tuple:
+    """The nodes of the full nested sequent seq in breadth-first order,
+    so each node's children follow the children of the nodes before it,
+    every input formula and the output formula, walked over an explicit
+    list.  ValueError if seq is not full."""
+    roots: list = []
+    output = None
+    outputs = 0
+    nodes = [seq]
+    for node in nodes:
+        nodes += node.children
+        roots += node.inputs
+        if node.output is not None:
+            output = node.output
+            outputs += 1
+    if outputs != 1:
+        raise ValueError("sequent must have exactly one output formula")
+    return nodes, roots, output
+
+
+def one_world_countermodel(seq) -> Optional[tuple]:
+    """The names, in name order, of the atoms true in a valuation that
+    falsifies the full nested sequent seq in the one-world model whose
+    world sees itself, or None if no valuation does, or if the truth
+    tables would hold more than ONE_WORLD_BITS bits.  ValueError if seq
+    is not full.
+
+    That world meets the frame condition of every hsl(n, k) axiom and of
+    seriality, and every bracket maps to its self-loop, so there [] and
+    <> read as their bodies and every formula is classical: seq is false
+    under a valuation iff all its inputs, at every node, hold and its
+    output fails.  Each distinct subformula gets its truth table over
+    all 2^k valuations as one int, bit v for the valuation that makes
+    atom i true iff bit i of v is set; the tables are built children
+    first, without recursion.  Of the falsifying valuations, the lowest
+    such v is reported.  Formula classes have no subclasses, so the
+    tables are dispatched on type(f).
+    """
+    _, roots, output = _goal_formulas(seq)
+    order = subformulas(roots + [output])
+    atoms = sorted([f for f in order if type(f) is Atom], key=attrgetter("name"))
+    if len(order) << len(atoms) > ONE_WORLD_BITS:
+        return None
+    full = (1 << (1 << len(atoms))) - 1
+    table: dict = {BOT: 0}
+    table.update(zip(atoms, _variables(len(atoms))))
+    for f in order:
+        t = type(f)
+        if t is Imp:
+            table[f] = full ^ table[f.left] | table[f.right]
+        elif t is And:
+            table[f] = table[f.left] & table[f.right]
+        elif t is Or:
+            table[f] = table[f.left] | table[f.right]
+        elif t is Dia or t is Box:
+            table[f] = table[f.body]
+    falsified = full ^ table[output]
+    for f in roots:
+        falsified &= table[f]
+    if not falsified:
+        return None
+    v = (falsified & -falsified).bit_length() - 1
+    return tuple(a.name for i, a in enumerate(atoms) if v >> i & 1)
+
+
+def _two_world_model(v: int, atoms: list) -> Model:
+    """The model on worlds w0 and w1 that candidate v stands for in
+    two_world_countermodel's tables over the atom names atoms, in name
+    order.  Bits 0-3 of v are the acc pairs (w0, w0), (w0, w1), (w1, w0)
+    and (w1, w1), bit 4 is w0 <= w1, and atom i holds at w0 if bit 5 + i
+    is set, at w1 if bit 5 + k + i is, for k atoms."""
+    k = len(atoms)
+    pairs = (("w0", "w0"), ("w0", "w1"), ("w1", "w0"), ("w1", "w1"))
+    return model_of(("w0", "w1"),
+                    [("w0", "w1")] if v >> 4 & 1 else (),
+                    [pair for j, pair in enumerate(pairs) if v >> j & 1],
+                    [(w, a) for w, base in (("w0", 5), ("w1", 5 + k))
+                     for i, a in enumerate(atoms) if v >> (base + i) & 1])
+
+
+@lru_cache(maxsize=256)
+def _two_world_frames(ax: AxiomSet) -> int:
+    """Bit f set iff the frame of candidate f passes check_model and
+    check_frame_conditions for ax.  The last 256 axiom sets' masks are
+    kept, as their grammars are."""
+    mask = 0
+    for f in range(32):
+        m = _two_world_model(f, ())
+        if not check_model(m) and not check_frame_conditions(m, ax):
+            mask |= 1 << f
+    return mask
+
+
+def _two_world_tables(order: list, atoms: list) -> tuple:
+    """(full, variables, t0, t1): the truth tables at w0 and at w1 of
+    the formulas of order, which lists each after its own subformulas,
+    over every candidate of 5 + 2k bits, for the k atoms of order given
+    in name order as atoms.  variables are the tables of the candidates'
+    bits, and full has every candidate's bit set.  Bit v of a table is
+    eval_formula's answer in _two_world_model(v), well formed or not."""
+    k = len(atoms)
+    full = (1 << (1 << (5 + 2 * k))) - 1
+    var = _variables(5 + 2 * k)
+    r00, r01, r10, r11 = var[:4]
+    n00, n01, n10, n11, nleq = [full ^ r for r in var[:5]]
+    t0: dict = {BOT: 0}
+    t1: dict = {BOT: 0}
+    t0.update(zip(atoms, var[5:]))
+    t1.update(zip(atoms, var[5 + k:]))
+    for f in order:
+        t = type(f)
+        if t is Imp:
+            a1 = full ^ t1[f.left] | t1[f.right]
+            t1[f] = a1
+            t0[f] = (full ^ t0[f.left] | t0[f.right]) & (nleq | a1)
+        elif t is And:
+            t0[f] = t0[f.left] & t0[f.right]
+            t1[f] = t1[f.left] & t1[f.right]
+        elif t is Or:
+            t0[f] = t0[f.left] | t0[f.right]
+            t1[f] = t1[f.left] | t1[f.right]
+        elif t is Dia:
+            b0, b1 = t0[f.body], t1[f.body]
+            t0[f] = r00 & b0 | r01 & b1
+            t1[f] = r10 & b0 | r11 & b1
+        elif t is Box:
+            b0, b1 = t0[f.body], t1[f.body]
+            a1 = (n10 | b0) & (n11 | b1)
+            t1[f] = a1
+            t0[f] = (n00 | b0) & (n01 | b1) & (nleq | a1)
+    return full, var, t0, t1
+
+
+def two_world_countermodel(seq, ax: AxiomSet) -> Optional[tuple]:
+    """(model, world): a model on worlds w0 and w1 that meets ax, with a
+    world at which the full nested sequent seq is false, or None if no
+    such model exists, or if the truth tables, two per distinct
+    subformula and two per node, would hold more than ONE_WORLD_BITS
+    bits.  ValueError if seq is not full.
+
+    Exact and exhaustive.  A model whose preorder relates w0 and w1 both
+    ways makes every formula true at both worlds alike, so it falsifies
+    only what a one-world model of ax does; a one-world model is what w0
+    sees of a candidate where w0 reaches w1 by neither relation; and
+    naming the worlds the other way round makes w1 <= w0 into
+    w0 <= w1.  So the candidates are the 32
+    frames (an acc subset of the four pairs, and w0 <= w1 or not) with
+    every valuation of the goal's k atoms at both worlds: one bit each
+    of a table of 2^(2k + 5) bits (_two_world_tables).  Two masks keep
+    the models: the frames that pass check_model and
+    check_frame_conditions for ax, decided once per axiom set, and the
+    monotone valuations, where w0 <= w1 makes every atom true at w0 true
+    at w1.
+
+    The bracket tree is walked from the leaves up: a node can sit at a
+    world where its inputs hold, its output fails, and each child can
+    sit at some acc successor, which is what to_labelled's relational
+    atoms and formulas ask of sat_sequent.  seq is refuted iff its root
+    can sit at w0 or at w1 in some kept candidate; the lowest such
+    candidate is decoded by _two_world_model, with the root at w0 if it
+    can sit there.
+    """
+    nodes, roots, output = _goal_formulas(seq)
+    order = subformulas(roots + [output])
+    atoms = sorted([f for f in order if type(f) is Atom], key=attrgetter("name"))
+    k = len(atoms)
+    if (len(order) + len(nodes)) << (2 * k + 6) > ONE_WORLD_BITS:
+        return None
+    full, var, t0, t1 = _two_world_tables(order, atoms)
+    r00, r01, r10, r11, leq = var[:5]
+    # replicated over every valuation, the 32-bit frame mask
+    kept = _two_world_frames(ax) * (full // 0xFFFFFFFF)
+    rising = 0
+    for a in atoms:
+        rising |= t0[a] & ~t1[a]
+    kept &= ~(leq & rising)
+    # where each node can sit, leaves first: in breadth-first order a
+    # node's children come just before those of the node after it
+    sit0 = [0] * len(nodes)
+    sit1 = [0] * len(nodes)
+    end = len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        node = nodes[i]
+        s0 = s1 = full
+        for f in node.inputs:
+            s0 &= t0[f]
+            s1 &= t1[f]
+        f = node.output
+        if f is not None:
+            s0 &= ~t0[f]
+            s1 &= ~t1[f]
+        start = end - len(node.children)
+        for j in range(start, end):
+            c0, c1 = sit0[j], sit1[j]
+            s0 &= r00 & c0 | r01 & c1
+            s1 &= r10 & c0 | r11 & c1
+        end = start
+        sit0[i], sit1[i] = s0, s1
+    refuted = (s0 | s1) & kept
+    if not refuted:
+        return None
+    v = (refuted & -refuted).bit_length() - 1
+    return (_two_world_model(v, [a.name for a in atoms]),
+            "w0" if s0 >> v & 1 else "w1")

@@ -34,6 +34,7 @@ from .formula import (BOT, MAX_NESTING, Atom, AxiomSet, Bot, Box, Dia, Formula,
                       subformulas)
 from .grammar import (Grammar, PropGraph, PropPath, Sym, _Saturator, derives,
                       grammar_from_axioms, graph_from_pairs, reach_masks)
+from .models import ONE_WORLD_BITS, one_world_countermodel, two_world_countermodel
 from .proof import (CheckResult, Proof, RuleError, _p_int, _p_path, _p_str, check,
                     lazy_attribute)
 
@@ -742,77 +743,6 @@ def _polarities(positions: list) -> tuple:
     return ins, outs, moves
 
 
-# Most bits one_world_countermodel's truth tables may hold in all: one
-# table of 2^k bits per distinct subformula of a sequent with k atoms.
-# At the bound the tables take 128 KB; past it the test is skipped.
-ONE_WORLD_BITS = 1 << 20
-
-
-def one_world_countermodel(seq: NestedSequent) -> Optional[tuple]:
-    """The names, in name order, of the atoms true in a valuation that
-    falsifies the full sequent seq in the one-world model whose world
-    sees itself, or None if no valuation does, or if the truth tables
-    would hold more than ONE_WORLD_BITS bits.  ValueError if seq is not
-    full.
-
-    That world meets the frame condition of every hsl(n, k) axiom and of
-    seriality, and every bracket maps to its self-loop, so there [] and
-    <> read as their bodies and every formula is classical: seq is false
-    under a valuation iff all its inputs, at every node, hold and its
-    output fails.  Each distinct subformula gets its truth table over
-    all 2^k valuations as one int, bit v for the valuation that makes
-    atom i true iff bit i of v is set; the tables are built children
-    first, without recursion.  Of the falsifying valuations, the lowest
-    such v is reported.  The sequent's nodes are walked over an explicit
-    list, and formula classes have no subclasses, so the tables are
-    dispatched on type(f).
-    """
-    roots: list = []
-    output = None
-    outputs = 0
-    nodes = [seq]
-    for node in nodes:
-        nodes.extend(node.children)
-        roots += node.inputs
-        if node.output is not None:
-            output = node.output
-            outputs += 1
-    if outputs != 1:
-        raise ValueError("sequent must have exactly one output formula")
-    order = subformulas(roots + [output])
-    atoms = sorted([f for f in order if type(f) is Atom], key=attrgetter("name"))
-    if len(order) << len(atoms) > ONE_WORLD_BITS:
-        return None
-    n = 1 << len(atoms)
-    full = (1 << n) - 1
-    table: dict = {BOT: 0}
-    for i, a in enumerate(atoms):
-        # runs of 2^i valuations without atom i, then 2^i with it
-        width = 2 << i
-        t = ((1 << (1 << i)) - 1) << (1 << i)
-        while width < n:
-            t |= t << width
-            width <<= 1
-        table[a] = t
-    for f in order:
-        t = type(f)
-        if t is Imp:
-            table[f] = full ^ table[f.left] | table[f.right]
-        elif t is And:
-            table[f] = table[f.left] & table[f.right]
-        elif t is Or:
-            table[f] = table[f.left] | table[f.right]
-        elif t is Dia or t is Box:
-            table[f] = table[f.body]
-    falsified = full ^ table[output]
-    for f in roots:
-        falsified &= table[f]
-    if not falsified:
-        return None
-    v = (falsified & -falsified).bit_length() - 1
-    return tuple(a.name for i, a in enumerate(atoms) if v >> i & 1)
-
-
 def _id_order(k: int):
     """Child indices 0..k-1 in the sort order of their decimal digits,
     so that 10 comes before 2: the order of the ids ``r.10``, ``r.2``."""
@@ -918,17 +848,22 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
     A branch gives up on a repeated sequent; failures are cached per
     budget.  Incomplete in general.
 
-    Before it searches, a goal that is no leaf is tested in the
-    one-world model whose world sees itself (one_world_countermodel).
-    That model meets the frame condition of every hsl(n, k) axiom and
-    of seriality, and the calculus is sound for every such model, so a
-    goal false there under some valuation has no proof at any depth,
-    and None is returned at once; every proof and every other None is
-    the one the search gives.  The test runs at the root only: skipping
-    an inner sequent would also skip the failure-cache records its
-    subtree leaves, which depend on the branch and which later branches
-    read.  Past ONE_WORLD_BITS bits of truth tables it is skipped and
-    the goal searched.
+    Before it searches, a goal that is no leaf is tested in small
+    models: first in the one-world model whose world sees itself
+    (one_world_countermodel), which meets the frame condition of every
+    hsl(n, k) axiom and of seriality, then in every model on two worlds
+    that meets ax (two_world_countermodel): the 32 frames of an acc
+    subset and w0 <= w1 or not, masked to those that pass the structure
+    and frame checks, with every monotone valuation, all decided at
+    once in one truth table per subformula and world.  The calculus is
+    sound for every model of ax, so a goal false in one has no proof at
+    any depth, and None is returned at once; every proof and every
+    other None is the one the search gives.  The one-world test, the
+    cheaper, refutes most such goals.  The tests run at the root only:
+    skipping an inner sequent would also skip the failure-cache records
+    its subtree leaves, which depend on the branch and which later
+    branches read.  Past ONE_WORLD_BITS bits of truth tables a test is
+    skipped.
 
     The search addresses nodes by child-index paths and computes
     premises from _premise_edits, without re-checking side conditions:
@@ -956,8 +891,8 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
     The goal is walked once, by _positions: that list counts its outputs
     and is scanned for a leaf, and a node holding neither false nor its
     own atomic output is passed over by two containment tests
-    (_node_leaf).  The one-world test collects the goal's formulas in a
-    walk of its own, over an explicit list.
+    (_node_leaf).  The root tests collect the goal's formulas in a walk
+    of their own, over an explicit list.
 
     Only the goal is scanned whole for a leaf.  A premise's conclusion
     is no leaf, so a premise can close only at the node its rule touched,
@@ -1017,7 +952,8 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
         raise ValueError(f"depth must be at least 0, got {depth}")
     proof = _try_leaf(goal, positions)
     try:
-        if proof is None and depth > 0 and one_world_countermodel(goal) is None:
+        if (proof is None and depth > 0 and one_world_countermodel(goal) is None
+                and two_world_countermodel(goal, ax) is None):
             proof = _Search(ax).search(goal, depth, frozenset())
     except RecursionError:
         if max(len(path) for path, _ in positions) >= depth:

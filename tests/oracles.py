@@ -26,7 +26,8 @@ from imseq.grammar import (Grammar, PropGraph, PropPath, Sym, _Saturator,
                            grammar_from_axioms, reach_all, syms)
 from imseq.labelled import (LabelledSequent, check_labelled, premises_of_labelled,
                             render_labelled_sequent)
-from imseq.models import Model, Violation, model_of, sat_sequent
+from imseq.models import (Model, Violation, check_frame_conditions, check_model,
+                          model_of, sat_sequent)
 from imseq.nested import (EMPTY, NestedProof, NestedSequent, _params, _positions,
                           _premises, _witness, all_paths,
                           check_nested, is_full, match_children, node_at,
@@ -421,13 +422,9 @@ def ref_one_step_closers(seq: NestedSequent, ax: AxiomSet) -> set:
     return closers
 
 
-def ref_one_world_refutes(goal: NestedSequent) -> list:
-    """The valuations that falsify goal, a full sequent, in the one-world
-    model whose world sees itself, each as the sorted tuple of the atoms
-    it makes true, in the order product() lists them: one model_of per
-    valuation, with goal's labelled translation asked of sat_sequent
-    with every label at the world.  Empty if no valuation falsifies it."""
-    seq = to_labelled(goal)
+def _ref_atom_names(seq: LabelledSequent) -> list:
+    """The names of the atoms in a labelled sequent's formulas, sorted,
+    by a recursive walk."""
     atoms = set()
 
     def walk(f):
@@ -441,7 +438,17 @@ def ref_one_world_refutes(goal: NestedSequent) -> list:
 
     for _, f in seq.ante + (seq.succ,):
         walk(f)
-    names = sorted(atoms)
+    return sorted(atoms)
+
+
+def ref_one_world_refutes(goal: NestedSequent) -> list:
+    """The valuations that falsify goal, a full sequent, in the one-world
+    model whose world sees itself, each as the sorted tuple of the atoms
+    it makes true, in the order product() lists them: one model_of per
+    valuation, with goal's labelled translation asked of sat_sequent
+    with every label at the world.  Empty if no valuation falsifies it."""
+    seq = to_labelled(goal)
+    names = _ref_atom_names(seq)
     interp = {lab: "w" for lab in seq.labels()}
     out = []
     for bits in product((False, True), repeat=len(names)):
@@ -450,6 +457,40 @@ def ref_one_world_refutes(goal: NestedSequent) -> list:
         if not sat_sequent(m, interp, seq):
             out.append(true)
     return out
+
+
+def ref_two_world_refutes(goal: NestedSequent, ax: AxiomSet) -> bool:
+    """Whether goal, a full sequent, is false in some model on the worlds
+    w0 and w1 that passes check_model and check_frame_conditions for ax:
+    every preorder on the two worlds (w1 <= w0 and both ways included),
+    every acc subset and every valuation of goal's atoms, each built by
+    model_of, with goal's labelled translation asked of sat_sequent
+    under every map of its labels to the worlds."""
+    seq = to_labelled(goal)
+    names = _ref_atom_names(seq)
+    labels = sorted(seq.labels())
+    worlds = ("w0", "w1")
+    pairs = [(a, b) for a in worlds for b in worlds]
+    cells = [(w, a) for w in worlds for a in names]
+    for up, down in product(((), (("w0", "w1"),)), ((), (("w1", "w0"),))):
+        leq = up + down
+        for acc_bits in product((False, True), repeat=4):
+            acc = [pr for pr, b in zip(pairs, acc_bits) if b]
+            frame = model_of(worlds, leq, acc)
+            if check_model(frame) or check_frame_conditions(frame, ax):
+                continue
+            interps = [dict(zip(labels, ws))
+                       for ws in product(worlds, repeat=len(labels))]
+            interps = [i for i in interps
+                       if all((i[w], i[u]) in frame.acc for w, u in seq.rel)]
+            for val_bits in product((False, True), repeat=len(cells)):
+                m = model_of(worlds, leq, acc,
+                             [c for c, b in zip(cells, val_bits) if b])
+                if check_model(m):
+                    continue
+                if any(not sat_sequent(m, i, seq) for i in interps):
+                    return True
+    return False
 
 
 def ref_polarities(seq: NestedSequent) -> tuple:

@@ -10,7 +10,8 @@ from imseq.cli import main
 from imseq.formula import MAX_NESTING, MAX_TREE_SIZE, axiom_set, parse_formula
 from imseq.gen import random_labelled_proof
 from imseq.grammar import MAX_REACH_NODES, MAX_SATURATION_FACTS
-from imseq.models import model_of, sat_sequent
+from imseq.models import (model_of, one_world_countermodel, sat_sequent,
+                          two_world_countermodel)
 from imseq.nested import nseq
 from imseq.proofio import dump_proof, load_nested_proof
 from imseq.translate import to_labelled
@@ -145,13 +146,51 @@ def test_prove_names_a_falsifying_valuation(capsys, text):
     assert not sat_sequent(m, {lab: "w" for lab in seq.labels()}, seq)
 
 
+TWO_WORLD_P = """no proof at any depth: false at world w0 of this two-world model:
+worlds: w0 w1
+leq: w0 w1
+acc: w0 w0, w1 w1
+val: w1 p
+"""
+
+
+@pytest.mark.parametrize("text, flags", [
+    ("p | ~p", ("--d",)),
+    ("<>p -> []p", ("--d",)),
+    ("[](p -> q) | [](q -> p)", ("--hsl", "1,1", "--d")),
+    ("<>[]p -> [](p | q)", ("--hsl", "0,1")),
+])
+def test_prove_names_a_two_world_countermodel(tmp_path, capsys, text, flags):
+    """A goal true in the one-world model but false in a two-world one
+    gets no proof at any depth, and the model printed after the message
+    loads in model-eval, passes its checks for the same axioms, and
+    makes the goal false at the world named."""
+    code, out, err = run(capsys, "prove", *flags, "--depth", "6", text)
+    assert (code, out) == (1, "")
+    if text == "p | ~p":  # the README example
+        assert err == TWO_WORLD_P
+    head, _, body = err.partition("\n")
+    world = head.removeprefix("no proof at any depth: false at world ")
+    assert world != head
+    world = world.removesuffix(" of this two-world model:")
+    model = tmp_path / "model.txt"
+    model.write_text(body)
+    code, out, err = run(capsys, "model-eval", str(model), "--formula", text,
+                         "--world", world, *flags)
+    assert (code, out, err) == (1, "false\n", "")
+
+
 def test_prove_too_deep_to_search_exits_2(capsys):
-    """[](p -> p) -> (q | (q -> false)) holds in the one-world model and
-    escapes both polarity prunes, so under seriality the search recurses
-    once per level; past Python's recursion limit it fails as a bad
-    depth does, naming the depth, with no traceback."""
-    code, out, err = run(capsys, "prove", "--d", "--depth", "300",
-                         "[](p -> p) -> (q | (q -> false))")
+    """[](p -> p) -> (q | (q -> (r | (r -> false)))) holds in every model
+    of one or two worlds and escapes both polarity prunes, so under
+    seriality the search recurses once per level; past Python's
+    recursion limit it fails as a bad depth does, naming the depth, with
+    no traceback."""
+    text = "[](p -> p) -> (q | (q -> (r | (r -> false))))"
+    goal = nseq(output=parse_formula(text))
+    assert one_world_countermodel(goal) is None
+    assert two_world_countermodel(goal, axiom_set(d=True)) is None
+    code, out, err = run(capsys, "prove", "--d", "--depth", "300", text)
     assert (code, out) == (2, "")
     assert "depth 300 is too deep to search" in err
     assert "Traceback" not in err and "no proof" not in err

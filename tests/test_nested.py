@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 import time
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import imseq.grammar
+import imseq.models
 import imseq.nested
 from imseq import gen
 from imseq.formula import (BOT, MAX_NESTING, And, Atom, BENCHMARKS, Bot, Box, Dia,
                            Imp, Or, ParseError, axiom_set, hsl_formula,
-                           parse_formula)
+                           parse_formula, subformulas)
 from imseq.grammar import Sym, _Saturator, grammar_from_axioms, reach_all
 from imseq.nested import (_MOVES_IN, EMPTY, NESTED_RULES, REACH_MEMO_NODES,
                           REACH_MEMO_SIZE, NestedProof, _applied, _closable,
@@ -32,11 +34,14 @@ from imseq.nested import (_MOVES_IN, EMPTY, NESTED_RULES, REACH_MEMO_NODES,
                           parse_nested, parse_path_id, path_id,
                           premises_of_nested, prop_graph_nested, prove_bounded,
                           prove_formula, render_nested, RuleError)
-from imseq.models import check_frame_conditions, check_model, model_of
+from imseq.models import (_two_world_model, _two_world_tables, check_frame_conditions,
+                          check_model, eval_formula, model_of, sat_sequent,
+                          two_world_countermodel)
 from imseq.proofio import dump_proof
+from imseq.translate import to_labelled
 
 from oracles import (ref_one_step_closers, ref_one_world_refutes, ref_polarities,
-                     ref_prove_bounded, ref_reach_targets)
+                     ref_prove_bounded, ref_reach_targets, ref_two_world_refutes)
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 NOAX = axiom_set()
@@ -605,16 +610,18 @@ def test_serial_search_answers_at_depth_50():
     assert time.perf_counter() - t0 < 5.0
 
 
-# true in the one-world model, and escapes both polarity prunes
-UNREFUTED = "[](p -> p) -> (q | (q -> false))"
+# true in every model of one or two worlds, though not valid (a chain of
+# three worlds refutes it), and escapes both polarity prunes
+UNREFUTED = "[](p -> p) -> (q | (q -> (r | (r -> false))))"
 
 
 def test_serial_search_answers_an_unrefuted_goal_at_depth_20():
-    """UNREFUTED holds in the one-world model, and it holds p and q at
-    both polarities and a [] at input, so neither polarity prune applies
-    and d is tried."""
+    """UNREFUTED is refuted by neither root test, and it holds p, q and r
+    at both polarities and a [] at input, so neither polarity prune
+    applies and d is tried."""
     goal = nseq(output=parse_formula(UNREFUTED))
     assert one_world_countermodel(goal) is None
+    assert two_world_countermodel(goal, axiom_set(d=True)) is None
     ins, outs, moves = _polarities(_positions(goal))
     assert not ins.isdisjoint(outs) and moves
     t0 = time.perf_counter()
@@ -623,10 +630,13 @@ def test_serial_search_answers_an_unrefuted_goal_at_depth_20():
 
 
 def test_a_depth_too_deep_to_search_raises_value_error():
-    """The search recurses once per level, so on a goal that no prune
-    cuts, a depth past Python's recursion limit fails with ValueError
-    naming it, and the next search runs as before."""
+    """The search recurses once per level, so on a goal that no root
+    test refutes and no prune cuts, a depth past Python's recursion
+    limit fails with ValueError naming it, and the next search runs as
+    before."""
     goal = nseq(output=parse_formula(UNREFUTED))
+    assert one_world_countermodel(goal) is None
+    assert two_world_countermodel(goal, axiom_set(d=True)) is None
     with pytest.raises(ValueError, match="depth 300 is too deep to search"):
         prove_bounded(goal, axiom_set(d=True), 300)
     assert prove_bounded(goal, axiom_set(d=True), 5) is None
@@ -844,27 +854,30 @@ def test_d_gate_loses_no_proof():
     assert differ == [(600, 6, 7, 4)]
 
 
-def _no_countermodel(seq):
-    """one_world_countermodel switched off: prove_bounded searches every
-    goal that is no leaf, as it did before the one-world test."""
+def _no_countermodel(seq, ax=None):
+    """A root test switched off, one_world_countermodel or
+    two_world_countermodel: prove_bounded searches every goal that is no
+    leaf and that the other test, if on, does not refute."""
     return None
 
 
 def test_polarity_prunes_cut_the_corpus_search():
     """Search calls, d attempts and the budget-1 calls that _closable
     decides, before any key, in one pass over the prove corpus at depth
-    5, and the goals the one-world test refutes at the root: with that
-    test and both polarity prunes, then without that test, with both
-    prunes, with the refutation alone, and with neither.  The outcomes
-    are the frozen ones in all four."""
+    5, and the goals the one-world test and the two-world test refute at
+    the root: with both root tests and both polarity prunes, then with
+    the one-world test alone and both prunes, then without root tests,
+    with both prunes, with the refutation alone, and with neither.  The
+    outcomes are the frozen ones in all five."""
     spec = json.loads(PROVE_CORPUS.read_text())
     goals = [(parse_nested(g["goal"]),
               axiom_set([tuple(p) for p in g["axioms"]["hsl"]], d=g["axioms"]["d"]),
               g["digest"]) for g in spec["goals"]]
-    calls = {"search": 0, "d": 0, "unkeyed": 0, "roots": 0}
+    calls = {"search": 0, "d": 0, "unkeyed": 0, "roots": 0, "two": 0}
+    files = (imseq.nested.__file__, imseq.models.__file__)
 
     def count(frame, event, arg):
-        if frame.f_code.co_filename != imseq.nested.__file__:
+        if frame.f_code.co_filename not in files:
             return
         name = frame.f_code.co_name
         if event == "call":
@@ -876,16 +889,22 @@ def test_polarity_prunes_cut_the_corpus_search():
             calls["unkeyed"] += 1
         elif event == "return" and name == "one_world_countermodel" and arg is not None:
             calls["roots"] += 1
+        elif event == "return" and name == "two_world_countermodel" and arg is not None:
+            calls["two"] += 1
 
     counts = []
-    for root_test, polarities in ((one_world_countermodel, _polarities),
-                                  (_no_countermodel, _polarities),
-                                  (_no_countermodel, _ungated),
-                                  (_no_countermodel, _unpruned)):
-        calls.update(search=0, d=0, unkeyed=0, roots=0)
+    two_world = []
+    for root_tests, polarities in (
+            ((one_world_countermodel, two_world_countermodel), _polarities),
+            ((one_world_countermodel, _no_countermodel), _polarities),
+            ((_no_countermodel, _no_countermodel), _polarities),
+            ((_no_countermodel, _no_countermodel), _ungated),
+            ((_no_countermodel, _no_countermodel), _unpruned)):
+        calls.update(search=0, d=0, unkeyed=0, roots=0, two=0)
         outcomes = []
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(imseq.nested, "one_world_countermodel", root_test)
+            m.setattr(imseq.nested, "one_world_countermodel", root_tests[0])
+            m.setattr(imseq.nested, "two_world_countermodel", root_tests[1])
             m.setattr(imseq.nested, "_polarities", polarities)
             for goal, ax, _ in goals:
                 sys.setprofile(count)
@@ -897,16 +916,19 @@ def test_polarity_prunes_cut_the_corpus_search():
                                 hashlib.sha256(dump_proof(proof).encode()).hexdigest())
         assert outcomes == [digest for _, _, digest in goals]
         counts.append((calls["roots"], calls["search"], calls["d"], calls["unkeyed"]))
-    assert counts == [(141, 1047, 99, 335), (0, 1830, 177, 599), (0, 2060, 344, 748),
+        two_world.append(calls["two"])
+    assert counts == [(141, 353, 3, 48),
+                      (141, 1047, 99, 335), (0, 1830, 177, 599), (0, 2060, 344, 748),
                       (0, 2914, 788, 1206)]
+    assert two_world == [68, 0, 0, 0, 0]
 
 
 def test_closable_holds_wherever_one_step_closes():
     """_closable answers False only where no rule instance closes every
     premise in one step, against ref_one_step_closers: on random full
     sequents that are no leaf, under every axiom mix, and on the
-    sequents the prove corpus searches at budget 1 at depth 5 with the
-    one-world test off."""
+    sequents the prove corpus searches at budget 1 at depth 5 with both
+    root tests off."""
     rng = random.Random(20005)
     cases = []
     while len(cases) < 3000:
@@ -924,6 +946,7 @@ def test_closable_holds_wherever_one_step_closes():
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(imseq.nested, "one_world_countermodel", _no_countermodel)
+        m.setattr(imseq.nested, "two_world_countermodel", _no_countermodel)
         m.setattr(imseq.nested, "_closable", recorded)
         for g in spec["goals"]:
             ax = axiom_set([tuple(p) for p in g["axioms"]["hsl"]], d=g["axioms"]["d"])
@@ -1051,6 +1074,106 @@ def test_one_world_test_skips_tables_past_the_bound():
         assert ((2 * k - 1) << k <= ONE_WORLD_BITS) == tested
         assert one_world_countermodel(nseq(output=chain)) == (
             tuple(sorted(a.name for a in atoms[:k - 1])) if tested else None)
+
+
+def _two_world_goals():
+    """330 seeded random goals over p and q, 30 under each axiom mix."""
+    rng = random.Random(27001)
+    return [(gen.random_full_nested(rng, rng.randrange(3), 2, 2, ("p", "q")),
+             AXIOM_MIXES[k % len(AXIOM_MIXES)]) for k in range(330)]
+
+
+def _falsified_at(goal, model, world):
+    """Whether some map of goal's labels to model's worlds that puts the
+    root's label, w0, at world falsifies goal's labelled translation
+    under sat_sequent."""
+    seq = to_labelled(goal)
+    labels = sorted(seq.labels() - {"w0"})
+    return any(not sat_sequent(model, {"w0": world, **dict(zip(labels, ws))}, seq)
+               for ws in product(sorted(model.worlds), repeat=len(labels)))
+
+
+def test_two_world_test_matches_the_brute_force():
+    """two_world_countermodel refutes a goal iff ref_two_world_refutes
+    finds a model on two worlds that meets the axioms and falsifies it,
+    and the model it returns passes both structure checks and falsifies
+    the goal's labelled translation with the root at the world named."""
+    refuted = fresh = 0
+    for goal, ax in _two_world_goals():
+        got = two_world_countermodel(goal, ax)
+        assert (got is not None) == ref_two_world_refutes(goal, ax), (str(goal), ax)
+        if got is None:
+            continue
+        model, world = got
+        assert model.worlds == {"w0", "w1"} and world in model.worlds
+        assert check_model(model) == [] and check_frame_conditions(model, ax) == []
+        assert _falsified_at(goal, model, world), (str(goal), ax, model, world)
+        refuted += 1
+        fresh += one_world_countermodel(goal) is None
+    print(f"two-world test refutes {refuted} of 330 goals, {fresh} past the one-world test")
+    assert (refuted, fresh) == (218, 85)
+    for text in ("p^i", "p^o, [ q^o ]"):
+        with pytest.raises(ValueError, match="exactly one output"):
+            two_world_countermodel(parse_nested(text), NOAX)
+
+
+def test_two_world_refuted_goals_have_no_proof():
+    """Wherever the two-world test refutes a goal that the one-world
+    test does not, the reference search, which has neither test, finds
+    no proof at depths 0-6."""
+    refuted = 0
+    for k, (goal, ax) in enumerate(_one_world_goals() + _two_world_goals()):
+        if (one_world_countermodel(goal) is None
+                and two_world_countermodel(goal, ax) is not None):
+            refuted += 1
+            for depth in range(7):
+                assert ref_prove_bounded(goal, ax, depth) is None, (k, depth)
+    assert refuted == 675
+
+
+def test_two_world_test_changes_no_proof():
+    """prove_bounded gives byte-identical output with the two-world test
+    switched off, on the goals of the brute-force comparison."""
+    goals = _two_world_goals()
+    outputs = []
+    for root_test in (two_world_countermodel, _no_countermodel):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(imseq.nested, "two_world_countermodel", root_test)
+            outputs.append([_dumped(prove_bounded(goal, ax, depth))
+                            for goal, ax in goals for depth in (3, 5)])
+    assert outputs[0] == outputs[1]
+    assert sum(out is not None for out in outputs[0]) == 174
+
+
+def test_two_world_test_skips_tables_past_the_bound():
+    """The bound counts two tables of 2^11 bits, over three atoms, for
+    each subformula and each node: (p -> q) | r at the root, 5
+    subformulas, is refuted with 250 empty brackets beside it, and the
+    test is skipped with 251."""
+    out = parse_formula("(p -> q) | r")
+    for brackets, tested in ((250, True), (251, False)):
+        goal = nseq(output=out, children=[EMPTY] * brackets)
+        assert ((5 + 1 + brackets) << 12 <= ONE_WORLD_BITS) == tested
+        assert (two_world_countermodel(goal, NOAX) is not None) == tested
+
+
+def test_two_world_tables_match_eval_formula():
+    """Bit v of the truth tables at w0 and at w1 is eval_formula's answer
+    at that world in _two_world_model(v), well formed or not, for every
+    candidate and every subformula of seeded random formulas over p and
+    q and of one that holds every connective."""
+    rng = random.Random(27002)
+    roots = [gen.random_formula(rng, 3, ("p", "q")) for _ in range(12)]
+    roots.append(parse_formula("[](p -> <>q) & (false | <>[]p -> q)"))
+    for root in roots:
+        order = subformulas([root])
+        atoms = sorted([f for f in order if type(f) is Atom], key=lambda a: a.name)
+        full, _, t0, t1 = _two_world_tables(order, atoms)
+        for v in range(full.bit_length()):
+            m = _two_world_model(v, [a.name for a in atoms])
+            for f in order:
+                assert (t0[f] >> v & 1, t1[f] >> v & 1) == (
+                    eval_formula(m, "w0", f), eval_formula(m, "w1", f)), (root, v, f)
 
 
 def test_failure_cache_changes_no_verdict():
