@@ -183,13 +183,41 @@ class _Saturator:
     coded in theirs, so the worklist is seeded and extended in sorted
     order whatever the node names are.  Each fact's first derivation is
     recorded, so reconstruction is well founded.
+
+    The constructor runs the worklist to the end.  A saturation made by
+    paused() is only seeded, and full() runs its worklist on until the
+    asked fact is recorded, stopping after the pop that records it, or
+    until the worklist is empty; the next full() goes on from there.
+    Stopping changes no first derivation: the pops come in the order of
+    a run to the end, each pop derives what it would there, and a
+    recorded derivation is never replaced, so every derivation recorded,
+    and every walk path_of unfolds, is the one a run to the end records.
     """
 
     def __init__(self, pg: PropGraph, g: Grammar, limit: int = sys.maxsize):
+        self._seed(pg, g, limit)
+        self._run(None)
+
+    @classmethod
+    def paused(cls, pg: PropGraph, g: Grammar) -> "_Saturator":
+        """A seeded saturation of pg whose worklist has not yet run."""
+        sat = object.__new__(cls)
+        sat._seed(pg, g, sys.maxsize)
+        return sat
+
+    def _seed(self, pg: PropGraph, g: Grammar, limit: int):
         self.names = sorted(pg.nodes)
         self.num = {v: i for i, v in enumerate(self.names)}
         num = self.num
         prods = g.sorted_productions()
+        self.lhs = [_CODE[p.lhs] for p in prods]
+        self.rhs = [tuple(_CODE[c] for c in p.rhs) for p in prods]
+        self.limit = limit
+        n = len(self.names)
+        # by s * n + x: the y of every Full (s, x, y) popped, sorted, and
+        # the Parts popped ending at x whose next letter is s
+        self.fulls_from: list = [[] for _ in range(2 * n)]
+        self.parts_waiting: list = [[] for _ in range(2 * n)]
         # fact -> how it was first derived: _EDGE, () for a seed, or the
         # facts it was derived from, leftmost first
         self.why: dict = {}
@@ -197,26 +225,25 @@ class _Saturator:
         for x, s, y in sorted((num[x], _CODE[s], num[y]) for x, s, y in pg.edges):
             self._add((s, x, y), _EDGE)
         null = sorted(_CODE[s] for s in _nullable(g))
-        for x in range(len(self.names)):
+        for x in range(n):
             for s in null:
                 self._add((s, x, x), ())
             for pi in range(len(prods)):
                 self._add((pi, 0, x, x), ())
-        self._run([_CODE[p.lhs] for p in prods],
-                  [tuple(_CODE[c] for c in p.rhs) for p in prods], limit)
 
     def _add(self, fact: tuple, why):
         if fact not in self.why:
             self.why[fact] = why
             self.queue.append(fact)
 
-    def _run(self, lhs: list, rhs: list, limit: int):
-        why, queue = self.why, self.queue
+    def _run(self, stop: Optional[tuple]):
+        """Pop facts until the worklist is empty, or until after the pop
+        that records the Full fact stop.  Only a finished Part records a
+        Full fact once the worklist is seeded."""
+        why, queue, limit = self.why, self.queue, self.limit
+        lhs, rhs = self.lhs, self.rhs
+        fulls_from, parts_waiting = self.fulls_from, self.parts_waiting
         n = len(self.names)
-        # by s * n + x: the y of every Full (s, x, y), sorted, and the
-        # Parts ending at x whose next letter is s
-        fulls_from: list = [[] for _ in range(2 * n)]
-        parts_waiting: list = [[] for _ in range(2 * n)]
         while queue:
             if len(why) > limit:
                 raise ValueError(f"graph of {n} nodes too large for a witness: "
@@ -237,6 +264,8 @@ class _Saturator:
                     if new not in why:
                         why[new] = (fact,)
                         queue.append(new)
+                        if new == stop:
+                            return
                 else:
                     s = rhs[pi][i]
                     parts_waiting[s * n + y].append(fact)
@@ -248,8 +277,11 @@ class _Saturator:
 
     def full(self, s: Sym, start, end) -> Optional[tuple]:
         """The fact that a walk start to end spells a string derivable
-        from s, or None when there is no such walk."""
+        from s, or None when there is no such walk; a stopped worklist
+        runs on until it records the fact or is empty."""
         fact = (_CODE[s], self.num[start], self.num[end])
+        if fact not in self.why and self.queue:
+            self._run(fact)
         return fact if fact in self.why else None
 
     def forward(self) -> list:

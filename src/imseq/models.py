@@ -285,10 +285,13 @@ def _variables(count: int) -> tuple:
 
 
 def _goal_formulas(seq) -> tuple:
-    """The nodes of the full nested sequent seq in breadth-first order,
-    so each node's children follow the children of the nodes before it,
-    every input formula and the output formula, walked over an explicit
-    list.  ValueError if seq is not full."""
+    """The root tests' front end for the full nested sequent seq:
+    (nodes, roots, output, order, atoms).  nodes are its nodes in
+    breadth-first order, so each node's children follow the children of
+    the nodes before it, walked over an explicit list; roots are every
+    input formula and output the output formula; order is
+    subformulas(roots + [output]) and atoms its atoms in name order.
+    ValueError if seq is not full."""
     roots: list = []
     output = None
     outputs = 0
@@ -301,7 +304,9 @@ def _goal_formulas(seq) -> tuple:
             outputs += 1
     if outputs != 1:
         raise ValueError("sequent must have exactly one output formula")
-    return nodes, roots, output
+    order = subformulas(roots + [output])
+    atoms = sorted([f for f in order if type(f) is Atom], key=attrgetter("name"))
+    return nodes, roots, output, order, atoms
 
 
 def one_world_countermodel(seq) -> Optional[tuple]:
@@ -315,16 +320,27 @@ def one_world_countermodel(seq) -> Optional[tuple]:
     seriality, and every bracket maps to its self-loop, so there [] and
     <> read as their bodies and every formula is classical: seq is false
     under a valuation iff all its inputs, at every node, hold and its
-    output fails.  Each distinct subformula gets its truth table over
-    all 2^k valuations as one int, bit v for the valuation that makes
-    atom i true iff bit i of v is set; the tables are built children
-    first, without recursion.  Of the falsifying valuations, the lowest
-    such v is reported.  Formula classes have no subclasses, so the
-    tables are dispatched on type(f).
+    output fails.  Of the falsifying valuations, the lowest
+    (_one_world_valuation) is reported.
     """
-    _, roots, output = _goal_formulas(seq)
-    order = subformulas(roots + [output])
-    atoms = sorted([f for f in order if type(f) is Atom], key=attrgetter("name"))
+    front = _goal_formulas(seq)
+    v = _one_world_valuation(front)
+    if v is None:
+        return None
+    return tuple(a.name for i, a in enumerate(front[4]) if v >> i & 1)
+
+
+def _one_world_valuation(front: tuple) -> Optional[int]:
+    """one_world_countermodel's verdict on the goal of front, the
+    goal's _goal_formulas: the lowest v whose valuation falsifies it, or
+    None.  Valuation v makes atom i true iff bit i of v is set.
+
+    Each distinct subformula gets its truth table over all 2^k
+    valuations as one int, bit v for valuation v; the tables are built
+    children first, without recursion.  Formula classes have no
+    subclasses, so the tables are dispatched on type(f).
+    """
+    _, roots, output, order, atoms = front
     if len(order) << len(atoms) > ONE_WORLD_BITS:
         return None
     full = (1 << (1 << len(atoms))) - 1
@@ -345,8 +361,7 @@ def one_world_countermodel(seq) -> Optional[tuple]:
         falsified &= table[f]
     if not falsified:
         return None
-    v = (falsified & -falsified).bit_length() - 1
-    return tuple(a.name for i, a in enumerate(atoms) if v >> i & 1)
+    return (falsified & -falsified).bit_length() - 1
 
 
 def _two_world_model(v: int, atoms: list) -> Model:
@@ -424,6 +439,25 @@ def two_world_countermodel(seq, ax: AxiomSet) -> Optional[tuple]:
     subformula and two per node, would hold more than ONE_WORLD_BITS
     bits.  ValueError if seq is not full.
 
+    The verdict is _two_world_candidate's, which builds no model: the
+    lowest kept candidate that refutes seq, and the world its root sits
+    at.  Only here is that candidate decoded, by _two_world_model, into
+    the model returned.
+    """
+    front = _goal_formulas(seq)
+    got = _two_world_candidate(front, ax)
+    if got is None:
+        return None
+    v, world = got
+    return _two_world_model(v, [a.name for a in front[4]]), world
+
+
+def _two_world_candidate(front: tuple, ax: AxiomSet) -> Optional[tuple]:
+    """two_world_countermodel's verdict on the goal of front, the
+    goal's _goal_formulas: (v, world) for the lowest kept candidate v
+    that refutes it, with the root at world, w0 if it can sit there, or
+    None.
+
     Exact and exhaustive.  A model whose preorder relates w0 and w1 both
     ways makes every formula true at both worlds alike, so it falsifies
     only what a one-world model of ax does; a one-world model is what w0
@@ -441,14 +475,10 @@ def two_world_countermodel(seq, ax: AxiomSet) -> Optional[tuple]:
     The bracket tree is walked from the leaves up: a node can sit at a
     world where its inputs hold, its output fails, and each child can
     sit at some acc successor, which is what to_labelled's relational
-    atoms and formulas ask of sat_sequent.  seq is refuted iff its root
-    can sit at w0 or at w1 in some kept candidate; the lowest such
-    candidate is decoded by _two_world_model, with the root at w0 if it
-    can sit there.
+    atoms and formulas ask of sat_sequent.  The goal is refuted iff its
+    root can sit at w0 or at w1 in some kept candidate.
     """
-    nodes, roots, output = _goal_formulas(seq)
-    order = subformulas(roots + [output])
-    atoms = sorted([f for f in order if type(f) is Atom], key=attrgetter("name"))
+    nodes, _, _, order, atoms = front
     k = len(atoms)
     if (len(order) + len(nodes)) << (2 * k + 6) > ONE_WORLD_BITS:
         return None
@@ -486,5 +516,4 @@ def two_world_countermodel(seq, ax: AxiomSet) -> Optional[tuple]:
     if not refuted:
         return None
     v = (refuted & -refuted).bit_length() - 1
-    return (_two_world_model(v, [a.name for a in atoms]),
-            "w0" if s0 >> v & 1 else "w1")
+    return v, "w0" if s0 >> v & 1 else "w1"

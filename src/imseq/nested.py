@@ -34,7 +34,8 @@ from .formula import (BOT, MAX_NESTING, Atom, AxiomSet, Bot, Box, Dia, Formula,
                       subformulas)
 from .grammar import (Grammar, PropGraph, PropPath, Sym, _Saturator, derives,
                       grammar_from_axioms, graph_from_pairs, reach_masks)
-from .models import ONE_WORLD_BITS, one_world_countermodel, two_world_countermodel
+from .models import (ONE_WORLD_BITS, _goal_formulas, _one_world_valuation,
+                     _two_world_candidate, one_world_countermodel)
 from .proof import (CheckResult, Proof, RuleError, _p_int, _p_path, _p_str, check,
                     lazy_attribute)
 
@@ -818,9 +819,11 @@ def _targets(table: tuple, i: int) -> list:
     return out
 
 
-def _witness(sat: _Saturator, src: tuple, dst: tuple) -> list:
-    """The pdia/pbox path param for a reachable pair, from a saturation
-    of the sequent's graph: reach_all's walk."""
+def _witness(sat: Optional[_Saturator], src: tuple, dst: tuple) -> list:
+    """reach_all's walk for a reachable pair, the pdia/pbox path param,
+    from sat; to a child of src, the edge saturations record first."""
+    if dst and dst[:-1] == src:
+        return [path_id(src), "d", path_id(dst)]
     return sat.path_of(sat.full(Sym.FWD, path_id(src), path_id(dst))).to_list()
 
 
@@ -848,22 +851,19 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
     A branch gives up on a repeated sequent; failures are cached per
     budget.  Incomplete in general.
 
-    Before it searches, a goal that is no leaf is tested in small
-    models: first in the one-world model whose world sees itself
-    (one_world_countermodel), which meets the frame condition of every
-    hsl(n, k) axiom and of seriality, then in every model on two worlds
-    that meets ax (two_world_countermodel): the 32 frames of an acc
-    subset and w0 <= w1 or not, masked to those that pass the structure
-    and frame checks, with every monotone valuation, all decided at
-    once in one truth table per subformula and world.  The calculus is
-    sound for every model of ax, so a goal false in one has no proof at
-    any depth, and None is returned at once; every proof and every
-    other None is the one the search gives.  The one-world test, the
-    cheaper, refutes most such goals.  The tests run at the root only:
-    skipping an inner sequent would also skip the failure-cache records
-    its subtree leaves, which depend on the branch and which later
-    branches read.  Past ONE_WORLD_BITS bits of truth tables a test is
-    skipped.
+    Before it searches, a goal that is no leaf is tested in the
+    one-world model whose world sees itself, which meets every frame
+    condition, then in every model on two worlds that meets ax: the
+    verdicts of one_world_countermodel and two_world_countermodel, with
+    no model built, from one front end, _goal_formulas, built once.  The
+    calculus is sound for every model of ax, so a goal false in one has
+    no proof at any depth, and None is returned at once; every proof
+    and every other None is the one the search gives.  The one-world
+    test, the cheaper, refutes most such goals.  The tests run at the
+    root only: skipping an inner sequent would also skip the
+    failure-cache records its subtree leaves, which depend on the
+    branch and which later branches read.  Past ONE_WORLD_BITS bits of
+    truth tables a test is skipped.
 
     The search addresses nodes by child-index paths and computes
     premises from _premise_edits, without re-checking side conditions:
@@ -891,15 +891,12 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
     The goal is walked once, by _positions: that list counts its outputs
     and is scanned for a leaf, and a node holding neither false nor its
     own atomic output is passed over by two containment tests
-    (_node_leaf).  The root tests collect the goal's formulas in a walk
-    of their own, over an explicit list.
-
-    Only the goal is scanned whole for a leaf.  A premise's conclusion
-    is no leaf, so a premise can close only at the node its rule touched,
-    by what its edits add there, and its leaf test runs there alone,
-    building that node only if the edits add false, the node's output
-    as an input, or an atom output (_local_leaf).
-    Premises searched at budget 0 close by that test or not at all, so
+    (_node_leaf).  Only the goal is scanned whole for a leaf.  A
+    premise's conclusion is no leaf, so a premise can close only at the
+    node its rule touched, by what its edits add there, and its leaf
+    test runs there alone, building that node only if the edits add
+    false, the node's output as an input, or an atom output
+    (_local_leaf).  Premises searched at budget 0 close by that test or not at all, so
     they are decided, in order, before any is built, and built only
     when all of them close; the rest are built one at a time as the
     search reaches them.
@@ -923,10 +920,11 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
     bitmask closure reach_masks and kept across calls in a bounded
     memo (_reach_table); a node's targets are read off the table only
     where pdia or pbox is tried.  Params, with ``r.0.1`` ids and the
-    witness walk, are built only for the nodes of proofs found; the
-    walks unfold from one worklist saturation per tree shape, kept for
-    this call only, and are reach_all's walks.  One _Search object holds
-    the call's failure cache and saturations; its methods refer to each
+    witness walk, are built only for the nodes of proofs found; a walk
+    to a child is its edge, and any other unfolds from one saturation
+    per tree shape, kept for this call only, run until it has the pair
+    asked.  All are reach_all's walks.  One _Search object holds the
+    call's failure cache and saturations; its methods refer to each
     other through it, so it forms no reference cycle, and its tables
     are freed when the call returns.  The proof about to be returned is
     run through check_nested, and a failure raises RuntimeError, so
@@ -952,8 +950,9 @@ def prove_bounded(goal: NestedSequent, ax: AxiomSet, depth: int) -> Optional[Nes
         raise ValueError(f"depth must be at least 0, got {depth}")
     proof = _try_leaf(goal, positions)
     try:
-        if (proof is None and depth > 0 and one_world_countermodel(goal) is None
-                and two_world_countermodel(goal, ax) is None):
+        if (proof is None and depth > 0
+                and _one_world_valuation(front := _goal_formulas(goal)) is None
+                and _two_world_candidate(front, ax) is None):
             proof = _Search(ax).search(goal, depth, frozenset())
     except RecursionError:
         if max(len(path) for path, _ in positions) >= depth:
@@ -983,10 +982,11 @@ class _Search:
         self.sat_by_shape: dict = {}
 
     def witness(self, seq: NestedSequent, src: tuple, dst: tuple) -> list:
-        shape = tuple(all_paths(seq))
-        sat = self.sat_by_shape.get(shape)
-        if sat is None:
-            sat = self.sat_by_shape[shape] = _Saturator(prop_graph_nested(seq), self.g)
+        sat = None
+        if not (dst and dst[:-1] == src):  # _witness reads an edge alone
+            sat = self.sat_by_shape.get(shape := tuple(all_paths(seq)))
+            if sat is None:
+                sat = self.sat_by_shape[shape] = _Saturator.paused(prop_graph_nested(seq), self.g)
         return _witness(sat, src, dst)
 
     def attempt(self, seq, rule, at, index, f, target, budget, seen):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import imseq.formula
 import imseq.grammar
 import imseq.models
 import imseq.nested
@@ -34,9 +35,9 @@ from imseq.nested import (_MOVES_IN, EMPTY, NESTED_RULES, REACH_MEMO_NODES,
                           parse_nested, parse_path_id, path_id,
                           premises_of_nested, prop_graph_nested, prove_bounded,
                           prove_formula, render_nested, RuleError)
-from imseq.models import (_two_world_model, _two_world_tables, check_frame_conditions,
-                          check_model, eval_formula, model_of, sat_sequent,
-                          two_world_countermodel)
+from imseq.models import (_one_world_valuation, _two_world_candidate, _two_world_model,
+                          _two_world_tables, check_frame_conditions, check_model,
+                          eval_formula, model_of, sat_sequent, two_world_countermodel)
 from imseq.proofio import dump_proof
 from imseq.translate import to_labelled
 
@@ -854,10 +855,11 @@ def test_d_gate_loses_no_proof():
     assert differ == [(600, 6, 7, 4)]
 
 
-def _no_countermodel(seq, ax=None):
-    """A root test switched off, one_world_countermodel or
-    two_world_countermodel: prove_bounded searches every goal that is no
-    leaf and that the other test, if on, does not refute."""
+def _no_countermodel(front, ax=None):
+    """A root test's verdict switched off, in the names prove_bounded
+    calls, _one_world_valuation or _two_world_candidate: prove_bounded
+    searches every goal that is no leaf and that the other test, if on,
+    does not refute."""
     return None
 
 
@@ -887,24 +889,24 @@ def test_polarity_prunes_cut_the_corpus_search():
                 calls["d"] += 1
         elif event == "return" and name == "_closable" and arg is False:
             calls["unkeyed"] += 1
-        elif event == "return" and name == "one_world_countermodel" and arg is not None:
+        elif event == "return" and name == "_one_world_valuation" and arg is not None:
             calls["roots"] += 1
-        elif event == "return" and name == "two_world_countermodel" and arg is not None:
+        elif event == "return" and name == "_two_world_candidate" and arg is not None:
             calls["two"] += 1
 
     counts = []
     two_world = []
     for root_tests, polarities in (
-            ((one_world_countermodel, two_world_countermodel), _polarities),
-            ((one_world_countermodel, _no_countermodel), _polarities),
+            ((_one_world_valuation, _two_world_candidate), _polarities),
+            ((_one_world_valuation, _no_countermodel), _polarities),
             ((_no_countermodel, _no_countermodel), _polarities),
             ((_no_countermodel, _no_countermodel), _ungated),
             ((_no_countermodel, _no_countermodel), _unpruned)):
         calls.update(search=0, d=0, unkeyed=0, roots=0, two=0)
         outcomes = []
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(imseq.nested, "one_world_countermodel", root_tests[0])
-            m.setattr(imseq.nested, "two_world_countermodel", root_tests[1])
+            m.setattr(imseq.nested, "_one_world_valuation", root_tests[0])
+            m.setattr(imseq.nested, "_two_world_candidate", root_tests[1])
             m.setattr(imseq.nested, "_polarities", polarities)
             for goal, ax, _ in goals:
                 sys.setprofile(count)
@@ -945,8 +947,8 @@ def test_closable_holds_wherever_one_step_closes():
         return _closable(seq)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(imseq.nested, "one_world_countermodel", _no_countermodel)
-        m.setattr(imseq.nested, "two_world_countermodel", _no_countermodel)
+        m.setattr(imseq.nested, "_one_world_valuation", _no_countermodel)
+        m.setattr(imseq.nested, "_two_world_candidate", _no_countermodel)
         m.setattr(imseq.nested, "_closable", recorded)
         for g in spec["goals"]:
             ax = axiom_set([tuple(p) for p in g["axioms"]["hsl"]], d=g["axioms"]["d"])
@@ -1022,9 +1024,9 @@ def test_one_world_test_changes_no_proof():
     switched off."""
     goals = _one_world_goals()
     outputs = []
-    for root_test in (one_world_countermodel, _no_countermodel):
+    for root_test in (_one_world_valuation, _no_countermodel):
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(imseq.nested, "one_world_countermodel", root_test)
+            m.setattr(imseq.nested, "_one_world_valuation", root_test)
             outputs.append([_dumped(prove_bounded(goal, ax, depth))
                             for goal, ax in goals for depth in (3, 5)])
     assert outputs[0] == outputs[1]
@@ -1043,7 +1045,7 @@ def test_one_world_test_runs_without_recursion_on_a_deep_chain():
         assert one_world_countermodel(goal) == want
         got = prove_bounded(goal, NOAX, 2)
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(imseq.nested, "one_world_countermodel", _no_countermodel)
+            m.setattr(imseq.nested, "_one_world_valuation", _no_countermodel)
             assert _dumped(got) == _dumped(prove_bounded(goal, NOAX, 2))
 
 
@@ -1061,7 +1063,7 @@ def test_one_world_test_skips_tables_past_the_bound():
         assert one_world_countermodel(goal) is None
         got = prove_bounded(goal, NOAX, 40)
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(imseq.nested, "one_world_countermodel", _no_countermodel)
+            m.setattr(imseq.nested, "_one_world_valuation", _no_countermodel)
             assert _dumped(got) == _dumped(prove_bounded(goal, NOAX, 40))
         proved.append(got is not None)
     assert proved == [False, True]
@@ -1136,13 +1138,61 @@ def test_two_world_test_changes_no_proof():
     switched off, on the goals of the brute-force comparison."""
     goals = _two_world_goals()
     outputs = []
-    for root_test in (two_world_countermodel, _no_countermodel):
+    for root_test in (_two_world_candidate, _no_countermodel):
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(imseq.nested, "two_world_countermodel", root_test)
+            m.setattr(imseq.nested, "_two_world_candidate", root_test)
             outputs.append([_dumped(prove_bounded(goal, ax, depth))
                             for goal, ax in goals for depth in (3, 5)])
     assert outputs[0] == outputs[1]
     assert sum(out is not None for out in outputs[0]) == 174
+
+
+def test_root_tests_share_one_front_end(monkeypatch):
+    """Each prove_bounded call on the prove corpus at depth 5 lists the
+    goal's subformulas at most once and builds its front end,
+    _goal_formulas, at most once, and no two-world model is decoded: with
+    _two_world_model raising, the corpus gives its frozen outcomes, 69
+    proofs, and 141 goals refuted in one world and 68 in two."""
+    spec = json.loads(PROVE_CORPUS.read_text())
+    goals = [(parse_nested(g["goal"]),
+              axiom_set([tuple(p) for p in g["axioms"]["hsl"]], d=g["axioms"]["d"]),
+              g["digest"]) for g in spec["goals"]]
+    for _, ax, _ in goals:  # each axiom set's frame mask, made once and kept
+        imseq.models._two_world_frames(ax)
+
+    def no_model(v, atoms):
+        raise AssertionError("a two-world model was built")
+    monkeypatch.setattr(imseq.models, "_two_world_model", no_model)
+    calls = {}
+    names = {("subformulas", imseq.formula.__file__), ("_goal_formulas", imseq.models.__file__),
+             ("_one_world_valuation", imseq.models.__file__),
+             ("_two_world_candidate", imseq.models.__file__)}
+
+    def count(frame, event, arg):
+        key = (frame.f_code.co_name, frame.f_code.co_filename)
+        if key in names and (event == "call" or arg is not None):
+            calls[event, key[0]] = calls.get((event, key[0]), 0) + 1
+
+    refuted = [0, 0]
+    for rounds in range(2):  # the first pass leaves every signature stored
+        outcomes = []
+        for goal, ax, _ in goals:
+            calls.clear()
+            sys.setprofile(count)
+            try:
+                proof = prove_bounded(goal, ax, spec["depth"])
+            finally:
+                sys.setprofile(None)
+            outcomes.append(None if proof is None else
+                            hashlib.sha256(dump_proof(proof).encode()).hexdigest())
+            if rounds:
+                assert calls.get(("call", "subformulas"), 0) <= 1, str(goal)
+                assert calls.get(("call", "_goal_formulas"), 0) <= 1, str(goal)
+                refuted[0] += calls.get(("return", "_one_world_valuation"), 0)
+                refuted[1] += calls.get(("return", "_two_world_candidate"), 0)
+        assert outcomes == [digest for _, _, digest in goals]
+    assert sum(out is not None for out in outcomes) == 69
+    assert refuted == [141, 68]
 
 
 def test_two_world_test_skips_tables_past_the_bound():
@@ -1269,6 +1319,33 @@ def test_prover_rejects_a_proof_built_from_a_bad_witness(monkeypatch):
         prove_bounded(goal, NOAX, 4)
 
 
+def test_prover_rejects_a_bad_walk_from_a_stopped_saturation(monkeypatch):
+    """As above for walks of two letters, which unfold from a saturation
+    stopped at their fact with facts still waiting: the pbox steps of
+    [ []p^i ], [ p^o ] under hsl(1,1) at depth 4."""
+    ax = axiom_set([(1, 1)])
+    goal = parse_nested("[ []p^i ], [ p^o ]")
+    walks = []
+
+    def recorded(sat, src, dst):
+        walk = _witness(sat, src, dst)
+        walks.append((walk, len(sat.queue) > 0))
+        return walk
+
+    def flipped(sat, src, dst):
+        walk = _witness(sat, src, dst)
+        walk[1] = Sym(walk[1]).converse().value
+        return walk
+
+    monkeypatch.setattr(imseq.nested, "_witness", recorded)
+    assert check_nested(prove_bounded(goal, ax, 4), ax)
+    assert walks == [(["r.0", "b", "r", "d", "r.1"], True),
+                     (["r.0", "b", "r", "d", "r.0"], True)]
+    monkeypatch.setattr(imseq.nested, "_witness", flipped)
+    with pytest.raises(RuntimeError, match="fails to check"):
+        prove_bounded(goal, ax, 4)
+
+
 def random_tree(rng, n):
     """A bracket tree of n nodes, each after the first under a random
     earlier one."""
@@ -1279,6 +1356,37 @@ def random_tree(rng, n):
     def build(i):
         return nseq(children=tuple(build(j) for j in kids[i]))
     return build(0)
+
+
+def test_stopped_saturation_matches_reach_all():
+    """A saturation made by _Saturator.paused, asked for every pair
+    reach_all gives, in a seeded random order, stops and resumes and
+    unfolds reach_all's walk for each; it answers None for every other
+    pair, and run on to the end it holds a full run's derivations, key
+    for key and in the same order: on random bracket trees under every
+    axiom mix."""
+    rng = random.Random(28001)
+    stops = 0  # asks that ran the worklist and stopped with facts waiting
+    for k in range(66):
+        seq = random_tree(rng, rng.randint(1, 16))
+        g = grammar_from_axioms(AXIOM_MIXES[k % len(AXIOM_MIXES)])
+        pg = prop_graph_nested(seq)
+        walks = reach_all(pg, g)
+        sat = _Saturator.paused(pg, g)
+        pairs = sorted(walks)
+        rng.shuffle(pairs)
+        for src, dst in pairs:
+            known = len(sat.why)
+            fact = sat.full(Sym.FWD, src, dst)
+            assert sat.path_of(fact) == walks[src, dst], (str(seq), k, src, dst)
+            stops += len(sat.why) > known and len(sat.queue) > 0
+        for src in sorted(pg.nodes):
+            for dst in sorted(pg.nodes):
+                if (src, dst) not in walks:
+                    assert sat.full(Sym.FWD, src, dst) is None
+        sat._run(None)
+        assert list(sat.why.items()) == list(_Saturator(pg, g).why.items())
+    assert stops == 129
 
 
 def test_prover_reach_table_matches_reach_all(monkeypatch):
