@@ -6,6 +6,10 @@ atom, implication, and box is quantified over ``leq``-successors, so
 well-formed models must satisfy the two confluence conditions (F1, F2)
 and upward-closed valuations for truth to be monotone.
 
+The structure checks and random_model work on a model's rows
+(_rows_of): its world names in sorted order, and each world's leq and
+acc successors as one int with a bit per world.
+
 The prover's root tests live here too: one_world_countermodel and
 two_world_countermodel decide, over truth tables held as ints, whether a
 full nested sequent is false in some model of one or of two worlds.
@@ -16,12 +20,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
 from .formula import (BOT, And, Atom, AxiomSet, Bot, Box, Dia, Formula, Imp, Or,
                       subformulas)
 from .labelled import LabelledSequent
+from .proof import lazy_attribute
 
 
 @dataclass(frozen=True)
@@ -40,6 +46,12 @@ class Model:
     acc: frozenset  # pairs (w, v)
     val: frozenset  # pairs (world, atom name)
 
+    @lazy_attribute
+    def _rows(self) -> tuple:
+        """The model's indexed form, built on the first check that reads
+        it (random_model hands over the one it built): see _rows_of."""
+        return _rows_of(self)
+
 
 def model_of(worlds: Iterable[str], leq: Iterable = (), acc: Iterable = (),
              val: Iterable = ()) -> Model:
@@ -51,21 +63,61 @@ def model_of(worlds: Iterable[str], leq: Iterable = (), acc: Iterable = (),
                  frozenset(tuple(p) for p in val))
 
 
-def _successors(pairs: Iterable) -> dict:
-    """Each pair's first element to the set of its second elements."""
-    succ: dict = {}
-    for a, b in pairs:
-        succ.setdefault(a, set()).add(b)
-    return succ
+def _rows_of(m: Model) -> tuple:
+    """(names, inside, up, nxt, val): the indexed form of m.
+
+    names are the worlds, and any other name a pair of m holds, in
+    sorted order, so that walking indices upwards walks names in sorted
+    order; inside has bit i set iff names[i] is a world.  Each set of
+    names is an int with bit i for names[i]: up[i] and nxt[i] are the
+    leq and acc successors of names[i], and val maps each atom true
+    somewhere to the names where it holds.
+    """
+    names = sorted(m.worlds.union(chain.from_iterable(m.leq),
+                                  chain.from_iterable(m.acc),
+                                  [w for w, _ in m.val]))
+    at = {w: i for i, w in enumerate(names)}
+    up = [0] * len(names)
+    nxt = [0] * len(names)
+    for w, u in m.leq:
+        up[at[w]] |= 1 << at[u]
+    for w, v in m.acc:
+        nxt[at[w]] |= 1 << at[v]
+    val: dict = {}
+    for w, p in m.val:
+        val[p] = val.get(p, 0) | 1 << at[w]
+    inside = 0
+    for w in m.worlds:
+        inside |= 1 << at[w]
+    return names, inside, tuple(up), tuple(nxt), val
 
 
-def _powers(succ: dict, worlds: Iterable, n: int) -> dict:
-    """Each world to the set it reaches in n steps along succ; zero steps
-    is the world itself."""
-    out = {w: {w} for w in worlds}
+def _bits(x: int) -> list:
+    """The indices of the set bits of x, lowest first."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def _union(rows, x: int) -> int:
+    """The union of rows[i] over the set bits i of x."""
+    out = 0
+    while x:
+        low = x & -x
+        out |= rows[low.bit_length() - 1]
+        x ^= low
+    return out
+
+
+def _powers(rows, n: int) -> list:
+    """Row i: what index i reaches in n steps along rows; zero steps is
+    i itself."""
+    out = [1 << i for i in range(len(rows))]
     for _ in range(n):
-        out = {w: set().union(*(succ.get(x, ()) for x in xs))
-               for w, xs in out.items()}
+        out = [_union(rows, x) for x in out]
     return out
 
 
@@ -73,10 +125,57 @@ def check_model(m: Model) -> list:
     """Violations of the five structural conditions, empty iff well formed.
 
     Conditions: leq reflexive, leq transitive, F1, F2, monotone
-    valuation.  Out-of-domain pairs are reported as domain violations.
-    Each relation's successor sets are built once and walked in sorted
-    order, so violations come in the order of the sorted pairs.
+    valuation.  Out-of-domain pairs are reported as domain violations,
+    and then nothing else.  The tests run on the model's rows
+    (_rows_of), where a set of worlds is one int, and each condition is
+    first decided for a whole row; only a row that fails is walked for
+    witnesses, in index order, which is sorted name order.  So
+    violations come in the order of the sorted pairs, as a scan of the
+    sorted relations would give them.
     """
+    names, _, up, nxt, val = m._rows
+    if len(names) != len(m.worlds):
+        return _domain_violations(m)
+    out = []
+    for w in range(len(names)):
+        if not up[w] >> w & 1:
+            out.append(Violation("leq-reflexive", (names[w],)))
+    for a, row in enumerate(up):
+        if _union(up, row) & ~row:
+            for b in _bits(row):
+                for c in _bits(up[b] & ~row):
+                    out.append(Violation("leq-transitive",
+                                         (names[a], names[b], names[c])))
+    # F1: wRv and v <= v' need some w' with w <= w' and w'Rv'
+    for w, row in enumerate(nxt):
+        above = _union(nxt, up[w])
+        if _union(up, row) & ~above:
+            for v in _bits(row):
+                for v_up in _bits(up[v] & ~above):
+                    out.append(Violation("F1", (names[w], names[v], names[v_up])))
+    # F2: w <= w' and wRv need some v' with w'Rv' and v <= v', that is
+    # v in below[w'], the worlds at or below an acc successor of w'
+    down = [0] * len(names)
+    for w, row in enumerate(up):
+        for u in _bits(row):
+            down[u] |= 1 << w
+    below = [_union(down, row) for row in nxt]
+    for w, row in enumerate(nxt):
+        if row:
+            for w_up in _bits(up[w]):
+                for v in _bits(row & ~below[w_up]):
+                    out.append(Violation("F2", (names[w], names[w_up], names[v])))
+    if any(_union(up, x) & ~x for x in val.values()):
+        at = {w: i for i, w in enumerate(names)}
+        for w, p in sorted(m.val):
+            for w_up in _bits(up[at[w]] & ~val[p]):
+                out.append(Violation("monotonicity", (w, names[w_up], p)))
+    return out
+
+
+def _domain_violations(m: Model) -> list:
+    """check_model's verdict on a model some pair of which names a world
+    outside m.worlds: each such pair, in the order of the sorted pairs."""
     out = []
     for a, b in sorted(m.leq):
         if a not in m.worlds or b not in m.worlds:
@@ -87,56 +186,31 @@ def check_model(m: Model) -> list:
     for w, p in sorted(m.val):
         if w not in m.worlds:
             out.append(Violation("domain-val", (w, p)))
-    if out:
-        return out
-    for w in sorted(m.worlds):
-        if (w, w) not in m.leq:
-            out.append(Violation("leq-reflexive", (w,)))
-    up, nxt = _successors(m.leq), _successors(m.acc)
-    up_sorted = {w: sorted(us) for w, us in up.items()}
-    nxt_sorted = {w: sorted(vs) for w, vs in nxt.items()}
-    for a in sorted(up):
-        for b in up_sorted[a]:
-            for c in up_sorted.get(b, ()):
-                if c not in up[a]:
-                    out.append(Violation("leq-transitive", (a, b, c)))
-    # F1: wRv and v <= v' need some w' with w <= w' and w'Rv'
-    for w in sorted(nxt):
-        above = set().union(*(nxt.get(w_up, ()) for w_up in up.get(w, ())))
-        for v in nxt_sorted[w]:
-            for v_up in up_sorted.get(v, ()):
-                if v_up not in above:
-                    out.append(Violation("F1", (w, v, v_up)))
-    # F2: w <= w' and wRv need some v' with w'Rv' and v <= v'
-    for w in sorted(up):
-        for w_up in up_sorted[w]:
-            for v in nxt_sorted.get(w, ()):
-                if nxt.get(w_up, set()).isdisjoint(up.get(v, ())):
-                    out.append(Violation("F2", (w, w_up, v)))
-    for w, p in sorted(m.val):
-        for w_up in up_sorted.get(w, ()):
-            if (w_up, p) not in m.val:
-                out.append(Violation("monotonicity", (w, w_up, p)))
     return out
 
 
 def check_frame_conditions(m: Model, ax: AxiomSet) -> list:
+    """Violations of the frame conditions of ax: seriality if ax has d,
+    and for each hsl(n, k), in sorted order, that every world u reached
+    from w in n acc steps sees every v reached from w in k.  Witnesses
+    start at worlds of m, but their acc steps may pass through names
+    outside it, and come in sorted name order."""
+    names, inside, _, nxt, _ = m._rows
+    worlds = _bits(inside)
     out = []
-    nxt = _successors(m.acc)
     if ax.has_d:
-        for w in sorted(m.worlds):
-            if w not in nxt:
-                out.append(Violation("seriality", (w,)))
+        for w in worlds:
+            if not nxt[w]:
+                out.append(Violation("seriality", (names[w],)))
     for n, k in sorted(ax.hsl):
-        rn = _powers(nxt, m.worlds, n)
-        rk = _powers(nxt, m.worlds, k)
-        for w in sorted(m.worlds):
-            vs = sorted(rk[w])
-            for u in sorted(rn[w]):
-                u_next = nxt.get(u, ())
-                for v in vs:
-                    if v not in u_next:
-                        out.append(Violation(f"hsl({n},{k})", (w, u, v)))
+        rn = _powers(nxt, n)
+        rk = _powers(nxt, k)
+        for w in worlds:
+            vs = rk[w]
+            for u in _bits(rn[w]):
+                for v in _bits(vs & ~nxt[u]):
+                    out.append(Violation(f"hsl({n},{k})",
+                                         (names[w], names[u], names[v])))
     return out
 
 
@@ -201,60 +275,72 @@ def sat_sequent(m: Model, interp: Mapping, seq: LabelledSequent) -> bool:
 def random_model(ax: AxiomSet, max_worlds: int, seed: int) -> Model:
     """A pseudorandom model passing both checkers for the axiom set.
 
-    Both relations are kept as each world's successor set.  A random
-    preorder is closed by Warshall's algorithm; a random accessibility
-    relation is then closed to a fixpoint: upward closure of acc along
-    leq on both sides (gives F1 and F2), the (n, k) closures, and a
-    self-loop at any dead end when seriality is required.  The valuation
-    is then closed upward.
+    The model is built on its rows (_rows_of): each world's leq and acc
+    successors, and each atom's worlds, are one int over the worlds m0,
+    m1, ... in sorted order, while the random draws take the worlds in
+    the order of their numbers.  A random preorder is closed by
+    Warshall's algorithm; a random accessibility relation is then closed
+    to a fixpoint: upward closure of acc along leq on both sides (gives
+    F1 and F2), the (n, k) closures, and a self-loop at any dead end
+    when seriality is required.  The valuation is then closed upward.
+    The rows are left on the model, so its checks do not build them.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     rng = random.Random(seed)
     n = rng.randint(1, max_worlds)
-    worlds = [f"m{i}" for i in range(n)]
-    leq = {w: {w} for w in worlds}
-    for w in worlds:
-        for u in worlds:
-            if w != u and rng.random() < 0.25:
-                leq[w].add(u)
-    for u in worlds:  # Warshall's transitive closure
-        for w in worlds:
-            if u in leq[w]:
-                leq[w] |= leq[u]
-    acc = {w: set() for w in worlds}
-    for w in worlds:
-        for u in worlds:
+    names = sorted(f"m{i}" for i in range(n))
+    # the row of m{i}, drawn i-th; past ten worlds m10 sorts before m2
+    at = [names.index(f"m{i}") for i in range(n)]
+    up = [0] * n
+    for i in at:
+        row = 1 << i
+        for j in at:
+            if i != j and rng.random() < 0.25:
+                row |= 1 << j
+        up[i] = row
+    for u in range(n):  # Warshall's transitive closure
+        for w in range(n):
+            if up[w] >> u & 1:
+                up[w] |= up[u]
+    up_bits = [_bits(row) for row in up]
+    nxt = [0] * n
+    for i in at:
+        for j in at:
             if rng.random() < 0.3:
-                acc[w].add(u)
-    changed = True
-    while changed:
-        before = sum(map(len, acc.values()))
-        ups = {w: set().union(*(leq[v] for v in acc[w])) for w in worlds}
-        for w in worlds:
-            for w2 in leq[w]:
-                acc[w2] |= ups[w]
-        for pn, pk in sorted(ax.hsl):
-            rn = _powers(acc, worlds, pn)
-            rk = _powers(acc, worlds, pk)
-            for w in worlds:
-                for u in rn[w]:
-                    acc[u] |= rk[w]
+                nxt[i] |= 1 << j
+    hsl = sorted(ax.hsl)
+    before = None
+    while nxt != before:
+        before = nxt[:]
+        for w, row in enumerate(before):
+            if row:
+                row = _union(up, row)
+                for w2 in up_bits[w]:
+                    nxt[w2] |= row
+        for pn, pk in hsl:
+            rn = _powers(nxt, pn)
+            rk = _powers(nxt, pk)
+            for w in range(n):
+                for u in _bits(rn[w]):
+                    nxt[u] |= rk[w]
         if ax.has_d:
-            for w in worlds:
-                if not acc[w]:
-                    acc[w].add(w)
-        changed = sum(map(len, acc.values())) != before
-    val = set()
-    for w in worlds:
+            for w in range(n):
+                if not nxt[w]:
+                    nxt[w] = 1 << w
+    val: dict = {}
+    for i in at:
         for p in ("p", "q", "r"):
             if rng.random() < 0.4:
-                val.add((w, p))
-    val |= {(u, p) for w, p in list(val) for u in leq[w]}
-    return Model(frozenset(worlds),
-                 frozenset((w, u) for w in worlds for u in leq[w]),
-                 frozenset((w, v) for w in worlds for v in acc[w]),
-                 frozenset(val))
+                val[p] = val.get(p, 0) | 1 << i
+    for p, x in val.items():
+        val[p] = _union(up, x)
+    m = Model(frozenset(names),
+              frozenset((w, names[j]) for w, js in zip(names, up_bits) for j in js),
+              frozenset((w, names[j]) for w, row in zip(names, nxt) for j in _bits(row)),
+              frozenset((names[i], p) for p, x in val.items() for i in _bits(x)))
+    m.__dict__["_rows"] = names, (1 << n) - 1, tuple(up), tuple(nxt), val
+    return m
 
 
 # Most bits the truth tables of one_world_countermodel, and of

@@ -34,8 +34,7 @@ from .formula import (BOT, MAX_NESTING, Atom, AxiomSet, Bot, Box, Dia, Formula,
                       subformulas)
 from .grammar import (Grammar, PropGraph, PropPath, Sym, _Saturator, derives,
                       grammar_from_axioms, graph_from_pairs, reach_masks)
-from .models import (ONE_WORLD_BITS, _goal_formulas, _one_world_valuation,
-                     _two_world_candidate, one_world_countermodel)
+from .models import _goal_formulas, _one_world_valuation, _two_world_candidate
 from .proof import (CheckResult, Proof, RuleError, _p_int, _p_path, _p_str, check,
                     lazy_attribute)
 

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import count
 
 import pytest
 
@@ -163,6 +164,7 @@ DIFF_AXIOM_SETS = (axiom_set(), axiom_set(d=True), axiom_set([(0, 0)]),
                    axiom_set([(1, 1)], d=True), axiom_set([(1, 1), (2, 1)]),
                    axiom_set([(0, 2), (1, 0)], d=True))
 DIFF_SEEDS = 300
+WIDE_SEEDS = 8
 
 
 def _mutated(m: Model, rng: random.Random) -> Model:
@@ -180,32 +182,84 @@ def _mutated(m: Model, rng: random.Random) -> Model:
     return Model(m.worlds, frozenset(leq), frozenset(acc), frozenset(val))
 
 
-def test_random_model_matches_the_reference():
+def _wide_seeds() -> list:
+    """The first WIDE_SEEDS seeds whose random_model(ax, 12, seed) has 11
+    or 12 worlds, named so that m10 and m11 sort between m1 and m2: a
+    row index taken in creation order would misplace them.  The number
+    of worlds does not depend on ax."""
+    seeds = []
+    for seed in count():
+        if len(random_model(axiom_set(), 12, seed).worlds) > 10:
+            seeds.append(seed)
+            if len(seeds) == WIDE_SEEDS:
+                return seeds
+
+
+def _rebuilt(m: Model) -> Model:
+    """m built again from its four sets, without the rows random_model
+    left on it, so that its first check builds its own."""
+    return Model(m.worlds, m.leq, m.acc, m.val)
+
+
+def _random_models_match(max_worlds: int, seeds) -> None:
     for ax in DIFF_AXIOM_SETS:
-        for seed in range(DIFF_SEEDS):
-            assert random_model(ax, 5, seed) == ref_random_model(ax, 5, seed), (ax, seed)
+        for seed in seeds:
+            m = random_model(ax, max_worlds, seed)
+            assert m == ref_random_model(ax, max_worlds, seed), (ax, max_worlds, seed)
+            # the rows random_model hands over are those a check would build
+            assert m._rows == _rebuilt(m)._rows, (ax, max_worlds, seed)
+
+
+def _structure_checks_match(max_worlds: int, seeds, rng: random.Random) -> tuple:
+    """Each model and a mutant of it, under the model's own axiom set and
+    the next one, so every axiom set checks models made for another.
+    Each model is checked on the rows random_model left on it and,
+    rebuilt, on rows of its own.  Returns the kinds of violation seen,
+    and whether a frame check walked through the stray world zz."""
+    kinds, stray = set(), False
+    for i, ax in enumerate(DIFF_AXIOM_SETS):
+        other = DIFF_AXIOM_SETS[(i + 1) % len(DIFF_AXIOM_SETS)]
+        for seed in seeds:
+            m = random_model(ax, max_worlds, seed)
+            for same in ((m, _rebuilt(m)), (_mutated(m, rng),)):
+                ref = ref_check_model(same[0])
+                frames = [(a, ref_check_frame_conditions(same[0], a)) for a in (ax, other)]
+                for x in same:
+                    assert check_model(x) == ref, (ax, seed, x)
+                    for a, frame in frames:
+                        assert check_frame_conditions(x, a) == frame, (a, seed, x)
+                for v in ref + frames[0][1] + frames[1][1]:
+                    kinds.add(v.condition.split("(")[0])
+                    stray |= v.condition.startswith("hsl") and "zz" in v.witness
+    return kinds, stray
+
+
+ALL_KINDS = {"domain-leq", "domain-acc", "domain-val", "leq-reflexive",
+             "leq-transitive", "F1", "F2", "monotonicity", "seriality", "hsl"}
+
+
+def test_random_model_matches_the_reference():
+    _random_models_match(5, range(DIFF_SEEDS))
+
+
+def test_random_model_past_ten_worlds_matches_the_reference():
+    _random_models_match(12, _wide_seeds())
 
 
 def test_structure_checks_match_the_reference():
-    # each model and a mutant of it, under the model's own axiom set and
-    # the next one, so every axiom set checks models made for another
-    rng = random.Random(18)
-    kinds = set()
-    for i, ax in enumerate(DIFF_AXIOM_SETS):
-        other = DIFF_AXIOM_SETS[(i + 1) % len(DIFF_AXIOM_SETS)]
-        for seed in range(DIFF_SEEDS):
-            m = random_model(ax, 5, seed)
-            for x in (m, _mutated(m, rng)):
-                got = check_model(x)
-                assert got == ref_check_model(x), (ax, seed, x)
-                for a in (ax, other):
-                    frame = check_frame_conditions(x, a)
-                    assert frame == ref_check_frame_conditions(x, a), (a, seed, x)
-                    got += frame
-                kinds |= {v.condition.split("(")[0] for v in got}
-    assert kinds == {"domain-leq", "domain-acc", "domain-val", "leq-reflexive",
-                     "leq-transitive", "F1", "F2", "monotonicity", "seriality",
-                     "hsl"}
+    assert _structure_checks_match(5, range(DIFF_SEEDS), random.Random(18)) == (ALL_KINDS, True)
+
+
+def test_structure_checks_past_ten_worlds_match_the_reference():
+    assert _structure_checks_match(12, _wide_seeds(), random.Random(19)) == (ALL_KINDS, True)
+    # names outside the worlds that sort before, between and after them:
+    # the frame checks walk through them in sorted name order
+    m = model_of(["b", "d"], acc=[("b", "a"), ("b", "d"), ("a", "c"), ("a", "e"),
+                                  ("c", "d"), ("d", "b"), ("e", "b")])
+    for ax in (axiom_set([(1, 0)]), axiom_set([(2, 1)]), axiom_set([(3, 0)], d=True),
+               axiom_set([(2, 2)])):
+        assert check_frame_conditions(m, ax) == ref_check_frame_conditions(m, ax) != [], ax
+    assert check_model(m) == ref_check_model(m) != []
 
 
 def test_structure_checks_on_a_large_model_are_fast():

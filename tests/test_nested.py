@@ -30,14 +30,14 @@ from imseq.nested import (_MOVES_IN, EMPTY, NESTED_RULES, REACH_MEMO_NODES,
                           _try_leaf, _witness,
                           all_paths, check_nested, is_full, map_node,
                           match_children, node_at,
-                          ONE_WORLD_BITS, nseq, one_world_countermodel, output_count,
-                          output_position,
+                          nseq, output_count, output_position,
                           parse_nested, parse_path_id, path_id,
                           premises_of_nested, prop_graph_nested, prove_bounded,
                           prove_formula, render_nested, RuleError)
-from imseq.models import (_one_world_valuation, _two_world_candidate, _two_world_model,
-                          _two_world_tables, check_frame_conditions, check_model,
-                          eval_formula, model_of, sat_sequent, two_world_countermodel)
+from imseq.models import (ONE_WORLD_BITS, _one_world_valuation, _two_world_candidate,
+                          _two_world_model, _two_world_tables, check_frame_conditions,
+                          check_model, eval_formula, model_of, one_world_countermodel,
+                          sat_sequent, two_world_countermodel)
 from imseq.proofio import dump_proof
 from imseq.translate import to_labelled
 
