@@ -679,14 +679,16 @@ def ref_prove_bounded(goal, ax, depth, cache=True):
 # same order, for every model.
 
 def ref_check_model(m: Model) -> list:
+    # each relation sorted once; every loop scans a whole relation
+    leq, acc, val = sorted(m.leq), sorted(m.acc), sorted(m.val)
     out = []
-    for a, b in sorted(m.leq):
+    for a, b in leq:
         if a not in m.worlds or b not in m.worlds:
             out.append(Violation("domain-leq", (a, b)))
-    for a, b in sorted(m.acc):
+    for a, b in acc:
         if a not in m.worlds or b not in m.worlds:
             out.append(Violation("domain-acc", (a, b)))
-    for w, p in sorted(m.val):
+    for w, p in val:
         if w not in m.worlds:
             out.append(Violation("domain-val", (w, p)))
     if out:
@@ -694,26 +696,26 @@ def ref_check_model(m: Model) -> list:
     for w in sorted(m.worlds):
         if (w, w) not in m.leq:
             out.append(Violation("leq-reflexive", (w,)))
-    for a, b in sorted(m.leq):
-        for b2, c in sorted(m.leq):
+    for a, b in leq:
+        for b2, c in leq:
             if b == b2 and (a, c) not in m.leq:
                 out.append(Violation("leq-transitive", (a, b, c)))
-    for w, v in sorted(m.acc):
-        for v2, v_up in sorted(m.leq):
+    for w, v in acc:
+        for v2, v_up in leq:
             if v2 != v:
                 continue
             if not any((w, w_up) in m.leq and (w_up, v_up) in m.acc
                        for w_up in m.worlds):
                 out.append(Violation("F1", (w, v, v_up)))
-    for w, w_up in sorted(m.leq):
-        for w2, v in sorted(m.acc):
+    for w, w_up in leq:
+        for w2, v in acc:
             if w2 != w:
                 continue
             if not any((w_up, v_up) in m.acc and (v, v_up) in m.leq
                        for v_up in m.worlds):
                 out.append(Violation("F2", (w, w_up, v)))
-    for w, p in sorted(m.val):
-        for w2, w_up in sorted(m.leq):
+    for w, p in val:
+        for w2, w_up in leq:
             if w2 == w and (w_up, p) not in m.val:
                 out.append(Violation("monotonicity", (w, w_up, p)))
     return out
@@ -733,13 +735,13 @@ def ref_check_frame_conditions(m: Model, ax: AxiomSet) -> list:
             if not any(a == w for a, _ in m.acc):
                 out.append(Violation("seriality", (w,)))
     for n, k in sorted(ax.hsl):
-        rn = ref_power_pairs(m, n)
-        rk = ref_power_pairs(m, k)
+        rn = sorted(ref_power_pairs(m, n))
+        rk = sorted(ref_power_pairs(m, k))
         for w in sorted(m.worlds):
-            for w2, u in sorted(rn):
+            for w2, u in rn:
                 if w2 != w:
                     continue
-                for w3, v in sorted(rk):
+                for w3, v in rk:
                     if w3 == w and (u, v) not in m.acc:
                         out.append(Violation(f"hsl({n},{k})", (w, u, v)))
     return out

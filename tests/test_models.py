@@ -164,7 +164,7 @@ DIFF_AXIOM_SETS = (axiom_set(), axiom_set(d=True), axiom_set([(0, 0)]),
                    axiom_set([(1, 1)], d=True), axiom_set([(1, 1), (2, 1)]),
                    axiom_set([(0, 2), (1, 0)], d=True))
 DIFF_SEEDS = 300
-WIDE_SEEDS = 8
+WIDE_SEEDS = 16
 
 
 def _mutated(m: Model, rng: random.Random) -> Model:
