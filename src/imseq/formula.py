@@ -9,8 +9,8 @@ Formulas are interned: the constructors return the one live object per
 distinct formula, kept in a weak table, so ``==`` is ``is`` and ``hash``
 is O(1) however much the formula shares.  Nodes are immutable, and
 ``pickle`` and ``copy`` hand back the interned object.  A node stores
-its rendering once it is first printed, and its propagation bits once
-the prover first asks for them; ``parse_formula`` answers repeated texts
+its rendering once it is first printed, and its polarity signature once
+the prover first asks for it; ``parse_formula`` answers repeated texts
 from a bounded memo.
 """
 
@@ -48,8 +48,8 @@ def _intern(key: tuple) -> Formula:
 class Formula:
     """Base class for formula nodes.  All nodes are interned and immutable.
 
-    ``_text`` and ``_pol`` hold the node's rendering and its propagation
-    bits (``nested._signature``) once first asked for, else None."""
+    ``_text`` and ``_pol`` hold the node's rendering and its polarity
+    signature (``nested._signature``) once first asked for, else None."""
 
     __slots__ = ("_text", "_pol", "__weakref__")
     __match_args__: tuple = ()

@@ -182,10 +182,10 @@ def test_prove_names_a_two_world_countermodel(tmp_path, capsys, text, flags):
 
 def test_prove_too_deep_to_search_exits_2(capsys):
     """[](p -> p) -> (q | (q -> (r | (r -> false)))) holds in every model
-    of one or two worlds and can propagate, so under seriality the
-    search tries d and recurses once per level; past Python's recursion
-    limit it fails as a bad depth does, naming the depth, with no
-    traceback."""
+    of one or two worlds and escapes both polarity prunes, so under
+    seriality the search recurses once per level; past Python's
+    recursion limit it fails as a bad depth does, naming the depth, with
+    no traceback."""
     text = "[](p -> p) -> (q | (q -> (r | (r -> false))))"
     goal = nseq(output=parse_formula(text))
     assert one_world_countermodel(goal) is None

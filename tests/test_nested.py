@@ -25,7 +25,7 @@ from imseq.formula import (BOT, MAX_NESTING, And, Atom, BENCHMARKS, Bot, Box, Di
 from imseq.grammar import Sym, _Saturator, grammar_from_axioms, reach_all
 from imseq.nested import (_MOVES_IN, EMPTY, NESTED_RULES, REACH_MEMO_NODES,
                           REACH_MEMO_SIZE, NestedProof, _applied, _closable,
-                          _local_leaf, _moves, _positions, _premise_edits,
+                          _local_leaf, _polarities, _positions, _premise_edits,
                           _reach_memo, _reach_table, _targets,
                           _try_leaf, _witness,
                           all_paths, check_nested, is_full, map_node,
@@ -612,17 +612,19 @@ def test_serial_search_answers_at_depth_50():
 
 
 # true in every model of one or two worlds, though not valid (a chain of
-# three worlds refutes it), and it can propagate, so the d gate lets d in
+# three worlds refutes it), and escapes both polarity prunes
 UNREFUTED = "[](p -> p) -> (q | (q -> (r | (r -> false))))"
 
 
 def test_serial_search_answers_an_unrefuted_goal_at_depth_20():
-    """UNREFUTED is refuted by neither root test, and it holds a [] at
-    input, so the d gate lets d be tried."""
+    """UNREFUTED is refuted by neither root test, and it holds p, q and r
+    at both polarities and a [] at input, so neither polarity prune
+    applies and d is tried."""
     goal = nseq(output=parse_formula(UNREFUTED))
     assert one_world_countermodel(goal) is None
     assert two_world_countermodel(goal, axiom_set(d=True)) is None
-    assert _moves(_positions(goal))
+    ins, outs, moves = _polarities(_positions(goal))
+    assert not ins.isdisjoint(outs) and moves
     t0 = time.perf_counter()
     assert prove_bounded(goal, axiom_set(d=True), 20) is None
     assert time.perf_counter() - t0 < 5.0
@@ -695,41 +697,51 @@ def test_prover_leaves_no_cyclic_garbage():
 
 
 def _refuted(seq):
-    """Whether seq has no false at input polarity and no atom at both."""
-    ins, outs, _ = ref_polarities(seq)
+    ins, outs, _ = _polarities(_positions(seq))
     return BOT not in ins and ins.isdisjoint(outs)
 
 
+def _unpruned(positions):
+    """_polarities' answer for a sequent with false at input polarity
+    and a formula that can propagate: under it, prove_bounded refutes no
+    sequent and tries d wherever the output-free-child prune allows, as
+    it did before the polarity prunes."""
+    return {BOT}, set(), _MOVES_IN
+
+
 def _ungated(positions):
-    """_moves' answer with every sequent able to propagate: under it,
-    prove_bounded tries d without the gate."""
-    return _MOVES_IN
+    """_polarities' answer with every sequent able to propagate: under
+    it, prove_bounded refutes as it does, but tries d without the gate."""
+    return _polarities(positions)[:2] + (_MOVES_IN,)
 
 
-def _prove_as(moves, goal, ax, depth):
+def _prove_as(polarities, goal, ax, depth):
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(imseq.nested, "_moves", moves)
+        m.setattr(imseq.nested, "_polarities", polarities)
         return prove_bounded(goal, ax, depth)
 
 
 def test_premise_polarities_are_subsets_of_their_conclusions():
     """Each premise of every rule instance holds subformulas of its
-    conclusion's formulas at their polarities, so it can propagate only
-    if its conclusion can.  The d gate rests on this.  _moves agrees
-    with a walk of every formula occurrence."""
+    conclusion's formulas at their polarities, so its atoms at input and
+    at output polarity are subsets of its conclusion's, and it can
+    propagate only if its conclusion can.  The refutation and the d gate
+    rest on this.  The signatures agree with a walk of every formula
+    occurrence."""
     rng = random.Random(17001)
     rules = set()
     premises = 0
     while premises < 6000:
         seq = gen.random_full_nested(rng, rng.randrange(3), 2, 2, ("p", "q", "r"))
-        moves = _moves(_positions(seq))
-        assert bool(moves) == ref_polarities(seq)[2], str(seq)
+        ins, outs, moves = _polarities(_positions(seq))
+        assert (ins, outs, bool(moves)) == ref_polarities(seq), str(seq)
         for inst in _instances(seq):
             rules.add(inst[0])
             for edits in _premise_edits(seq, *inst):
                 prem = _applied(seq, edits)
-                pmoves = _moves(_positions(prem))
-                assert bool(pmoves) == ref_polarities(prem)[2]
+                pins, pouts, pmoves = _polarities(_positions(prem))
+                assert (pins, pouts, bool(pmoves)) == ref_polarities(prem)
+                assert pins <= ins and pouts <= outs, (str(seq), inst)
                 assert moves or not pmoves, (str(seq), inst)
                 premises += 1
     assert rules == NESTED_RULES
@@ -782,16 +794,66 @@ def _polarized_goal(seq):
 @given(_goals(), st.sampled_from(AXIOM_MIXES), st.integers(0, 6))
 def test_refuted_goals_have_no_proof(goal, ax, depth):
     """A goal with no false at input polarity and no atom at both
-    polarities is false in the one-world model where exactly its atoms
-    at input polarity hold, so the one-world test refutes it, and it has
-    no proof, from prove_bounded or from the search without the prunes:
-    the goal drawn, if it is so, and the goal polarized, which is."""
+    polarities has no proof from the search without the prunes: the
+    goal drawn, if it is refuted, and the goal polarized, which is."""
     polarized = _polarized_goal(goal)
     assert _refuted(polarized)
-    for g in (polarized, goal) if _refuted(goal) else (polarized,):
-        assert _one_world_valuation(imseq.models._goal_formulas(g)) is not None, str(g)
-        assert prove_bounded(g, ax, depth) is None
-        assert ref_prove_bounded(g, ax, depth) is None
+    assert ref_prove_bounded(polarized, ax, depth) is None
+    if _refuted(goal):
+        assert ref_prove_bounded(goal, ax, depth) is None
+
+
+def test_refutation_changes_no_proof():
+    """Refuting a sequent that no leaf above can close changes no proof:
+    with d ungated, byte-identical proofs with and without the
+    refutation, on random goals under every axiom mix."""
+    rng = random.Random(17003)
+    runs = proved = refuted = 0
+    for k in range(1000):
+        goal = gen.random_full_nested(rng, rng.randrange(3), 2, 2, ("p", "q", "r"))
+        ax = AXIOM_MIXES[k % len(AXIOM_MIXES)]
+        refuted += _refuted(goal)
+        for depth in (2, 4, 5, 6):
+            got = _dumped(_prove_as(_ungated, goal, ax, depth))
+            assert got == _dumped(_prove_as(_unpruned, goal, ax, depth)), (k, depth)
+            runs += 1
+            proved += got is not None
+    assert (runs, proved, refuted) == (4000, 902, 289)
+
+
+def test_refutation_cuts_an_inner_sequent_the_root_tests_never_see():
+    """The root tests run at the root only, the refutation at every
+    search call.  ([]p -> q) | (q -> q) is valid, so neither root test
+    refutes it; orO tries its left side first, and impO leaves []p |- q,
+    which the refutation refuses at once.  Searched instead, that branch
+    would grow a d chain as deep as the budget and, at depth 300, run
+    past Python's recursion limit before orO's right side is tried."""
+    ax = axiom_set(d=True)
+    goal = nseq(output=parse_formula("([]p -> q) | (q -> q)"))
+    assert one_world_countermodel(goal) is None
+    assert two_world_countermodel(goal, ax) is None
+    assert _refuted(nseq((Box(P),), Q))
+    t0 = time.perf_counter()
+    proof = prove_bounded(goal, ax, 300)
+    assert time.perf_counter() - t0 < 5.0
+    assert proof is not None and check_nested(proof, ax)
+
+
+def test_refutation_answers_a_goal_past_the_root_tests_bounds():
+    """[]r |- q0 | ... | q15 has 17 atoms, too many for either root
+    test's tables, so both skip it; the refutation refuses it at the
+    first search call, and under seriality it answers at depth 300."""
+    out = Atom("q0")
+    for i in range(1, 16):
+        out = Or(out, Atom(f"q{i}"))
+    ax = axiom_set(d=True)
+    goal = nseq((Box(R),), out)
+    assert _refuted(goal)
+    assert one_world_countermodel(goal) is None
+    assert two_world_countermodel(goal, ax) is None
+    t0 = time.perf_counter()
+    assert prove_bounded(goal, ax, 300) is None
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_d_gate_loses_no_proof():
@@ -836,13 +898,14 @@ def _no_countermodel(front, ax=None):
     return None
 
 
-def test_root_tests_and_the_d_gate_cut_the_corpus_search():
+def test_polarity_prunes_cut_the_corpus_search():
     """Search calls, d attempts and the budget-1 calls that _closable
     decides, before any key, in one pass over the prove corpus at depth
     5, and the goals the one-world test and the two-world test refute at
-    the root: with both root tests and the d gate, then with the
-    one-world test alone, then without root tests, and then without the
-    d gate either.  The outcomes are the frozen ones in all four."""
+    the root: with both root tests and both polarity prunes, then with
+    the one-world test alone and both prunes, then without root tests,
+    with both prunes, with the refutation alone, and with neither.  The
+    outcomes are the frozen ones in all five."""
     spec = json.loads(PROVE_CORPUS.read_text())
     goals = [(parse_nested(g["goal"]),
               axiom_set([tuple(p) for p in g["axioms"]["hsl"]], d=g["axioms"]["d"]),
@@ -868,17 +931,18 @@ def test_root_tests_and_the_d_gate_cut_the_corpus_search():
 
     counts = []
     two_world = []
-    for root_tests, moves in (
-            ((_one_world_valuation, _two_world_candidate), _moves),
-            ((_one_world_valuation, _no_countermodel), _moves),
-            ((_no_countermodel, _no_countermodel), _moves),
-            ((_no_countermodel, _no_countermodel), _ungated)):
+    for root_tests, polarities in (
+            ((_one_world_valuation, _two_world_candidate), _polarities),
+            ((_one_world_valuation, _no_countermodel), _polarities),
+            ((_no_countermodel, _no_countermodel), _polarities),
+            ((_no_countermodel, _no_countermodel), _ungated),
+            ((_no_countermodel, _no_countermodel), _unpruned)):
         calls.update(search=0, d=0, unkeyed=0, roots=0, two=0)
         outcomes = []
         with pytest.MonkeyPatch.context() as m:
             m.setattr(imseq.nested, "_one_world_valuation", root_tests[0])
             m.setattr(imseq.nested, "_two_world_candidate", root_tests[1])
-            m.setattr(imseq.nested, "_moves", moves)
+            m.setattr(imseq.nested, "_polarities", polarities)
             for goal, ax, _ in goals:
                 sys.setprofile(count)
                 try:
@@ -890,9 +954,10 @@ def test_root_tests_and_the_d_gate_cut_the_corpus_search():
         assert outcomes == [digest for _, _, digest in goals]
         counts.append((calls["roots"], calls["search"], calls["d"], calls["unkeyed"]))
         two_world.append(calls["two"])
-    assert counts == [(141, 353, 3, 48), (141, 1049, 99, 335),
-                      (0, 2337, 347, 867), (0, 2914, 788, 1206)]
-    assert two_world == [68, 0, 0, 0]
+    assert counts == [(141, 353, 3, 48),
+                      (141, 1047, 99, 335), (0, 1830, 177, 599), (0, 2060, 344, 748),
+                      (0, 2914, 788, 1206)]
+    assert two_world == [68, 0, 0, 0, 0]
 
 
 def test_closable_holds_wherever_one_step_closes():
@@ -938,7 +1003,7 @@ def test_closable_holds_wherever_one_step_closes():
               f"({rejected / len(group):.0%}); {closing} close in one step")
         shares.append((len(group), closing, rejected))
     assert rules == NESTED_RULES - {"botI", "id", "boxO", "d"}
-    assert shares == [(3000, 426, 2502), (969, 55, 867)]
+    assert shares == [(3000, 426, 2502), (701, 55, 599)]
 
 
 def _one_world_goals():
